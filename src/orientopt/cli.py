@@ -7,7 +7,8 @@ solve and report wall times).  Reports are single-line JSON with a
 ``schema`` field; all randomness comes from ``--seed``.
 
 Exit codes: 0 success, 1 compare mismatch, 2 parse error (with a
-line/column diagnostic on stderr), 3 precondition violation.
+line/column diagnostic on stderr), 3 precondition violation, 4 internal
+error (a solver result that failed its own check).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .formats import (
     rational_to_json,
 )
 from .instances import (
+    _UnknownName,
     fig4_graph,
     gen_gk,
     named_instance,
@@ -69,7 +71,7 @@ MODES = (
 def _load_graph(spec: str) -> Multigraph:
     try:
         return named_instance(spec)
-    except ValueError:
+    except _UnknownName:
         pass
     path = Path(spec)
     if path.exists():
@@ -353,6 +355,9 @@ def run(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except RuntimeError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

@@ -157,6 +157,11 @@ def _degree_list(n, edges):
     return deg
 
 
+class _UnknownName(ValueError):
+    """A name that no builtin family matches, as opposed to a builtin
+    family with a bad parameter."""
+
+
 def named_instance(name: str) -> Multigraph:
     """Resolve builtin graph names: ``k3``, ``fig4``, ``gk:K``,
     ``path:N``, ``cycle:N``, ``complete:N``."""
@@ -184,7 +189,7 @@ def named_instance(name: str) -> Multigraph:
         if k < 1:
             raise ValueError("a complete graph needs at least one vertex")
         return build_graph(k, list(combinations(range(k), 2)))
-    raise ValueError(f"unknown instance name {name!r}")
+    raise _UnknownName(f"unknown instance name {name!r}")
 
 
 # ---------------------------------------------------------------------------

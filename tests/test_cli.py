@@ -175,6 +175,30 @@ class TestExitCodes:
         assert code == 3
         assert "neither" in err
 
+    def test_bad_builtin_parameter_reports_the_real_error(self, capsys):
+        code, _, err = invoke(
+            capsys, "solve", "--input", "gk:0", "--objective", "square",
+            "--mode", "cyclic-flow",
+        )
+        assert code == 3
+        assert "need at least one triangle" in err
+        assert "neither" not in err
+
+    def test_internal_error_is_4_without_traceback(self, capsys, monkeypatch):
+        import orientopt.cli as cli
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("internal error: solver broke")
+
+        monkeypatch.setattr(cli, "solve_cyclic", broken)
+        code, out, err = invoke(
+            capsys, "solve", "--input", "k3", "--objective", "square",
+            "--mode", "cyclic-flow",
+        )
+        assert code == 4
+        assert out == ""
+        assert err == "error: internal error: solver broke\n"
+
     def test_oracle_cap_is_3(self, capsys):
         # gk:3 has 11 vertices, beyond the 10! order cap
         code, _, _ = invoke(

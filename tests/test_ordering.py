@@ -74,6 +74,97 @@ def small_random_graphs(seed, count, n_range=(2, 6), m_range=(0, 9), **kw):
     return out
 
 
+# Naive references: O(n^2) peeling scans and a from-scratch derandomized
+# greedy.  They read only g.n and g.edges and share no code with
+# orientopt.ordering (the expectation is summed pair by pair, without
+# relative_order_counts), so the differential tests compare two
+# independent implementations.
+
+
+def ref_smallest_last(g, weights, rng=None):
+    """Remove a live vertex of minimum weighted degree, scanning them all;
+    ties to the lowest id, or ``rng.choice`` over the id-sorted ties."""
+    wdeg = [Fraction(0)] * g.n
+    for (a, b), x in zip(g.edges, weights):
+        wdeg[a] += x
+        if b != a:
+            wdeg[b] += x
+    alive = [True] * g.n
+    suffix = []
+    for _ in range(g.n):
+        lo = min(wdeg[v] for v in range(g.n) if alive[v])
+        ties = [v for v in range(g.n) if alive[v] and wdeg[v] == lo]
+        pick = ties[0] if rng is None else rng.choice(ties)
+        alive[pick] = False
+        suffix.append(pick)
+        for (a, b), x in zip(g.edges, weights):
+            if a != b and pick in (a, b):
+                u = b if a == pick else a
+                if alive[u]:
+                    wdeg[u] -= x
+    return tuple(reversed(suffix))
+
+
+def ref_is_greedy_run(g, order):
+    deg = [0] * g.n
+    for a, b in g.edges:
+        deg[a] += 1
+        if b != a:
+            deg[b] += 1
+    alive = [True] * g.n
+    for v in reversed(order):
+        if deg[v] != min(deg[u] for u in range(g.n) if alive[u]):
+            return False
+        alive[v] = False
+        for a, b in g.edges:
+            if a != b and v in (a, b):
+                u = b if a == v else a
+                if alive[u]:
+                    deg[u] -= 1
+    return True
+
+
+def ref_expectation(g, prefix):
+    """E[sum_v leftdeg(v) * rightdeg(v)] over uniform completions of the
+    prefix, by linearity over ordered pairs (e, f) of distinct edges at a
+    common vertex v: the term is P(e's other end precedes v and f's
+    other end follows v)."""
+    pos = {v: i for i, v in enumerate(prefix)}
+    total = Fraction(0)
+    for v in range(g.n):
+        ends = [b if a == v else a for a, b in g.edges if v in (a, b)]
+        for i, x in enumerate(ends):
+            for j, y in enumerate(ends):
+                if i == j:
+                    continue
+                if v in pos:
+                    x_first = x in pos and pos[x] < pos[v]
+                    y_later = y not in pos or pos[y] > pos[v]
+                    total += 1 if x_first and y_later else 0
+                elif y in pos:
+                    continue  # placed, so before the free v
+                elif x in pos:
+                    total += Fraction(1, 2)
+                elif x != y:
+                    total += Fraction(1, 6)
+    return total
+
+
+def ref_derandomized(g):
+    order = []
+    free = set(range(g.n))
+    for _ in range(g.n):
+        best_u = None
+        best_e = None
+        for u in sorted(free):
+            e = ref_expectation(g, order + [u])
+            if best_e is None or e > best_e:
+                best_u, best_e = u, e
+        order.append(best_u)
+        free.discard(best_u)
+    return tuple(order)
+
+
 class TestSubsetDP:
     def test_path_square(self):
         order, value = exact_subset_dp(path(4), lambda v, z: z * z)
@@ -239,6 +330,83 @@ class TestGreedy:
         g = path(3)  # degrees 1,2,1
         assert is_greedy_run(g, (2, 1, 0))
         assert not is_greedy_run(g, (0, 2, 1))  # middle vertex placed last
+
+
+class TestAgainstNaiveReference:
+    """The peeling core and the incremental derandomization return
+    exactly the orders of the naive scans above."""
+
+    @staticmethod
+    def graphs(seed):
+        return small_random_graphs(seed, 30, (1, 24), (0, 60)) + small_random_graphs(
+            seed + 1, 15, (1, 12), (0, 30), allow_loops=True
+        )
+
+    def test_smallest_last_unit_and_rational_weights(self):
+        rng = random.Random(5)
+        for g in self.graphs(90) + small_random_graphs(92, 15, (1, 20), (0, 50), weighted=True):
+            ones = [Fraction(1)] * g.m
+            assert weighted_smallest_last(g, ones) == ref_smallest_last(g, ones)
+            carried = g.weights if g.weights is not None else ones
+            assert weighted_smallest_last(g) == ref_smallest_last(g, carried)
+            w = [Fraction(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(g.m)]
+            for w in (w, [Fraction(2, 3)] * g.m, [0] * g.m):
+                assert weighted_smallest_last(g, w) == ref_smallest_last(g, w), (g.edges, w)
+
+    def test_greedy_lowest_id_and_seeded_random(self):
+        for g in self.graphs(94):
+            ones = [1] * g.m
+            assert greedy_min_degree(g) == ref_smallest_last(g, ones)
+            for seed in range(5):
+                got = greedy_min_degree(g, tie_break="seeded-random", seed=seed)
+                assert got == ref_smallest_last(g, ones, random.Random(seed))
+
+    def test_is_greedy_run_on_runs_and_perturbed_orders(self):
+        rng = random.Random(6)
+        verdicts = []
+        for g in self.graphs(96):
+            for seed in range(3):
+                run = greedy_min_degree(g, tie_break="seeded-random", seed=seed)
+                assert is_greedy_run(g, run) and ref_is_greedy_run(g, run)
+                bent = list(run)
+                i, j = rng.randrange(g.n), rng.randrange(g.n)
+                bent[i], bent[j] = bent[j], bent[i]
+                verdicts.append(ref_is_greedy_run(g, bent))
+                assert is_greedy_run(g, bent) == verdicts[-1], (g.edges, bent)
+        assert True in verdicts and False in verdicts
+
+    def test_derandomized_every_method(self):
+        graphs = small_random_graphs(98, 25, (1, 9), (0, 16)) + small_random_graphs(
+            99, 10, (2, 9), (1, 16), simple=True
+        )
+        for g in graphs:
+            want = ref_derandomized(g)
+            methods = ("auto", "table", "closed") if g.is_simple else ("auto", "table")
+            for method in methods:
+                assert derandomized_order(g, method) == want, (g.edges, method)
+                prefix = want[: g.n // 2]
+                assert conditional_expectation(g, prefix, method) == ref_expectation(g, prefix)
+
+
+def test_smallest_last_certifies_degeneracy_at_scale():
+    # the vertices still live at the first peeling step that reaches the
+    # maximum left degree k induce a subgraph of minimum degree k, so no
+    # order does better
+    g = random_multigraph(10**5, 3 * 10**5, seed=1)
+    order = weighted_smallest_last(g)
+    left = degrees_of_order(g, order).indeg
+    k = max(left)
+    step = max(i for i, v in enumerate(order) if left[v] == k)
+    live = [False] * g.n
+    for v in order[: step + 1]:
+        live[v] = True
+    inner = [0] * g.n
+    for a, b in g.edges:
+        if live[a] and live[b]:
+            inner[a] += 1
+            inner[b] += 1
+    assert k > 0
+    assert min(inner[v] for v in order[: step + 1]) == k
 
 
 class TestLinearSlope:
