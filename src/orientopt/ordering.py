@@ -33,6 +33,7 @@ from .objectives import (
     DecMin,
     IncMax,
     IncMin,
+    LiftedCost,
     PhiSum,
     RhoDeltaSum,
     ForbiddenSubpaths,
@@ -280,21 +281,75 @@ def linear_optimum_value(graph: Multigraph, slopes: Sequence, intercepts=None):
 # Exact optimization over all orders: DP on vertex subsets.
 
 
+def _int_costs(tables: list[list], maximize: bool) -> list[list[int]]:
+    """The cost tables as ints that order every sum of one entry per row
+    exactly as the entries themselves do, ties included.
+
+    ints and Fractions are scaled by the LCM of their denominators.  A
+    LiftedCost becomes penalty * M + base over the scaled bases, with
+    M = sum_v (max base_v - min base_v) + 1: two such sums differ in base
+    by less than M, so one unit of penalty outweighs any base difference,
+    as the lexicographic order requires.  ``maximize`` negates the result.
+    """
+    entries = [x for row in tables for x in row]
+    kinds = {isinstance(x, LiftedCost) for x in entries}
+    if len(kinds) > 1:
+        raise TypeError("cost table mixes LiftedCost with other values")
+    lifted = True in kinds
+    if lifted:
+        if not all(isinstance(x.penalty, int) for x in entries):
+            raise TypeError("LiftedCost penalties must be ints")
+        bases = [[x.base for x in row] for row in tables]
+        entries = [x for row in bases for x in row]
+    else:
+        bases = tables
+    for x in entries:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"cost {x!r} is not an int, a Fraction or a LiftedCost")
+    scale = lcm(*(x.denominator for x in entries))
+    ints = [[x.numerator * (scale // x.denominator) for x in row] for row in bases]
+    if lifted:
+        big = sum(max(row) - min(row) for row in ints) + 1
+        ints = [[x.penalty * big + b for x, b in zip(row, brow)] for row, brow in zip(tables, ints)]
+    if maximize:
+        ints = [[-x for x in row] for row in ints]
+    return ints
+
+
+def _subset_sums(start: int, weights: Sequence[int]) -> list[int]:
+    """``start`` plus the sum of ``weights[i]`` over the set bits i of s,
+    for every s < 2**len(weights)."""
+    sums = [start]
+    for w in weights:
+        sums += [x + w for x in sums]
+    return sums
+
+
 def exact_subset_dp(
     graph: Multigraph,
     cost_of: Callable[[int, int], object],
     maximize: bool = False,
     cap: int = DP_CAP,
 ):
-    """Optimal order for any separable order cost, in O(2^n * n) time.
+    """Optimal order for any separable order cost.
 
-    ``cost_of(v, z)`` prices vertex v at left degree z; values need
-    ordering and addition but nothing else (ints, Fractions, LiftedCost
-    and big-integer keys all work).  Convexity is not required.  The
-    recursion: the best order of an induced subgraph ends in some vertex
-    v, which then pays for its full degree inside that subgraph.
+    ``cost_of(v, z)`` prices vertex v at left degree z.  Every value must
+    be an int or a Fraction, or every value a LiftedCost (int penalty,
+    int or Fraction base); anything else raises TypeError.  Convexity is
+    not required.  The recursion: the best order of an induced subgraph
+    ends in some vertex v, which then pays for its full degree inside
+    that subgraph.
 
-    Returns ``(order, value)``; ties resolve to the lowest vertex id.
+    The DP runs on plain ints: the tables are scaled by the LCM of their
+    denominators, and a LiftedCost becomes penalty * M + base with M one
+    more than the total spread of the bases (:func:`_int_costs`), which
+    keeps every comparison and tie.  v's degree inside a mask (loops
+    included) is ``lo[v][mask & low] + hi[v][mask >> half]``, two lookups
+    in tables of its degree into each half of the vertex set.  That is
+    O(2^n * n) time and O(2^n + n * 2^(n/2)) memory.
+
+    Returns ``(order, value)``, with the value summed from the original
+    costs; ties resolve to the lowest vertex id.
     """
     n = graph.n
     if n > cap:
@@ -303,72 +358,44 @@ def exact_subset_dp(
         return (), 0
     degs = graph.degrees
     tables = [[cost_of(v, z) for z in range(degs[v] + 1)] for v in range(n)]
-    if maximize:
-        tables = [[-x for x in row] for row in tables]
+    costs = _int_costs(tables, maximize)
     loops = graph.loop_counts
     counts = graph.neighbor_counts
-    layers: list[list[int]] = []
-    for v in range(n):
-        row = []
-        r = 0
-        while True:
-            mask = 0
-            for u, c in counts[v].items():
-                if c > r:
-                    mask |= 1 << u
-            if mask == 0:
-                break
-            row.append(mask)
-            r += 1
-        layers.append(row)
+    half = n // 2
+    low = (1 << half) - 1
+    lo = [_subset_sums(loops[v], [counts[v].get(u, 0) for u in range(half)]) for v in range(n)]
+    hi = [_subset_sums(0, [counts[v].get(u, 0) for u in range(half, n)]) for v in range(n)]
+    # the vertices of each half-mask in increasing id, so that a mask's
+    # vertices are two list lookups instead of a bit scan
+    verts = [(v, 1 << v, costs[v], lo[v], hi[v]) for v in range(n)]
+    low_verts: list[list] = [[]]
+    for x in verts[:half]:
+        low_verts += [vs + [x] for vs in low_verts]
+    high_verts: list[list] = [[]]
+    for x in verts[half:]:
+        high_verts += [vs + [x] for vs in high_verts]
     full = 1 << n
-    f: list = [None] * full
-    f[0] = 0
+    f = [0] * full
     g = bytearray(full)
-    flat = all(len(row) <= 1 for row in layers) and not any(loops)
-    if flat:
-        adj = [row[0] if row else 0 for row in layers]
-        for mask in range(1, full):
-            best = None
-            best_v = 0
-            m2 = mask
-            while m2:
-                b = m2 & -m2
-                v = b.bit_length() - 1
-                m2 ^= b
-                cand = f[mask ^ b] + tables[v][(adj[v] & mask).bit_count()]
-                if best is None or cand < best:
-                    best = cand
-                    best_v = v
-            f[mask] = best
-            g[mask] = best_v
-    else:
-        for mask in range(1, full):
-            best = None
-            best_v = 0
-            m2 = mask
-            while m2:
-                b = m2 & -m2
-                v = b.bit_length() - 1
-                m2 ^= b
-                d = loops[v]
-                for lay in layers[v]:
-                    d += (lay & mask).bit_count()
-                cand = f[mask ^ b] + tables[v][d]
-                if best is None or cand < best:
-                    best = cand
-                    best_v = v
-            f[mask] = best
-            g[mask] = best_v
+    for mask in range(1, full):
+        ml = mask & low
+        mh = mask >> half
+        best = None
+        for v, b, cv, lv, hv in low_verts[ml] + high_verts[mh]:
+            cand = f[mask ^ b] + cv[lv[ml] + hv[mh]]
+            if best is None or cand < best:
+                best = cand
+                best_v = v
+        f[mask] = best
+        g[mask] = best_v
     suffix = []
+    value = 0
     mask = full - 1
     while mask:
         v = g[mask]
         suffix.append(v)
+        value += tables[v][lo[v][mask & low] + hi[v][mask >> half]]
         mask ^= 1 << v
-    value = f[full - 1]
-    if maximize:
-        value = -value
     return tuple(reversed(suffix)), value
 
 
@@ -663,48 +690,40 @@ def derandomized_order(graph: Multigraph, method: str = "auto") -> tuple[int, ..
     Appending u changes only the terms T of u and of its free neighbours
     w in :func:`conditional_expectation`, so the expectation grows by
     gain(u) = (d(u) - D(u)) D(u) - T(u) + sum_w [T(w without u) - T(w)],
-    with D(u) the multiplicity sum of u's free neighbours.  T(w) and the
-    differences (one per distinct multiplicity among w's free
-    neighbours) are cached and refreshed only around the vertex just
-    placed; a lazy heap of gains picks the next vertex.  With maximum
-    degree Δ the closed form then costs O(n Δ² (Δ + log n)) in all,
-    against O(n² (n + m)) for recomputing every candidate's expectation.
+    with D(u) the multiplicity sum of u's free neighbours.  The gains are
+    kept as exact ints, six times their value: a free vertex of degree d
+    whose free neighbours have multiplicities c has 6T = 3dD - 2D^2 - S
+    with D = sum c and S = sum c^2, on multigraphs too, and losing one
+    neighbour of multiplicity c changes 6T by c(4D - 3d - c).  So
+    6 gain(u) = D(u)(3d(u) - 4D(u)) + S(u) + sum_w c_uw (4D(w) - 3d(w) - c_uw).
+    Only D and S of u's free neighbours change when u is placed, so only
+    their gains and those of their free neighbours are recomputed; a lazy
+    heap of gains picks the next vertex.  With maximum degree Δ that is
+    O(n Δ² (Δ + log n)) in all.  ``method`` is checked as in
+    :func:`conditional_expectation`; every method gives the same gains.
     """
     if graph.has_loops:
         raise ValueError("loops are not supported here")
-    closed = _closed_form(graph, method)
+    _closed_form(graph, method)
     n = graph.n
     degs = graph.degrees
     nbrs = [list(c.items()) for c in graph.neighbor_counts]
     free = [True] * n
-    term = [Fraction(0)] * n
-    # drop[w][c] = T(w without one free neighbour of multiplicity c) - T(w)
-    drop: list[dict[int, Fraction]] = [{} for _ in range(n)]
-    gain = [Fraction(0)] * n
-    heap: list[tuple[Fraction, int]] = []  # (-gain, id): max gain, then lowest id
-
-    def refresh(w):
-        mults = [c for x, c in nbrs[w] if free[x]]
-        t = term[w] = _free_term(degs[w], mults, closed)
-        drop[w] = {}
-        for c in set(mults):
-            rest = list(mults)
-            rest.remove(c)
-            drop[w][c] = _free_term(degs[w], rest, closed) - t
+    # free-neighbour multiplicity sums D and sums of squares S
+    dsum = list(degs)
+    sqsum = [sum(c * c for _, c in row) for row in nbrs]
+    gain = [0] * n
+    heap: list[tuple[int, int]] = []  # (-gain, id): max gain, then lowest id
 
     def regain(u):
-        D = 0
-        g = -term[u]
+        d = dsum[u]
+        g = d * (3 * degs[u] - 4 * d) + sqsum[u]
         for x, c in nbrs[u]:
             if free[x]:
-                D += c
-                g += drop[x][c]
-        g += (degs[u] - D) * D
+                g += c * (4 * dsum[x] - 3 * degs[x] - c)
         gain[u] = g
         heappush(heap, (-g, u))
 
-    for w in range(n):
-        refresh(w)
     for u in range(n):
         regain(u)
     order: list[int] = []
@@ -715,9 +734,10 @@ def derandomized_order(graph: Multigraph, method: str = "auto") -> tuple[int, ..
         order.append(u)
         free[u] = False
         near = set()
-        for w, _ in nbrs[u]:
+        for w, c in nbrs[u]:
             if free[w]:
-                refresh(w)
+                dsum[w] -= c
+                sqsum[w] -= c * c
                 near.add(w)
                 near.update(x for x, _ in nbrs[w] if free[x])
         for x in near:

@@ -165,6 +165,34 @@ def ref_derandomized(g):
     return tuple(order)
 
 
+def ref_subset_dp(g, cost_of, maximize=False):
+    """The subset DP on the original values, reading only g.n and g.edges:
+    f[mask] adds and compares ``cost_of`` values (negated to maximize),
+    the last vertex of mask pays its degree inside mask, and a strict
+    ``<`` over increasing ids keeps the lowest id on ties."""
+    deg = [sum(1 for e in g.edges if v in e) for v in range(g.n)]
+    tables = [[cost_of(v, z) for z in range(deg[v] + 1)] for v in range(g.n)]
+    if maximize:
+        tables = [[-x for x in row] for row in tables]
+    f = [0] * (1 << g.n)
+    last = [0] * (1 << g.n)
+    for mask in range(1, 1 << g.n):
+        best = None
+        for v in range(g.n):
+            if mask >> v & 1:
+                inside = [e for e in g.edges if v in e and all(mask >> x & 1 for x in e)]
+                cand = f[mask ^ (1 << v)] + tables[v][len(inside)]
+                if best is None or cand < best:
+                    best, last[mask] = cand, v
+        f[mask] = best
+    order = []
+    mask = (1 << g.n) - 1
+    while mask:
+        order.append(last[mask])
+        mask ^= 1 << last[mask]
+    return tuple(reversed(order)), -f[-1] if maximize else f[-1]
+
+
 class TestSubsetDP:
     def test_path_square(self):
         order, value = exact_subset_dp(path(4), lambda v, z: z * z)
@@ -221,6 +249,61 @@ class TestSubsetDP:
         order, value = exact_subset_dp(g, lambda v, z: phi.cost(z))
         # acyclic K3 always has a source (indeg 0) and a sink (indeg 2)
         assert value == LiftedCost(2, 0)
+
+    @staticmethod
+    def value_tables(g, rng):
+        """Per-vertex cost tables of every accepted value type."""
+        def rows(draw):
+            return [[draw() for _ in range(g.degrees[v] + 1)] for v in range(g.n)]
+
+        return {
+            "int": rows(lambda: rng.randint(-9, 9)),
+            "negative Fraction": rows(lambda: Fraction(-rng.randint(0, 30), rng.randint(1, 6))),
+            "LiftedCost, Fraction base": rows(
+                lambda: LiftedCost(rng.randint(0, 2), Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+            ),
+            "tie-heavy int": rows(lambda: rng.randint(0, 2)),
+            "tie-heavy LiftedCost": rows(lambda: LiftedCost(rng.randint(0, 1), rng.randint(0, 2))),
+            "mixed int and Fraction": rows(lambda: rng.choice([0, 1, Fraction(1, 2), Fraction(2)])),
+        }
+
+    def test_matches_naive_reference_on_every_value_type(self):
+        rng = random.Random(8)
+        graphs = small_random_graphs(17, 30, (1, 7), (0, 14), allow_loops=True)
+        assert any(g.has_loops for g in graphs) and any(not g.is_simple for g in graphs)
+        for g in graphs:
+            for name, t in self.value_tables(g, rng).items():
+                for maximize in (False, True):
+                    got = exact_subset_dp(g, lambda v, z: t[v][z], maximize=maximize)
+                    want = ref_subset_dp(g, lambda v, z: t[v][z], maximize=maximize)
+                    assert got == want, (g.edges, name, maximize)
+                    assert type(got[1]) is type(want[1])
+                    assert repr(got) == repr(want)
+
+    def test_one_penalty_unit_outweighs_a_huge_base_spread(self):
+        # order (0, 1) costs LiftedCost(1, 0) and order (1, 0) costs
+        # LiftedCost(0, 10**9): the smaller penalty wins despite its base
+        g = build_graph(2, [(0, 1)])
+        for unit in (1, Fraction(1, 7)):
+            t = [
+                [LiftedCost(0, 10**9 * unit)] * 2,
+                [LiftedCost(0, 0), LiftedCost(1, -(10**9) * unit)],
+            ]
+            assert exact_subset_dp(g, lambda v, z: t[v][z]) == ((1, 0), LiftedCost(0, 10**9 * unit))
+            assert exact_subset_dp(g, lambda v, z: t[v][z], maximize=True) == ((0, 1), LiftedCost(1, 0))
+
+    def test_unsupported_values_raise_type_error(self):
+        g = path(3)
+        for cost in (
+            lambda v, z: "z",
+            lambda v, z: 0.5 * z,
+            lambda v, z: LiftedCost(0, z) if v else z,
+            lambda v, z: z if v else LiftedCost(0, z),
+            lambda v, z: LiftedCost(Fraction(1, 2), z),
+            lambda v, z: LiftedCost(0, 0.5),
+        ):
+            with pytest.raises(TypeError):
+                exact_subset_dp(g, cost)
 
 
 class TestSolveAcyclicExact:
