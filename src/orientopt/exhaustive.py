@@ -2,18 +2,22 @@
 
 Deliberately free of solver shortcuts — the only cleverness allowed here
 is incremental bookkeeping while enumerating, never a structural insight
-that could share a bug with a solver.  Separable objectives get a
-Gray-code (orientations) or prefix-degree (orders) delta update; every
-candidate is still visited.
+that could share a bug with a solver.  Every candidate is visited, by a
+Gray code over the 2**m orientations (one edge flips per step) or a
+recursion over the n! orders (left degrees carried down), on int degrees
+with weights scaled by the LCM of their denominators.  A per-kind ranker
+ranks each candidate: by the penalty and base sums of per-vertex tables,
+kept by delta updates, for separable kinds; by the maximum or the sorted
+degree list, negated where the objective maximizes, for the others.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .graph import (
     Multigraph,
@@ -24,7 +28,7 @@ from .graph import (
     is_acyclic,
     topological_order,
 )
-from .objectives import LiftedCost, evaluate, needs_weighted_degrees, rank_of
+from .objectives import evaluate, needs_weighted_degrees
 
 ORIENTATION_CAP = 20  # at most 2**20 orientations
 ORDER_CAP = 10  # at most 10! orders
@@ -54,220 +58,146 @@ class BruteResult:
     count: int  # number of optima (1 unless counting was requested)
 
 
-def _phi_tables(graph: Multigraph, phis) -> tuple[list, list]:
-    """Penalty and base value of each vertex cost at every possible degree."""
-    pen, base = [], []
-    for v in range(graph.n):
-        cs = [phis[v].cost(z) for z in range(graph.degrees[v] + 1)]
-        pen.append([c.penalty for c in cs])
-        base.append([c.base for c in cs])
-    return pen, base
+def _ranker(graph: Multigraph, objective):
+    """``(w, pen, base, leaf)``: int edge weights, then either per-vertex
+    penalty and base tables indexed by degree (``leaf`` None) or a
+    function ranking the degree list (tables None).  Smaller is better."""
+    k = objective.kind
+    degs = graph.degrees
+    w = [1] * graph.m
+    zeros = [[0] * (d + 1) for d in degs]
+    if k == "phi_sum":
+        costs = [[phi.cost(z) for z in range(d + 1)] for phi, d in zip(objective.resolve(graph), degs)]
+        return w, [[c.penalty for c in cs] for cs in costs], [[c.base for c in cs] for cs in costs], None
+    if k == "rho_delta_sum":
+        return w, zeros, [[-z * (d - z) for z in range(d + 1)] for d in degs], None
+    if k == "forbidden_subpaths":
+        return w, zeros, [[z * (z - 1) // 2 for z in range(d + 1)] for d in degs], None
+    if k == "max_weighted_indeg" and graph.weights is not None:
+        scale = lcm(*(x.denominator for x in graph.weights))
+        w = [int(x * scale) for x in graph.weights]
+    leaves = {
+        "max_weighted_indeg": lambda ind: max(ind, default=0),
+        "dec_min": lambda ind: sorted(ind, reverse=True),
+        "inc_min": sorted,
+        "dec_max": lambda ind: [-z for z in sorted(ind, reverse=True)],
+        "inc_max": lambda ind: [-z for z in sorted(ind)],
+    }
+    if k not in leaves:
+        raise ValueError(f"unknown objective kind {k!r}")
+    return w, None, None, leaves[k]
 
 
-def _brute_cyclic_phi(graph: Multigraph, phis, count_optima: bool) -> BruteResult:
-    # Gray-code walk over head assignments; one edge flips per step.
-    n, m = graph.n, graph.m
+def _walk_orientations(graph: Multigraph, w, pen, base, visit) -> None:
+    """Call ``visit(tp, tb, indeg, heads)`` on each of the 2**m
+    orientations of a loop-free graph, in Gray-code order from every edge
+    pointing at its second end.  ``indeg`` counts in units of ``w``;
+    ``tp`` and ``tb`` sum the tables at it (0 without tables)."""
     edges = graph.edges
-    pen, base = _phi_tables(graph, phis)
-    indeg = [0] * n
-    for _, v in edges:
-        indeg[v] += 1
-    tp = sum(pen[v][indeg[v]] for v in range(n))
-    tb = sum(base[v][indeg[v]] for v in range(n))
-    best = (tp, tb)
-    best_bits = 0
-    ties = 1
-    bits = 0
-    for i in range(1, 1 << m):
+    heads = [v for _, v in edges]
+    ind = [0] * graph.n
+    for j, v in enumerate(heads):
+        ind[v] += w[j]
+    tp = sum(p[z] for p, z in zip(pen, ind)) if pen is not None else 0
+    tb = sum(b[z] for b, z in zip(base, ind)) if base is not None else 0
+    visit(tp, tb, ind, heads)
+    for i in range(1, 1 << len(edges)):
         j = (i & -i).bit_length() - 1
         u, v = edges[j]
-        if bits >> j & 1:
-            lose, gain = u, v  # head goes back to v
-        else:
-            lose, gain = v, u
-        zl, zg = indeg[lose], indeg[gain]
-        tp += pen[lose][zl - 1] - pen[lose][zl] + pen[gain][zg + 1] - pen[gain][zg]
-        tb += base[lose][zl - 1] - base[lose][zl] + base[gain][zg + 1] - base[gain][zg]
-        indeg[lose] = zl - 1
-        indeg[gain] = zg + 1
-        bits ^= 1 << j
-        cur = (tp, tb)
-        if cur < best:
-            best = cur
-            best_bits = bits
-            ties = 1
-        elif count_optima and cur == best:
-            ties += 1
-    heads = tuple(e[1] if best_bits >> j & 1 == 0 else e[0] for j, e in enumerate(edges))
-    return BruteResult(LiftedCost(*best), Orientation(heads), ties)
+        lose = heads[j]
+        gain = heads[j] = u if lose == v else v
+        zl, zg = ind[lose], ind[gain]
+        yl = ind[lose] = zl - w[j]
+        yg = ind[gain] = zg + w[j]
+        if pen is not None:
+            tp += pen[lose][yl] - pen[lose][zl] + pen[gain][yg] - pen[gain][zg]
+            tb += base[lose][yl] - base[lose][zl] + base[gain][yg] - base[gain][zg]
+        visit(tp, tb, ind, heads)
 
 
-def _brute_cyclic_generic(graph: Multigraph, objective, count_optima: bool) -> BruteResult:
-    n, m = graph.n, graph.m
-    edges = graph.edges
-    weighted = needs_weighted_degrees(objective)
-    w = [graph.weight(j) for j in range(m)] if weighted else [1] * m
-    total = graph.weighted_degrees if weighted else graph.degrees
-    indeg = [Fraction(0) if weighted else 0] * n
-    for j, (_, v) in enumerate(edges):
-        indeg[v] += w[j]
-
-    from .graph import DegreeVector
-
-    def rank(ind):
-        dv = DegreeVector(tuple(ind), tuple(t - z for t, z in zip(total, ind)))
-        return rank_of(objective, evaluate(objective, graph, dv))
-
-    best = rank(indeg)
-    best_bits = 0
-    ties = 1
-    bits = 0
-    for i in range(1, 1 << m):
-        j = (i & -i).bit_length() - 1
-        u, v = edges[j]
-        lose, gain = (u, v) if bits >> j & 1 else (v, u)
-        indeg[lose] -= w[j]
-        indeg[gain] += w[j]
-        bits ^= 1 << j
-        cur = rank(indeg)
-        if cur < best:
-            best, best_bits, ties = cur, bits, 1
-        elif count_optima and cur == best:
-            ties += 1
-    heads = tuple(e[1] if best_bits >> j & 1 == 0 else e[0] for j, e in enumerate(edges))
-    o = Orientation(heads)
-    key = evaluate(objective, graph, degrees_of_orientation(graph, o, weighted))
-    return BruteResult(key, o, ties)
-
-
-def _brute_acyclic_phi(graph: Multigraph, phis, count_optima: bool) -> BruteResult:
-    """Exhaust all n! orders, carrying penalty/base sums down the tree."""
+def _walk_orders(graph: Multigraph, w, pen, base, visit) -> None:
+    """Call ``visit(tp, tb, left, order)`` on each of the n! vertex orders,
+    in lexicographic order.  ``left`` holds the left degrees in units of
+    ``w`` (a loop counts once); ``tp`` and ``tb`` sum the tables at them
+    (0 without tables)."""
     n = graph.n
-    pen, base = _phi_tables(graph, phis)
-    nbrs = [list(graph.neighbor_counts[v].items()) for v in range(n)]
-    loops = graph.loop_counts
-    prefix_deg = list(loops)  # left degree each vertex would get if placed now
-    used = [False] * n
-    order: list[int] = []
-    best: list = [None, None, 0]
-
-    def rec(depth, tp, tb):
-        if depth == n:
-            cur = (tp, tb)
-            if best[0] is None or cur < best[0]:
-                best[0] = cur
-                best[1] = tuple(order)
-                best[2] = 1
-            elif count_optima and cur == best[0]:
-                best[2] += 1
-            return
-        for v in range(n):
-            if used[v]:
-                continue
-            z = prefix_deg[v]
-            used[v] = True
-            order.append(v)
-            for u, c in nbrs[v]:
-                prefix_deg[u] += c
-            rec(depth + 1, tp + pen[v][z], tb + base[v][z])
-            for u, c in nbrs[v]:
-                prefix_deg[u] -= c
-            order.pop()
-            used[v] = False
-
-    rec(0, 0, 0)
-    return BruteResult(LiftedCost(best[0][0], best[0][1]), best[1], best[2])
-
-
-def _brute_acyclic_generic(graph: Multigraph, objective, count_optima: bool) -> BruteResult:
-    from .graph import DegreeVector
-
-    n = graph.n
-    weighted = needs_weighted_degrees(objective)
-    if weighted and graph.weights is not None:
-        scale = lcm(*(w.denominator for w in graph.weights)) if graph.m else 1
-        wmul = [int(w * scale) for w in graph.weights]
-    else:
-        scale = 1
-        wmul = [1] * graph.m
-    wn = [{} for _ in range(n)]
-    loopw = [0] * n
+    prefix = [0] * n  # left degree each vertex would get if placed now
+    wn: list[dict[int, int]] = [{} for _ in range(n)]
     for j, (u, v) in enumerate(graph.edges):
         if u == v:
-            loopw[u] += wmul[j]
+            prefix[u] += w[j]
         else:
-            wn[u][v] = wn[u].get(v, 0) + wmul[j]
-            wn[v][u] = wn[v].get(u, 0) + wmul[j]
+            wn[u][v] = wn[u].get(v, 0) + w[j]
+            wn[v][u] = wn[v].get(u, 0) + w[j]
     nbrs = [list(d.items()) for d in wn]
-    total = [loopw[v] + sum(c for _, c in nbrs[v]) for v in range(n)]
-
-    def rank(ind):
-        if weighted:
-            dv = DegreeVector(
-                tuple(Fraction(z, scale) for z in ind),
-                tuple(Fraction(t - z, scale) for t, z in zip(total, ind)),
-            )
-        else:
-            dv = DegreeVector(tuple(ind), tuple(t - z for t, z in zip(total, ind)))
-        return rank_of(objective, evaluate(objective, graph, dv))
-
-    prefix_deg = list(loopw)
-    used = [False] * n
+    left = [0] * n
+    rest = list(range(n))  # unplaced vertices, increasing
     order: list[int] = []
-    left: list[int] = [0] * n
-    best: list = [None, None, 0]
 
-    def rec(depth):
-        if depth == n:
-            cur = rank(left)
-            if best[0] is None or cur < best[0]:
-                best[0], best[1], best[2] = cur, tuple(order), 1
-            elif count_optima and cur == best[0]:
-                best[2] += 1
-            return
-        for v in range(n):
-            if used[v]:
-                continue
-            used[v] = True
+    def rec(tp, tb):
+        if len(rest) == 1:  # the last vertex has no successor to update
+            v = rest[0]
+            z = left[v] = prefix[v]
             order.append(v)
-            left[v] = prefix_deg[v]
-            for u, c in nbrs[v]:
-                prefix_deg[u] += c
-            rec(depth + 1)
-            for u, c in nbrs[v]:
-                prefix_deg[u] -= c
+            if pen is not None:
+                tp, tb = tp + pen[v][z], tb + base[v][z]
+            visit(tp, tb, left, order)
             order.pop()
-            used[v] = False
+            return
+        for i in range(len(rest)):
+            v = rest.pop(i)
+            z = left[v] = prefix[v]
+            order.append(v)
+            for u, c in nbrs[v]:
+                prefix[u] += c
+            if pen is None:
+                rec(tp, tb)
+            else:
+                rec(tp + pen[v][z], tb + base[v][z])
+            for u, c in nbrs[v]:
+                prefix[u] -= c
+            order.pop()
+            rest.insert(i, v)
 
-    rec(0)
-    order_w = best[1]
-    key = evaluate(
-        objective, graph, degrees_of_order(graph, order_w, weighted=weighted)
-    )
-    return BruteResult(key, order_w, best[2])
+    if rest:
+        rec(0, 0)
+    else:  # the empty graph has one order, the empty one
+        visit(0, 0, left, order)
 
 
 def brute_optimal(graph: Multigraph, objective, mode: str, count_optima: bool = False) -> BruteResult:
     """Exhaustive optimum of an objective over all orientations (mode
     ``"cyclic"``) or all vertex orders (mode ``"acyclic"``).
 
-    The witness is the first optimum in a fixed enumeration sequence.
+    The witness is the first optimum in a fixed enumeration sequence:
+    the Gray code of :func:`_walk_orientations`, or lexicographic order.
     """
     if mode == "cyclic":
         if graph.has_loops:
             raise ValueError("graphs with loops cannot be oriented")
         if graph.m > ORIENTATION_CAP:
             raise ValueError(f"refusing to enumerate 2**{graph.m} orientations")
-        if objective.kind == "phi_sum":
-            return _brute_cyclic_phi(graph, objective.resolve(graph), count_optima)
-        return _brute_cyclic_generic(graph, objective, count_optima)
-    if mode == "acyclic":
+        walk, witness_of, degrees_of = _walk_orientations, Orientation, degrees_of_orientation
+    elif mode == "acyclic":
         if graph.n > ORDER_CAP:
             raise ValueError(f"refusing to enumerate {graph.n}! orders")
-        if objective.kind == "phi_sum":
-            return _brute_acyclic_phi(graph, objective.resolve(graph), count_optima)
-        return _brute_acyclic_generic(graph, objective, count_optima)
-    raise ValueError(f"unknown oracle mode {mode!r}")
+        walk, witness_of, degrees_of = _walk_orders, tuple, degrees_of_order
+    else:
+        raise ValueError(f"unknown oracle mode {mode!r}")
+    w, pen, base, leaf = _ranker(graph, objective)
+    best = [None, None, 0]  # rank, witness, number of optima
+
+    def visit(tp, tb, degrees, at):
+        rank = (tp, tb) if leaf is None else leaf(degrees)
+        if best[0] is None or rank < best[0]:
+            best[:] = rank, tuple(at), 1
+        elif count_optima and rank == best[0]:
+            best[2] += 1
+
+    walk(graph, w, pen, base, visit)
+    witness = witness_of(best[1])
+    dv = degrees_of(graph, witness, needs_weighted_degrees(objective))
+    return BruteResult(evaluate(objective, graph, dv), witness, best[2])
 
 
 def order_value_stats(graph: Multigraph, value_of_left_degree=None):
@@ -276,44 +206,59 @@ def order_value_stats(graph: Multigraph, value_of_left_degree=None):
     Default value is sum of left degree times right degree.  Used for
     exact expectations: mean = total / n!.
     """
-    n = graph.n
-    if n > ORDER_CAP:
+    if graph.n > ORDER_CAP:
         raise ValueError(f"refusing to enumerate {graph.n}! orders")
     if graph.has_loops:
         raise ValueError("degree-split statistics expect a loop-free graph")
     degs = graph.degrees
-    if value_of_left_degree is None:
-        tables = [[z * (degs[v] - z) for z in range(degs[v] + 1)] for v in range(n)]
-    else:
-        tables = [
-            [value_of_left_degree(v, z) for z in range(degs[v] + 1)] for v in range(n)
-        ]
-    nbrs = [list(graph.neighbor_counts[v].items()) for v in range(n)]
-    prefix_deg = [0] * n
-    used = [False] * n
+    value = value_of_left_degree or (lambda v, z: z * (degs[v] - z))
+    values = [[value(v, z) for z in range(d + 1)] for v, d in enumerate(degs)]
     acc = [0, 0, None]  # total, leaves, best
 
-    def rec(depth, val):
-        if depth == n:
-            acc[0] += val
-            acc[1] += 1
-            if acc[2] is None or val > acc[2]:
-                acc[2] = val
-            return
-        for v in range(n):
-            if used[v]:
-                continue
-            z = prefix_deg[v]
-            used[v] = True
-            for u, c in nbrs[v]:
-                prefix_deg[u] += c
-            rec(depth + 1, val + tables[v][z])
-            for u, c in nbrs[v]:
-                prefix_deg[u] -= c
-            used[v] = False
+    def visit(tp, tb, left, order):
+        acc[0] += tb
+        acc[1] += 1
+        if acc[2] is None or tb > acc[2]:
+            acc[2] = tb
 
-    rec(0, 0)
+    _walk_orders(graph, [1] * graph.m, [[0] * (d + 1) for d in degs], values, visit)
     return acc[0], acc[1], acc[2]
+
+
+def _greedy_worst(graph: Multigraph, cap: int = 20) -> tuple[int, ...]:
+    """The greedy minimum-degree run whose order has the largest square
+    sum of left degrees (the ``exhaustive-worst`` tie rule), by a memoized
+    walk over every greedy-feasible removal choice."""
+    n = graph.n
+    if n > cap:
+        raise ValueError("exhaustive-worst greedy is limited to small graphs")
+    nbrs = [list(graph.neighbor_counts[v].items()) for v in range(n)]
+    loops = graph.loop_counts
+
+    @cache
+    def worst(mask: int) -> tuple[int, int]:
+        """Largest square sum over the vertices of mask, and which of them
+        to place last: its left degree is then its degree within mask."""
+        if mask == 0:
+            return 0, -1
+        inside = [v for v in range(n) if mask >> v & 1]
+        deg = {v: loops[v] + sum(c for u, c in nbrs[v] if mask >> u & 1) for v in inside}
+        lo = min(deg.values())
+        best, pick = None, -1
+        for v in inside:
+            if deg[v] == lo:
+                val = worst(mask ^ (1 << v))[0] + lo * lo
+                if best is None or val > best:
+                    best, pick = val, v
+        return best, pick
+
+    mask = (1 << n) - 1
+    suffix = []
+    while mask:
+        _, v = worst(mask)
+        suffix.append(v)
+        mask ^= 1 << v
+    return tuple(reversed(suffix))
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +282,10 @@ def vertex_certificate(graph: Multigraph, orientation: Orientation, cap: int = 1
     for pos, v in enumerate(topo):
         slopes[v] = n - pos
     target = degrees_of_orientation(graph, orientation).indeg
-    best_val = None
-    best_vectors: set = set()
-    for o in enumerate_orientations(graph, cap=cap):
-        ind = degrees_of_orientation(graph, o).indeg
-        val = sum(s * z for s, z in zip(slopes, ind))
-        if best_val is None or val < best_val:
-            best_val = val
-            best_vectors = {ind}
-        elif val == best_val:
-            best_vectors.add(ind)
-    verdict = best_vectors == {tuple(target)}
+    vectors = {degrees_of_orientation(graph, o).indeg for o in enumerate_orientations(graph, cap=cap)}
+    value = {ind: sum(s * z for s, z in zip(slopes, ind)) for ind in vectors}
+    least = min(value.values())
+    verdict = {ind for ind, val in value.items() if val == least} == {target}
     return tuple(slopes), verdict
 
 

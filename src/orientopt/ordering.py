@@ -18,6 +18,7 @@ from heapq import heapify, heappop, heappush
 from math import factorial, lcm
 from typing import Callable, Sequence
 
+from .exhaustive import _greedy_worst
 from .graph import (
     Multigraph,
     as_fraction,
@@ -173,7 +174,8 @@ def greedy_min_degree(graph: Multigraph, tie_break: str = "lowest-id", seed=None
     ``lowest-id`` is deterministic, ``seeded-random`` picks uniformly
     among the minimum-degree vertices, and ``exhaustive-worst`` (meant
     for test suites, exponential state space) returns the greedy run
-    whose order has the largest left-degree square sum.  The first two
+    whose order has the largest left-degree square sum; that oracle
+    lives in :mod:`orientopt.exhaustive`.  The first two
     run in O(n + m) bucket moves (see :func:`weighted_smallest_last`).
     """
     if tie_break == "lowest-id":
@@ -185,52 +187,6 @@ def greedy_min_degree(graph: Multigraph, tie_break: str = "lowest-id", seed=None
     if tie_break == "exhaustive-worst":
         return _greedy_worst(graph)
     raise ValueError(f"unknown tie_break {tie_break!r}")
-
-
-def _greedy_worst(graph: Multigraph, cap: int = 20) -> tuple[int, ...]:
-    # Memoized walk over all greedy-feasible removal choices, keeping the
-    # one maximizing the square sum of left degrees.
-    n = graph.n
-    if n > cap:
-        raise ValueError("exhaustive-worst greedy is limited to small graphs")
-    nbrs = [list(graph.neighbor_counts[v].items()) for v in range(n)]
-    loops = graph.loop_counts
-    memo: dict[int, tuple[int, int]] = {}
-
-    def deg_in(v, mask):
-        d = loops[v]
-        for u, c in nbrs[v]:
-            if mask >> u & 1:
-                d += c
-        return d
-
-    def worst(mask: int) -> tuple[int, int]:
-        if mask == 0:
-            return 0, -1
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        degs = [(deg_in(v, mask), v) for v in range(n) if mask >> v & 1]
-        lo = min(d for d, _ in degs)
-        best = None
-        pick = -1
-        for d, v in degs:
-            if d != lo:
-                continue
-            left = d  # placed last among mask: all remaining neighbors are earlier
-            val = worst(mask ^ (1 << v))[0] + left * left
-            if best is None or val > best:
-                best, pick = val, v
-        memo[mask] = (best, pick)
-        return best, pick
-
-    mask = (1 << n) - 1
-    suffix = []
-    while mask:
-        _, v = worst(mask)
-        suffix.append(v)
-        mask ^= 1 << v
-    return tuple(reversed(suffix))
 
 
 def is_greedy_run(graph: Multigraph, order: Sequence[int]) -> bool:
@@ -463,6 +419,32 @@ def _check_subcubic(graph: Multigraph) -> None:
         raise ValueError("maximum degree must be at most 3")
 
 
+def _terminals(graph: Multigraph, bt) -> tuple[int, int, int, dict[int, int]]:
+    """Where the composed s-t orders start and end: the root block (the
+    lowest-numbered end component), its terminals s and t, and the end
+    terminal of every block whose end is no cut vertex (t itself when the
+    graph is one block).  Ties go to the lower degree, then the lower id."""
+    degs = graph.degrees
+    blocks = bt.blocks
+
+    def lowest(vertices) -> int:
+        return min(vertices, key=lambda v: (degs[v], v))
+
+    if len(blocks) == 1:
+        s = lowest(range(graph.n))
+        t = lowest(v for v in range(graph.n) if v != s)
+        return 0, s, t, {0: t}
+    ends = [i for i in range(len(blocks)) if bt.is_end_component(i)]
+    root = ends[0]
+    t = bt.block_cuts[root][0]
+    s = lowest(v for v in blocks[root].vertices if v != t)
+    free = {
+        i: lowest(v for v in blocks[i].vertices if v != bt.block_cuts[i][0])
+        for i in ends[1:]
+    }
+    return root, s, t, free
+
+
 def combine_st_orders(graph: Multigraph) -> tuple[int, ...]:
     """Order maximizing the left-right degree product sum on a connected
     subcubic multigraph.
@@ -474,7 +456,6 @@ def combine_st_orders(graph: Multigraph) -> tuple[int, ...]:
     """
     _check_subcubic(graph)
     n = graph.n
-    degs = graph.degrees
     bt = block_tree(graph)
     blocks = bt.blocks
 
@@ -483,16 +464,7 @@ def combine_st_orders(graph: Multigraph) -> tuple[int, ...]:
         local = {v: i for i, v in enumerate(verts)}
         return [verts[x] for x in st_order(sub, local[s], local[t])]
 
-    if len(blocks) == 1:
-        by_degree = sorted(range(n), key=lambda v: (degs[v], v))
-        s, t = by_degree[0], by_degree[1]
-        return tuple(block_order(0, s, t))
-
-    root = min(i for i in range(len(blocks)) if bt.is_end_component(i))
-    t_root = bt.block_cuts[root][0]
-    s_root = min(
-        (v for v in blocks[root].vertices if v != t_root), key=lambda v: (degs[v], v)
-    )
+    root, s_root, t_root, free = _terminals(graph, bt)
     order: list[int] = block_order(root, s_root, t_root)
     seen_blocks = {root}
     stack = [root]
@@ -503,14 +475,10 @@ def combine_st_orders(graph: Multigraph) -> tuple[int, ...]:
                 if bj in seen_blocks:
                     continue
                 seen_blocks.add(bj)
-                cuts = bt.block_cuts[bj]
-                if len(cuts) == 1:
-                    t_j = min(
-                        (v for v in blocks[bj].vertices if v != c),
-                        key=lambda v: (degs[v], v),
-                    )
+                if bj in free:
+                    t_j = free[bj]
                 else:
-                    t_j = min(v for v in cuts if v != c)
+                    t_j = min(v for v in bt.block_cuts[bj] if v != c)
                 order.extend(block_order(bj, c, t_j)[1:])
                 stack.append(bj)
     if len(order) != n:
@@ -524,25 +492,8 @@ def terminal_imbalance_bound(graph: Multigraph) -> int:
     the block structure alone."""
     _check_subcubic(graph)
     degs = graph.degrees
-    bt = block_tree(graph)
-    blocks = bt.blocks
-    if len(blocks) == 1:
-        by_degree = sorted(range(graph.n), key=lambda v: (degs[v], v))
-        return (degs[by_degree[0]] - 1) + (degs[by_degree[1]] - 1)
-    ends = [i for i in range(len(blocks)) if bt.is_end_component(i)]
-    root = min(ends)
-    t_root = bt.block_cuts[root][0]
-    s_root = min(
-        (v for v in blocks[root].vertices if v != t_root), key=lambda v: (degs[v], v)
-    )
-    total = degs[s_root] - 1
-    for i in ends:
-        if i == root:
-            continue
-        c = bt.block_cuts[i][0]
-        t_i = min((v for v in blocks[i].vertices if v != c), key=lambda v: (degs[v], v))
-        total += degs[t_i] - 1
-    return total
+    _, s, _, free = _terminals(graph, block_tree(graph))
+    return degs[s] - 1 + sum(degs[t] - 1 for t in free.values())
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ import sys
 from importlib import import_module
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
 
@@ -38,9 +40,14 @@ def test_every_name_the_benchmark_reads_exists():
     assert not missing
 
 
-def test_traced_run_prints_a_correct_result_line():
+# a counter each workload's solver must drive above zero
+WORK_COUNTER = {"acyclic-exact": "ordering.dp_subsets", "oracle": "exhaustive.candidates"}
+
+
+@pytest.mark.parametrize("workload", sorted(WORK_COUNTER))
+def test_traced_run_prints_a_correct_result_line(workload):
     proc = subprocess.run(
-        [sys.executable, str(BENCH / "run.py"), "--workload", "acyclic-exact",
+        [sys.executable, str(BENCH / "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "0.1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
@@ -48,4 +55,4 @@ def test_traced_run_prints_a_correct_result_line():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
-    assert result["metrics"]["ordering.dp_subsets"]["value"] > 0
+    assert result["metrics"][WORK_COUNTER[workload]]["value"] > 0

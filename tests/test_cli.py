@@ -184,6 +184,14 @@ class TestExitCodes:
         assert "need at least one triangle" in err
         assert "neither" not in err
 
+    def test_huge_complete_graph_is_3(self, capsys):
+        code, _, err = invoke(
+            capsys, "solve", "--input", f"complete:{10**12}", "--objective", "square",
+            "--mode", "smallest-last",
+        )
+        assert code == 3
+        assert "at most complete:2000" in err
+
     def test_internal_error_is_4_without_traceback(self, capsys, monkeypatch):
         import orientopt.cli as cli
 

@@ -1,7 +1,8 @@
 """Builtin instances, seeded generators, and the scheduling reduction."""
 
 import random
-from itertools import permutations
+import time
+from itertools import combinations, permutations
 
 import pytest
 
@@ -159,6 +160,21 @@ class TestRandomMultigraph:
             assert not g.has_loops
             if simple:
                 assert g.is_simple
+
+    def test_simple_draw_matches_the_pair_list_draw(self):
+        # the index draw must pick what sampling the full pair list picked
+        for seed in range(40):
+            for n, m in ((2, 1), (5, 4), (6, 15), (9, 20), (30, 50)):
+                rng = random.Random(seed)
+                want = sorted(rng.sample(list(combinations(range(n), 2)), m))
+                g = random_multigraph(n, m, seed=seed, simple=True)
+                assert list(g.edges) == want, (seed, n, m)
+
+    def test_simple_draw_does_not_list_every_pair(self):
+        t0 = time.perf_counter()
+        g = random_multigraph(10**5, 10, seed=1, simple=True)
+        assert time.perf_counter() - t0 < 1.0
+        assert (g.n, g.m) == (10**5, 10) and g.is_simple
 
     def test_max_degree_is_enforced(self):
         g = random_multigraph(6, 9, seed=1, max_degree=3)

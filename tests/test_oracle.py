@@ -22,12 +22,15 @@ from orientopt.exhaustive import (
 from orientopt.graph import (
     Orientation,
     build_graph,
+    degrees_of_order,
     degrees_of_orientation,
     is_acyclic,
 )
 from orientopt.instances import fig4_graph, random_multigraph
 from orientopt.objectives import (
+    DecMax,
     DecMin,
+    ForbiddenSubpaths,
     IncMax,
     IncMin,
     LiftedCost,
@@ -35,10 +38,25 @@ from orientopt.objectives import (
     PhiSum,
     RhoDeltaSum,
     evaluate,
+    linear,
     rank_of,
     square,
+    zero,
 )
 from orientopt.ordering import conditional_expectation, solve_acyclic_exact
+
+
+EVERY_KIND = (
+    PhiSum(shared=square()),
+    PhiSum(shared=linear(Fraction(3, 2), Fraction(-1, 3)), f=1, g=2),
+    DecMin(),
+    IncMax(),
+    IncMin(),
+    DecMax(),
+    RhoDeltaSum(),
+    MaxWeightedIndeg(),
+    ForbiddenSubpaths(),
+)
 
 
 def k3():
@@ -99,46 +117,59 @@ class TestBruteOptimal:
             brute_optimal(k3(), DecMin(), "sideways")
 
     def test_gray_code_walk_agrees_with_plain_scan(self):
-        # the phi fast path and the generic path enumerate differently;
-        # both must agree with a naive evaluate-everything loop
+        # the Gray-code walk must agree with a naive evaluate-everything
+        # loop on the optimum and the number of optima, for every kind
         rng = random.Random(14)
         done = 0
-        while done < 12:
+        while done < 24:
             n = rng.randint(2, 5)
             m = rng.randint(1, 7)
             try:
-                g = random_multigraph(n, m, seed=rng.random())
+                g = random_multigraph(n, m, seed=rng.random(), weighted=done >= 12)
             except ValueError:
                 continue
             done += 1
-            for obj in (PhiSum(shared=square()), IncMax(), RhoDeltaSum()):
-                want = min(
-                    rank_of(obj, evaluate(obj, g, degrees_of_orientation(g, o)))
+            for obj in EVERY_KIND:
+                wtd = obj.kind == "max_weighted_indeg"
+                ranks = [
+                    rank_of(obj, evaluate(obj, g, degrees_of_orientation(g, o, weighted=wtd)))
                     for o in enumerate_orientations(g)
-                )
-                got = brute_optimal(g, obj, "cyclic")
-                assert rank_of(obj, got.key) == want
+                ]
+                want = min(ranks)
+                got = brute_optimal(g, obj, "cyclic", count_optima=True)
+                assert rank_of(obj, got.key) == want, obj
+                assert got.count == ranks.count(want), obj
+                dv = degrees_of_orientation(g, got.witness, weighted=wtd)
+                assert evaluate(obj, g, dv) == got.key, obj
+            assert brute_optimal(g, PhiSum(shared=zero()), "cyclic", True).count == 2**g.m
 
     def test_acyclic_mode_agrees_with_order_scan(self):
-        from orientopt.graph import degrees_of_order
-
         rng = random.Random(15)
         done = 0
-        while done < 10:
+        while done < 20:
             n = rng.randint(2, 5)
             m = rng.randint(1, 7)
             try:
-                g = random_multigraph(n, m, seed=rng.random(), weighted=True)
+                g = random_multigraph(
+                    n, m, seed=rng.random(), weighted=done < 10, allow_loops=done >= 15
+                )
             except ValueError:
                 continue
             done += 1
-            for obj in (PhiSum(shared=square()), MaxWeightedIndeg()):
+            orders = list(enumerate_orders(g))
+            for obj in EVERY_KIND:
                 wtd = obj.kind == "max_weighted_indeg"
-                want = min(
+                ranks = [
                     rank_of(obj, evaluate(obj, g, degrees_of_order(g, o, weighted=wtd)))
-                    for o in enumerate_orders(g)
-                )
-                assert rank_of(obj, brute_optimal(g, obj, "acyclic").key) == want
+                    for o in orders
+                ]
+                want = min(ranks)
+                got = brute_optimal(g, obj, "acyclic", count_optima=True)
+                assert rank_of(obj, got.key) == want, obj
+                assert got.count == ranks.count(want), obj
+                # both walk the orders lexicographically: same first optimum
+                assert got.witness == orders[ranks.index(want)], obj
+            assert brute_optimal(g, PhiSum(shared=zero()), "acyclic", True).count == factorial(n)
 
     def test_fig4_incmin_zero_count_is_independence_number(self):
         g = fig4_graph()
