@@ -8,15 +8,21 @@ used first), vertex nodes feed the edge nodes of their incident edges,
 and every edge node passes one unit to the sink.  The unit leaving edge
 node j through vertex node v means v is the head of edge j.
 
-Costs are :class:`LiftedCost` pairs throughout, so degree-bound
-penalties dominate any finite cost without a numeric big-M.  Arc costs
+The network holds :class:`LiftedCost` arc costs, so degree-bound
+penalties dominate any finite cost without a numeric big-M.  The solver
+encodes each of them once, as the exact int ``penalty * M + base`` over
+bases scaled by the LCM of their denominators, with M one more than
+8 * sum |base| over the forward arcs.  That exceeds every base
+difference the shortest-path computations compare (proof at
+:func:`min_cost_flow`), so every comparison and every tie comes out as
+it would on the LiftedCost pairs, and so does the orientation.  Arc costs
 are normalized by phi(0); the dropped constant is restored afterwards.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from .graph import Multigraph, Orientation, build_graph, degrees_of_orientation
 from .objectives import (
@@ -25,6 +31,7 @@ from .objectives import (
     LiftedCost,
     LiftedPhi,
     PhiSum,
+    _int_costs,
     evaluate,
     exp_base,
     neg_exp_base,
@@ -118,13 +125,41 @@ def min_cost_flow(net: FlowNetwork) -> LiftedCost:
     After solving, each vertex's used parallel arcs are normalized to a
     prefix of the level-sorted list (cost-neutral by convexity), so the
     flow read back is canonical.
+
+    Everything runs on the int encodings of the arc costs, with
+    M = 8B + 1 where B is the sum of |scaled base| over the forward arcs.
+    Encoding commutes with + and -, so the int run follows the LiftedCost
+    run step by step as long as every pair it compares differs by at
+    most 8B in base:
+
+    * a residual path without repeated nodes uses each arc pair at most
+      once, so its base is at most B in absolute value; so is a tree
+      path extended by one arc, which either adds a new pair or undoes
+      the tree path's last arc;
+    * the source potential stays 0, since reduced costs stay non-negative
+      (so the sink distance dt >= 0);
+    * after each round a vertex's potential is either the cost of its
+      shortest-path tree path, or it moved by dt like the sink's, which
+      is the cost of the sink's tree path.  So pot(v) - pot(sink) is a
+      difference of two path costs and pot(v) is within 3B of 0;
+    * a tentative distance d(u) + rc(a) is the cost of the tree path to u
+      plus a, minus pot(v): within 4B of 0.
+
+    The heap, the stale-entry test and ``dist < dt`` compare such
+    distances, at most 8B apart.  The initial sweep compares path costs,
+    at most 2B apart, and the prefix check two sums of one vertex's arcs,
+    at most B apart.
     """
     N = net.num_nodes
-    to, cap, cost, adj = net.to, net.cap, net.cost, net.adj
+    to, cap, adj, source = net.to, net.cap, net.adj, net.source
+    fwd = _int_costs([net.cost[0::2]], lambda rows: 8 * sum(abs(b) for b in rows[0]))[0]
+    cost = [0] * len(to)
+    cost[0::2] = fwd
+    cost[1::2] = [-c for c in fwd]
     # initial potentials: the fresh network is layered, so one relaxation
     # sweep in node order is a topological shortest-path computation
-    pot: list[LiftedCost | None] = [None] * N
-    pot[net.source] = LiftedCost.zero()
+    pot: list[int | None] = [None] * N
+    pot[source] = 0
     for u in range(N):
         pu = pot[u]
         if pu is None:
@@ -138,37 +173,38 @@ def min_cost_flow(net: FlowNetwork) -> LiftedCost:
                 pot[to[a]] = nd
 
     for _ in range(net.required):
-        dist: list[LiftedCost | None] = [None] * N
+        dist: list[int | None] = [None] * N
         parent = [-1] * N
-        dist[net.source] = LiftedCost.zero()
-        heap: list[tuple[LiftedCost, int]] = [(LiftedCost.zero(), net.source)]
+        dist[source] = 0
+        heap = [(0, source)]
         while heap:
-            d, u = heapq.heappop(heap)
-            if dist[u] is None or d > dist[u]:
+            d, u = heappop(heap)
+            if d > dist[u]:
                 continue
+            du = d + pot[u]
             for a in adj[u]:
                 if cap[a] == 0:
                     continue
                 v = to[a]
-                if pot[v] is None:
+                pv = pot[v]
+                if pv is None:
                     # never reachable in this network (isolated vertex node)
                     continue
-                rc = cost[a] + pot[u] - pot[v]
-                nd = d + rc
-                if dist[v] is None or nd < dist[v]:
+                nd = du + cost[a] - pv
+                dv = dist[v]
+                if dv is None or nd < dv:
                     dist[v] = nd
                     parent[v] = a
-                    heapq.heappush(heap, (nd, v))
+                    heappush(heap, (nd, v))
         dt = dist[net.sink]
         if dt is None:
             raise RuntimeError("internal error: demand exceeds the max flow")
-        for v in range(N):
-            if dist[v] is not None and dist[v] < dt:
-                pot[v] = pot[v] + dist[v]
-            elif pot[v] is not None:
-                pot[v] = pot[v] + dt
+        pot = [
+            p if p is None else p + (dv if dv is not None and dv < dt else dt)
+            for p, dv in zip(pot, dist)
+        ]
         v = net.sink
-        while v != net.source:
+        while v != source:
             a = parent[v]
             cap[a] -= 1
             cap[a ^ 1] += 1
@@ -177,19 +213,14 @@ def min_cost_flow(net: FlowNetwork) -> LiftedCost:
     # prefix normalization of parallel arcs
     for arcs in net.parallel:
         k = sum(1 for a in arcs if cap[a] == 0)
-        used_cost = sum((cost[a] for a in arcs if cap[a] == 0), LiftedCost.zero())
-        prefix_cost = sum((cost[a] for a in arcs[:k]), LiftedCost.zero())
-        if used_cost != prefix_cost:
+        used_cost = sum(cost[a] for a in arcs if cap[a] == 0)
+        if used_cost != sum(cost[a] for a in arcs[:k]):
             raise RuntimeError("internal error: used parallel arcs are not cost-minimal")
         for i, a in enumerate(arcs):
             cap[a] = 0 if i < k else 1
             cap[a ^ 1] = 1 - cap[a]
 
-    total = LiftedCost.zero()
-    for a in range(0, len(to), 2):
-        if cap[a] == 0:
-            total = total + cost[a]
-    return total
+    return sum((net.cost[a] for a in range(0, len(to), 2) if cap[a] == 0), LiftedCost.zero())
 
 
 def _extract_orientation(graph: Multigraph, net: FlowNetwork) -> Orientation:
@@ -207,6 +238,11 @@ class CyclicSolution:
     orientation: Orientation
     key: object  # natural objective key
     feasible: bool
+
+
+def _solution(graph: Multigraph, objective, o: Orientation) -> CyclicSolution:
+    key = evaluate(objective, graph, degrees_of_orientation(graph, o))
+    return CyclicSolution(o, key, key.feasible if isinstance(key, LiftedCost) else True)
 
 
 def _internal_phis(graph: Multigraph, objective):
@@ -228,16 +264,10 @@ def solve_cyclic(graph: Multigraph, objective) -> CyclicSolution:
     dec-min / inc-max key (solved through their power-sum encodings)."""
     phis, objective = _internal_phis(graph, objective)
     if graph.m == 0:
-        o = Orientation(())
-        key = evaluate(objective, graph, degrees_of_orientation(graph, o))
-        feasible = key.feasible if isinstance(key, LiftedCost) else True
-        return CyclicSolution(o, key, feasible)
+        return _solution(graph, objective, Orientation(()))
     net = build_network(graph, phis)
     min_cost_flow(net)
-    o = _extract_orientation(graph, net)
-    key = evaluate(objective, graph, degrees_of_orientation(graph, o))
-    feasible = key.feasible if isinstance(key, LiftedCost) else True
-    return CyclicSolution(o, key, feasible)
+    return _solution(graph, objective, _extract_orientation(graph, net))
 
 
 def solve_mixed(graph: Multigraph, fixed, objective) -> CyclicSolution:
@@ -268,7 +298,4 @@ def solve_mixed(graph: Multigraph, fixed, objective) -> CyclicSolution:
             heads[j] = sub_heads[pos]
     for eid, head in fixed.items():
         heads[eid] = head
-    o = Orientation(tuple(heads))
-    key = evaluate(objective, graph, degrees_of_orientation(graph, o))
-    feasible = key.feasible if isinstance(key, LiftedCost) else True
-    return CyclicSolution(o, key, feasible)
+    return _solution(graph, objective, Orientation(tuple(heads)))

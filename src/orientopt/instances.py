@@ -166,8 +166,11 @@ def _degree_list(n, edges):
     return deg
 
 
-# complete:2000 took 1.9 s and 307 MB to build (Python 3.11, 2-core host)
-_COMPLETE_CAP = 2000
+# Largest parameter of each sized builtin family: about 2 * 10**6 vertices
+# plus edges.  Built with Python 3.11 on a 2-core x86 VM, complete:2000 took
+# 0.53 s and peaked at 308 MB, path:10**6 0.29 s and 223 MB, cycle:10**6
+# 0.32 s and 223 MB, and gk:222222 0.39 s and 233 MB.
+_CAPS = {"gk": 222_222, "path": 10**6, "cycle": 10**6, "complete": 2000}
 
 
 class _UnknownName(ValueError):
@@ -177,18 +180,24 @@ class _UnknownName(ValueError):
 
 def named_instance(name: str) -> Multigraph:
     """Resolve builtin graph names: ``k3``, ``fig4``, ``gk:K``,
-    ``path:N``, ``cycle:N``, ``complete:N``."""
+    ``path:N``, ``cycle:N``, ``complete:N``; a sized family above its
+    cap in ``_CAPS`` raises ValueError."""
     base, _, arg = name.partition(":")
     base = base.lower()
     if base == "fig4" and not arg:
         return fig4_graph()
     if base == "k3" and not arg:
         return build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    if base in ("gk", "path", "cycle", "complete"):
+    if base in _CAPS:
         try:
             k = int(arg)
         except ValueError:
             raise ValueError(f"instance {name!r} needs an integer parameter") from None
+        if k > _CAPS[base]:
+            raise ValueError(
+                f"{base}:{k} is too large: at most {base}:{_CAPS[base]}, about"
+                " 2 million vertices and edges, up to about 300 MB to build"
+            )
         if base == "gk":
             return gen_gk(k)
         if base == "path":
@@ -201,11 +210,6 @@ def named_instance(name: str) -> Multigraph:
             return build_graph(k, [(i, (i + 1) % k) for i in range(k)])
         if k < 1:
             raise ValueError("a complete graph needs at least one vertex")
-        if k > _COMPLETE_CAP:
-            raise ValueError(
-                f"complete:{k} is too large: at most complete:{_COMPLETE_CAP}, whose"
-                f" {_COMPLETE_CAP * (_COMPLETE_CAP - 1) // 2} edges take about 300 MB"
-            )
         return build_graph(k, list(combinations(range(k), 2)))
     raise _UnknownName(f"unknown instance name {name!r}")
 

@@ -34,10 +34,10 @@ from .objectives import (
     DecMin,
     IncMax,
     IncMin,
-    LiftedCost,
     PhiSum,
     RhoDeltaSum,
     ForbiddenSubpaths,
+    _int_costs,
     evaluate,
 )
 
@@ -237,41 +237,6 @@ def linear_optimum_value(graph: Multigraph, slopes: Sequence, intercepts=None):
 # Exact optimization over all orders: DP on vertex subsets.
 
 
-def _int_costs(tables: list[list], maximize: bool) -> list[list[int]]:
-    """The cost tables as ints that order every sum of one entry per row
-    exactly as the entries themselves do, ties included.
-
-    ints and Fractions are scaled by the LCM of their denominators.  A
-    LiftedCost becomes penalty * M + base over the scaled bases, with
-    M = sum_v (max base_v - min base_v) + 1: two such sums differ in base
-    by less than M, so one unit of penalty outweighs any base difference,
-    as the lexicographic order requires.  ``maximize`` negates the result.
-    """
-    entries = [x for row in tables for x in row]
-    kinds = {isinstance(x, LiftedCost) for x in entries}
-    if len(kinds) > 1:
-        raise TypeError("cost table mixes LiftedCost with other values")
-    lifted = True in kinds
-    if lifted:
-        if not all(isinstance(x.penalty, int) for x in entries):
-            raise TypeError("LiftedCost penalties must be ints")
-        bases = [[x.base for x in row] for row in tables]
-        entries = [x for row in bases for x in row]
-    else:
-        bases = tables
-    for x in entries:
-        if not isinstance(x, (int, Fraction)):
-            raise TypeError(f"cost {x!r} is not an int, a Fraction or a LiftedCost")
-    scale = lcm(*(x.denominator for x in entries))
-    ints = [[x.numerator * (scale // x.denominator) for x in row] for row in bases]
-    if lifted:
-        big = sum(max(row) - min(row) for row in ints) + 1
-        ints = [[x.penalty * big + b for x, b in zip(row, brow)] for row, brow in zip(tables, ints)]
-    if maximize:
-        ints = [[-x for x in row] for row in ints]
-    return ints
-
-
 def _subset_sums(start: int, weights: Sequence[int]) -> list[int]:
     """``start`` plus the sum of ``weights[i]`` over the set bits i of s,
     for every s < 2**len(weights)."""
@@ -314,7 +279,8 @@ def exact_subset_dp(
         return (), 0
     degs = graph.degrees
     tables = [[cost_of(v, z) for z in range(degs[v] + 1)] for v in range(n)]
-    costs = _int_costs(tables, maximize)
+    # one entry per vertex of the same mask: the spread bounds every base difference
+    costs = _int_costs(tables, lambda rows: sum(max(r) - min(r) for r in rows), maximize)
     loops = graph.loop_counts
     counts = graph.neighbor_counts
     half = n // 2

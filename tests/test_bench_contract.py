@@ -41,7 +41,11 @@ def test_every_name_the_benchmark_reads_exists():
 
 
 # a counter each workload's solver must drive above zero
-WORK_COUNTER = {"acyclic-exact": "ordering.dp_subsets", "oracle": "exhaustive.candidates"}
+WORK_COUNTER = {
+    "acyclic-exact": "ordering.dp_subsets",
+    "cyclic": "flow.edges",
+    "oracle": "exhaustive.candidates",
+}
 
 
 @pytest.mark.parametrize("workload", sorted(WORK_COUNTER))

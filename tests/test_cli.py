@@ -184,13 +184,15 @@ class TestExitCodes:
         assert "need at least one triangle" in err
         assert "neither" not in err
 
-    def test_huge_complete_graph_is_3(self, capsys):
+    @pytest.mark.parametrize("largest", ["complete:2000", "path:1000000", "cycle:1000000", "gk:222222"])
+    def test_huge_complete_graph_is_3(self, capsys, largest):
+        family = largest.partition(":")[0]
         code, _, err = invoke(
-            capsys, "solve", "--input", f"complete:{10**12}", "--objective", "square",
+            capsys, "solve", "--input", f"{family}:{10**12}", "--objective", "square",
             "--mode", "smallest-last",
         )
         assert code == 3
-        assert "at most complete:2000" in err
+        assert f"at most {largest}," in err
 
     def test_internal_error_is_4_without_traceback(self, capsys, monkeypatch):
         import orientopt.cli as cli

@@ -1,6 +1,7 @@
 """Min-cost-flow orientation solver against exhaustive oracles."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -117,6 +118,18 @@ def test_feasible_bounds_have_zero_penalty():
     g = k3()
     sol = solve_cyclic(g, PhiSum(shared=zero(), f=1, g=1))
     assert sol.feasible and sol.key == LiftedCost(0, 0)
+    # one penalty unit outweighs a 10**9 base: the head that saves it
+    # breaks g = 0 at vertex 0 (upper) or leaves f = 1 unmet at vertex 0
+    # (lower)
+    edge = build_graph(2, [(0, 1)])
+    for unit in (1, Fraction(1, 7)):
+        big = 10**9 * unit
+        upper = PhiSum(per_vertex=(lift(table([0, 0]), None, 0), lift(table([0, big]))))
+        lower = PhiSum(per_vertex=(lift(table([0, 0]), 1, None), lift(table([big, 0]))))
+        for obj, head in ((upper, 1), (lower, 0)):
+            sol = solve_cyclic(edge, obj)
+            assert sol.orientation.heads == (head,)
+            assert sol.feasible and sol.key == LiftedCost(0, big)
 
 
 OBJECTIVES = [
@@ -127,6 +140,20 @@ OBJECTIVES = [
     DecMin(),
     IncMax(),
 ]
+
+
+def bounded_tables(rng, g, f, gg, unit):
+    """Per-vertex convex tables with bases spanning about 10**9 * unit,
+    under the bounds f <= indeg <= gg (None for no bound)."""
+    phis = []
+    for v in range(g.n):
+        size = max(g.degrees[v], gg[v] or 0, f[v] or 0) + 1
+        slopes = sorted(rng.randint(-(10**9), 10**9) for _ in range(size - 1))
+        values = [rng.randint(-(10**9), 10**9)]
+        for s in slopes:
+            values.append(values[-1] + s)
+        phis.append(lift(table([unit * x for x in values]), f[v], gg[v]))
+    return PhiSum(per_vertex=tuple(phis))
 
 
 def test_flow_matches_brute_on_random_multigraphs():
@@ -141,6 +168,10 @@ def test_flow_matches_brute_on_random_multigraphs():
             continue
         done += 1
         obj = OBJECTIVES[done % len(OBJECTIVES)]
+        assert solve_cyclic(g, obj).key == brute_optimal(g, obj, "cyclic").key
+        f = [rng.choice([None, 0, 1, 2]) for _ in range(n)]
+        gg = [rng.choice([None, (fv or 0) + rng.randint(0, 2)]) for fv in f]
+        obj = bounded_tables(rng, g, f, gg, rng.choice([1, Fraction(1, 3)]))
         assert solve_cyclic(g, obj).key == brute_optimal(g, obj, "cyclic").key
 
 
@@ -157,9 +188,6 @@ def test_lifted_bounds_match_brute_and_flag_feasibility():
         done += 1
         f = tuple(rng.randint(0, 2) for _ in range(n))
         gg = tuple(fv + rng.randint(0, 2) for fv in f)
-        obj = PhiSum(shared=zero(), f=f, g=gg)
-        sol = solve_cyclic(g, obj)
-        assert sol.key == brute_optimal(g, obj, "cyclic").key
         exists = any(
             all(
                 f[v] <= z <= gg[v]
@@ -167,8 +195,15 @@ def test_lifted_bounds_match_brute_and_flag_feasibility():
             )
             for o in enumerate_orientations(g)
         )
-        assert sol.feasible == exists
-        assert sol.feasible == (sol.key.penalty == 0)
+        for obj in (
+            PhiSum(shared=zero(), f=f, g=gg),
+            bounded_tables(rng, g, f, gg, 1),
+            bounded_tables(rng, g, f, gg, Fraction(1, 7)),
+        ):
+            sol = solve_cyclic(g, obj)
+            assert sol.key == brute_optimal(g, obj, "cyclic").key
+            assert sol.feasible == exists
+            assert sol.feasible == (sol.key.penalty == 0)
 
 
 def test_mixed_completion_is_optimal_given_fixed_arcs():
