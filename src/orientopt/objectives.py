@@ -9,7 +9,7 @@ so any bound violation outweighs every finite cost difference.
 
 Lexicographic objectives compare the sorted indegree sequence itself;
 ``decmin_equals_exp_key`` checks the equivalence with the
-``n**z`` power-sum encodings that the solvers use internally.
+``n**z`` power-sum encodings that the acyclic subset DP uses internally.
 """
 
 from __future__ import annotations
@@ -242,14 +242,12 @@ class LiftedPhi:
 
     Inside ``[f, g]`` the cost is the spec itself with zero penalty;
     outside, the argument is clamped and each unit of violation adds one
-    penalty unit.  ``shift`` evaluates the cost at ``z + shift``, which
-    is how pre-oriented edges are charged to the remaining problem.
+    penalty unit.
     """
 
     spec: PhiSpec
     f: int | None = None
     g: int | None = None
-    shift: int = 0
 
     def __post_init__(self):
         if self.f is not None and self.f < 0:
@@ -258,7 +256,6 @@ class LiftedPhi:
             raise ValueError(f"empty degree interval: f={self.f} > g={self.g}")
 
     def cost(self, z: int) -> LiftedCost:
-        z = z + self.shift
         penalty = 0
         if self.f is not None and z < self.f:
             penalty += self.f - z
@@ -267,9 +264,6 @@ class LiftedPhi:
             penalty += z - self.g
             z = self.g
         return LiftedCost(penalty, exact_number(self.spec(z)))
-
-    def shifted(self, k: int) -> "LiftedPhi":
-        return LiftedPhi(self.spec, self.f, self.g, self.shift + k)
 
 
 def lift(spec: PhiSpec, f: int | None = None, g: int | None = None) -> LiftedPhi:

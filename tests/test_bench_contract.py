@@ -7,13 +7,14 @@ import json
 import re
 import subprocess
 import sys
-from importlib import import_module
+from importlib import import_module, util
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
+DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def referenced_names():
@@ -40,6 +41,33 @@ def test_every_name_the_benchmark_reads_exists():
     assert not missing
 
 
+def test_every_traced_function_exists():
+    """The tracer skips a traced function that is missing, and its
+    declared per-layer metrics silently go with it."""
+    spec = util.spec_from_file_location("perfbench_tracing", BENCH / "tracing.py")
+    tracing = util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"orientopt.{module}.{attr}"
+        for module, attr, _, _ in tracing.TRACED
+        if not hasattr(import_module(f"orientopt.{module}"), attr)
+    ]
+    assert not missing
+
+
+def run_bench(workload, trace):
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "0.1", "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    return result
+
+
 # a counter each workload's solver must drive above zero
 WORK_COUNTER = {
     "acyclic-exact": "ordering.dp_subsets",
@@ -50,13 +78,13 @@ WORK_COUNTER = {
 
 @pytest.mark.parametrize("workload", sorted(WORK_COUNTER))
 def test_traced_run_prints_a_correct_result_line(workload):
-    proc = subprocess.run(
-        [sys.executable, str(BENCH / "run.py"), "--workload", workload,
-         "--seed", "1", "--seconds", "0.1", "--trace", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["correct"] is True
-    assert result["failed"] == 0
+    result = run_bench(workload, 1)
     assert result["metrics"][WORK_COUNTER[workload]]["value"] > 0
+    missing = [m["name"] for m in DECLARED["per_layer"] if m["name"] not in result["metrics"]]
+    assert not missing
+
+
+def test_untraced_run_prints_every_end_to_end_metric():
+    metrics = run_bench("cyclic", 0)["metrics"]
+    for m in DECLARED["end_to_end"]:
+        assert metrics[m["name"]]["value"] > 0, m["name"]

@@ -1,4 +1,5 @@
-"""Min-cost-flow orientation solver against exhaustive oracles."""
+"""Path-augmentation orientation solver against exhaustive oracles and
+the optimality condition."""
 
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 
 from orientopt.exhaustive import brute_optimal, enumerate_orientations
 from orientopt.flow import build_network, min_cost_flow, solve_cyclic, solve_mixed
-from orientopt.graph import build_graph, degrees_of_orientation
+from orientopt.graph import Orientation, build_graph, degrees_of_orientation
 from orientopt.instances import fig4_graph, random_multigraph
 from orientopt.objectives import (
     DecMin,
@@ -32,14 +33,11 @@ def k3():
 
 def test_network_shape_and_increment_costs():
     g = k3()
-    net = build_network(g, PhiSum(shared=square()).resolve(g))
-    # n + m + 2 nodes, one s-arc per (vertex, level)
-    assert net.num_nodes == 8
-    assert net.required == 3
-    for v in range(3):
-        incr = [net.cost[a] for a in net.parallel[v]]
-        # square increments at levels 1, 2
-        assert incr == [LiftedCost(0, 1), LiftedCost(0, 3)]
+    phis = PhiSum(shared=square()).resolve(g)
+    # one row per vertex, one square increment per free incident edge
+    assert build_network(g, phis, [None] * 3) == [[(0, 1), (0, 3)]] * 3
+    # a fixed head starts its vertex's row at the fixed indegree
+    assert build_network(g, phis, [1, None, None]) == [[(0, 1)], [(0, 3)], [(0, 1), (0, 3)]]
 
 
 def test_lifted_zero_arc_costs_step_down_then_up():
@@ -47,24 +45,30 @@ def test_lifted_zero_arc_costs_step_down_then_up():
     # the second one buys a new penalty
     g = build_graph(2, [(0, 1), (0, 1)])
     phis = PhiSum(per_vertex=(lift(zero(), 1, 1), lift(zero(), 0, None))).resolve(g)
-    net = build_network(g, phis)
-    incr = [net.cost[a] for a in net.parallel[0]]
-    assert incr == [LiftedCost(-1, 0), LiftedCost(1, 0)]
+    assert build_network(g, phis, [None, None])[0] == [(-1, 0), (1, 0)]
 
 
 def test_network_rejects_loops_and_bad_spec_count():
     g = build_graph(2, [(0, 0), (0, 1)], allow_loops=True)
-    with pytest.raises(ValueError):
-        build_network(g, PhiSum(shared=square()).resolve(g))
-    with pytest.raises(ValueError):
-        build_network(k3(), (lift(square()),))
+    phis = PhiSum(shared=square()).resolve(g)
+    with pytest.raises(ValueError, match="loops"):
+        build_network(g, phis, [None, None])
+    # a fixed loop is never oriented by the solver
+    assert build_network(g, phis, [0, None]) == [[(0, 3)], [(0, 1)]]
+    with pytest.raises(ValueError, match="one cost spec per vertex"):
+        build_network(k3(), (lift(square()),), [None] * 3)
 
 
 def test_nonconvex_table_is_rejected():
     g = build_graph(2, [(0, 1), (0, 1)])
     bad = PhiSum(shared=table([0, 5, 6]))  # concave at z=1
-    with pytest.raises(ValueError, match="convex"):
+    with pytest.raises(ValueError, match="not convex at indegree 1;"):
         solve_cyclic(g, bad)
+    # only the indegrees the free edges can reach must be convex: 2 ends
+    # the range 0..2, and 1 ends vertex 0's range 1..2 once it has a
+    # fixed in-edge
+    assert solve_cyclic(g, PhiSum(shared=table([0, 1, 2, 0]))).key == LiftedCost(0, 2)
+    assert solve_mixed(g, {0: 0}, bad).key == LiftedCost(0, 6)
 
 
 def test_k3_square_optimum_is_eulerian():
@@ -248,7 +252,62 @@ def test_mixed_validates_fixed_edges():
         solve_mixed(g, {0: 2}, PhiSum(shared=square()))
 
 
-def test_min_cost_flow_returns_total_cost():
+def test_min_cost_flow_units_add_up_to_the_key():
     g = k3()
-    net = build_network(g, PhiSum(shared=square()).resolve(g))
-    assert min_cost_flow(net) == LiftedCost(0, 3)
+    rows = build_network(g, PhiSum(shared=square()).resolve(g), [None] * 3)
+    heads = min_cost_flow(g, rows, [None] * 3, range(3))
+    indeg = degrees_of_orientation(g, Orientation(tuple(heads))).indeg
+    taken = [step for v in range(3) for step in rows[v][: indeg[v]]]
+    assert tuple(map(sum, zip(*taken))) == (0, 3)
+
+
+def _improving_path(g, phis, heads, movable):
+    """A pair (s, t) with a directed path s ~> t over the ``movable`` edges
+    whose reversal lowers the cost, found by a backward search from each
+    t; None if there is none."""
+    indeg = [0] * g.n
+    for h in heads:
+        indeg[h] += 1
+    into = [[] for _ in range(g.n)]
+    for j in movable:
+        u, v = g.edges[j]
+        into[heads[j]].append(u + v - heads[j])
+    for t in range(g.n):
+        if indeg[t] == 0:
+            continue
+        loss = phis[t].cost(indeg[t]) - phis[t].cost(indeg[t] - 1)
+        seen = {t}
+        stack = [t]
+        while stack:
+            for s in into[stack.pop()]:
+                if s not in seen:
+                    seen.add(s)
+                    stack.append(s)
+                    if phis[s].cost(indeg[s] + 1) - phis[s].cost(indeg[s]) < loss:
+                        return s, t
+    return None
+
+
+def test_no_improving_path_at_scale():
+    """Past the oracles' reach, no orientation admits an improving path:
+    square, f/g-bounded square and bounded tables with bases spanning
+    about 10**9, through solve_cyclic and through solve_mixed."""
+    rng = random.Random(4)
+    for n in (40, 120, 300):
+        g = random_multigraph(n, 3 * n, seed=n)
+        f = [rng.choice([None, 1, 2, 3]) for _ in range(n)]
+        gg = [rng.choice([None, (fv or 0) + rng.randint(0, 2)]) for fv in f]
+        for obj in (
+            PhiSum(shared=square()),
+            PhiSum(shared=square(), f=tuple(f), g=tuple(gg)),
+            bounded_tables(rng, g, f, gg, 1),
+            bounded_tables(rng, g, f, gg, Fraction(1, 7)),
+        ):
+            phis = obj.resolve(g)
+            heads = solve_cyclic(g, obj).orientation.heads
+            assert _improving_path(g, phis, heads, range(g.m)) is None
+            fixed = {j: g.edges[j][rng.randint(0, 1)] for j in rng.sample(range(g.m), g.m // 3)}
+            heads = solve_mixed(g, fixed, obj).orientation.heads
+            assert all(heads[j] == h for j, h in fixed.items())
+            movable = [j for j in range(g.m) if j not in fixed]
+            assert _improving_path(g, phis, heads, movable) is None

@@ -152,10 +152,6 @@ class TestLift:
         phi = lift(square(), 0, 8)
         assert phi.cost(z) == LiftedCost(0, z * z)
 
-    def test_shift_charges_preassigned_edges(self):
-        phi = lift(square(), 0, 10).shifted(3)
-        assert phi.cost(2) == LiftedCost(0, 25)
-
 
 class TestEvaluate:
     def test_fig4_decmin_key(self):
