@@ -149,10 +149,10 @@ def _solve_report(graph, objective, mode, seed, trials):
         dv = degrees_of_order(graph, order, weighted=weighted)
     if evaluate(objective, graph, dv) != key:
         raise RuntimeError("internal error: reported key does not re-evaluate")
-    if order is not None:
-        plain = degrees_of_order(graph, order)
-    else:
-        plain = degrees_of_orientation(graph, orientation)
+    plain = dv  # an orientation of the order has the order's degrees
+    if weighted:
+        plain = (degrees_of_orientation(graph, orientation) if order is None
+                 else degrees_of_order(graph, order))
     report = {
         "schema": 1,
         "subcommand": "solve",
@@ -286,42 +286,28 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="orientopt",
-        description="Orient multigraph edges to optimize indegree objectives.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+def _solver_args(p):
+    p.add_argument("--input", required=True, help="graph file or builtin name")
+    p.add_argument("--objective", required=True,
+                   help="objective spec, kind name, or spec file")
+    p.add_argument("--mode", required=True, choices=MODES)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--trials", type=int, default=100)
 
-    def add_solver_args(p, with_mode=MODES):
-        p.add_argument("--input", required=True, help="graph file or builtin name")
-        p.add_argument("--objective", required=True,
-                       help="objective spec, kind name, or spec file")
-        p.add_argument("--mode", required=True, choices=with_mode)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--trials", type=int, default=100)
 
-    p = sub.add_parser("solve", help="run one solver mode")
-    add_solver_args(p)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("oracle", help="exhaustive optimum on a small instance")
+def _oracle_args(p):
     p.add_argument("--input", required=True)
     p.add_argument("--objective", required=True)
     p.add_argument("--mode", required=True, choices=("cyclic", "acyclic"))
     p.add_argument("--count", action="store_true", help="also count the optima")
-    p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("compare", help="solver vs oracle; exit 1 on mismatch")
-    add_solver_args(p)
-    p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("bench", help="repeat a solve, report wall times")
-    add_solver_args(p)
+def _bench_args(p):
+    _solver_args(p)
     p.add_argument("--repeat", type=int, default=3)
-    p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("generate", help="write a builtin graph family")
+
+def _generate_args(p):
     p.add_argument("--family", required=True, choices=("fig4", "gk", "random", "scheduling"))
     p.add_argument("--k", type=int, default=2, help="triangles for the gk family")
     p.add_argument("--n", type=int, default=6)
@@ -337,12 +323,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write here instead of stdout")
     p.add_argument("--objective-out", default=None,
                    help="save the scheduling objective spec JSON here")
-    p.set_defaults(func=_cmd_generate)
+
+
+_SUBCOMMANDS = (
+    ("solve", "run one solver mode", _cmd_solve, _solver_args),
+    ("oracle", "exhaustive optimum on a small instance", _cmd_oracle, _oracle_args),
+    ("compare", "solver vs oracle; exit 1 on mismatch", _cmd_compare, _solver_args),
+    ("bench", "repeat a solve, report wall times", _cmd_bench, _bench_args),
+    ("generate", "write a builtin graph family", _cmd_generate, _generate_args),
+)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The argument parser.  Given the ``argv`` to parse, only the
+    subcommand it names gets its arguments; without, every one does."""
+    parser = argparse.ArgumentParser(
+        prog="orientopt",
+        description="Orient multigraph edges to optimize indegree objectives.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    # the top level takes no option values, so its first bare word names the subcommand
+    chosen = None if argv is None else next((a for a in argv if not a.startswith("-")), None)
+    for name, help_text, func, add_arguments in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if argv is None or name == chosen:
+            add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    parser = build_parser(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

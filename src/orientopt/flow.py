@@ -56,11 +56,11 @@ def build_network(graph: Multigraph, phis, heads) -> list[list[tuple]]:
             free[v] += 1
     rows = []
     for phi, lo, k in zip(phis, start, free):
-        prev = phi.cost(lo)
+        prev = phi.parts(lo)
         row = []
         for z in range(lo + 1, lo + k + 1):
-            cur = phi.cost(z)
-            step = (cur.penalty - prev.penalty, cur.base - prev.base)
+            cur = phi.parts(z)
+            step = (cur[0] - prev[0], cur[1] - prev[1])
             if row and step < row[-1]:
                 raise ValueError(
                     f"cost is not convex at indegree {z - 1}; the flow solver needs convexity"

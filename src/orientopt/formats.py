@@ -39,78 +39,72 @@ _KEY_KINDS = ("dec_min", "inc_max", "inc_min", "dec_max", "rho_delta_sum",
               "max_weighted_indeg", "forbidden_subpaths")
 
 
-def _tokens(line: str):
-    return [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", line)]
+def _at(message: str, lines: list[str], lineno: int, k: int) -> FormatError:
+    """A FormatError at the k-th token of a line; columns are found on errors only."""
+    starts = [m.start() + 1 for m in re.finditer(r"\S+", lines[lineno - 1])]
+    return FormatError(message, lineno, starts[k])
 
 
-def _rational(token: str, lineno: int, col: int) -> Fraction:
-    try:
-        return as_fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise FormatError(f"bad number {token!r}", lineno, col) from None
-
-
-def _int(token: str, lineno: int, col: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise FormatError(f"expected an integer, got {token!r}", lineno, col) from None
+def _not_an_int(lines: list[str], lineno: int, toks: list[str]) -> FormatError:
+    """The FormatError for the first of ``toks`` that is no integer."""
+    for k, tok in enumerate(toks):
+        try:
+            int(tok)
+        except ValueError:
+            return _at(f"expected an integer, got {tok!r}", lines, lineno, k)
 
 
 def parse_graph_text(text: str) -> Multigraph:
+    """Tokenize with ``str.split``; check each field once, on the way into the Multigraph."""
     lines = text.splitlines()
-    rows = []
-    for idx, raw in enumerate(lines, start=1):
-        body = raw.split("#", 1)[0]
-        toks = _tokens(body)
-        if toks:
-            rows.append((idx, toks))
+    rows = [(i, toks) for i, raw in enumerate(lines, start=1) if (toks := raw.split("#", 1)[0].split())]
     if not rows:
         raise FormatError("empty graph file", len(lines) or 1, 1)
     lineno, header = rows[0]
     if len(header) < 2:
-        raise FormatError("header needs `n m`", lineno, header[0][0])
-    n = _int(header[0][1], lineno, header[0][0])
-    m = _int(header[1][1], lineno, header[1][0])
-    weighted = False
-    allow_loops = False
-    for col, tok in header[2:]:
-        if tok == "weighted":
-            weighted = True
-        elif tok == "loops":
-            allow_loops = True
-        else:
-            raise FormatError(f"unknown header flag {tok!r}", lineno, col)
+        raise _at("header needs `n m`", lines, lineno, 0)
+    try:
+        n, m = int(header[0]), int(header[1])
+    except ValueError:
+        raise _not_an_int(lines, lineno, header[:2]) from None
+    for k, tok in enumerate(header[2:], start=2):
+        if tok not in ("weighted", "loops"):
+            raise _at(f"unknown header flag {tok!r}", lines, lineno, k)
+    weighted = "weighted" in header[2:]
+    allow_loops = "loops" in header[2:]
     if len(rows) - 1 != m:
         where = rows[m + 1][0] if len(rows) - 1 > m else lineno
         raise FormatError(
             f"header promises {m} edges but the file has {len(rows) - 1}", where, 1
         )
+    want = 3 if weighted else 2
     edges = []
     weights = [] if weighted else None
     for lineno, toks in rows[1:]:
-        want = 3 if weighted else 2
         if len(toks) != want:
-            col = toks[want][0] if len(toks) > want else toks[-1][0]
-            raise FormatError(
-                f"edge line needs {want} fields, got {len(toks)}", lineno, col
-            )
-        u = _int(toks[0][1], lineno, toks[0][0])
-        v = _int(toks[1][1], lineno, toks[1][0])
+            raise _at(f"edge line needs {want} fields, got {len(toks)}",
+                      lines, lineno, min(want, len(toks) - 1))
+        try:
+            u, v = int(toks[0]), int(toks[1])
+        except ValueError:
+            raise _not_an_int(lines, lineno, toks[:2]) from None
         if not (0 <= u < n and 0 <= v < n):
-            col = toks[0][0] if not 0 <= u < n else toks[1][0]
-            raise FormatError(f"endpoint out of range for n={n}", lineno, col)
+            raise _at(f"endpoint out of range for n={n}", lines, lineno, 0 if not 0 <= u < n else 1)
         if u == v and not allow_loops:
-            raise FormatError(
-                "loop found but the header has no `loops` flag", lineno, toks[0][0]
-            )
+            raise _at("loop found but the header has no `loops` flag", lines, lineno, 0)
         edges.append((u, v))
         if weighted:
-            w = _rational(toks[2][1], lineno, toks[2][0])
+            num, _, den = toks[2].partition("/")
+            try:  # int() takes what Fraction's pattern takes around a "/"
+                w = Fraction(int(num), int(den)) if den.isdecimal() else as_fraction(toks[2])
+            except (ValueError, ZeroDivisionError):
+                raise _at(f"bad number {toks[2]!r}", lines, lineno, 2) from None
             if w < 0:
-                raise FormatError("negative edge weight", lineno, toks[2][0])
+                raise _at("negative edge weight", lines, lineno, 2)
             weights.append(w)
-    return build_graph(n, edges, weights, allow_loops=allow_loops)
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    return Multigraph(n, tuple(edges), None if weights is None else tuple(weights), allow_loops)
 
 
 def parse_graph_json(text: str) -> Multigraph:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence
 
 
@@ -33,6 +34,13 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact weight")
+
+
+def scaled_to_ints(weights) -> tuple[tuple[int, ...], int]:
+    """Exact rational weights times the LCM of their denominators, as ints,
+    and that LCM: a positive scaling, which keeps every comparison and tie."""
+    scale = lcm(*(x.denominator for x in weights))
+    return tuple(x.numerator * (scale // x.denominator) for x in weights), scale
 
 
 @dataclass(frozen=True)
@@ -68,16 +76,19 @@ class Multigraph:
         return tuple(len(ids) for ids in self.incident)
 
     @cached_property
+    def int_weights(self) -> tuple[tuple[int, ...], int]:
+        """:func:`scaled_to_ints` of the weights; unit weights if there are none."""
+        return ((1,) * self.m, 1) if self.weights is None else scaled_to_ints(self.weights)
+
+    @cached_property
+    def int_weighted_degrees(self) -> tuple[int, ...]:
+        """Weighted degrees in units of 1/scale of :attr:`int_weights`."""
+        w = self.int_weights[0]
+        return tuple(sum(map(w.__getitem__, ids)) for ids in self.incident)
+
+    @cached_property
     def weighted_degrees(self) -> tuple[Fraction, ...]:
-        w = self.weights
-        if w is None:
-            return tuple(Fraction(d) for d in self.degrees)
-        deg = [Fraction(0)] * self.n
-        for j, (u, v) in enumerate(self.edges):
-            deg[u] += w[j]
-            if v != u:
-                deg[v] += w[j]
-        return tuple(deg)
+        return tuple(Fraction(d, self.int_weights[1]) for d in self.int_weighted_degrees)
 
     @cached_property
     def loop_counts(self) -> tuple[int, ...]:
@@ -114,9 +125,6 @@ class Multigraph:
     def other_end(self, eid: int, v: int) -> int:
         u, w = self.edges[eid]
         return w if v == u else u
-
-    def weight(self, eid: int) -> Fraction:
-        return self.weights[eid] if self.weights is not None else Fraction(1)
 
 
 def build_graph(n: int, edges: Iterable, weights=None, allow_loops: bool = False) -> Multigraph:
@@ -165,8 +173,11 @@ class DegreeVector:
 
 
 def check_order(graph: Multigraph, order: Sequence[int]) -> tuple[int, ...]:
+    """The order as a tuple, once checked in O(n) to hold every vertex id
+    exactly once; an entry that is not an int (a bool, say) is rejected."""
     order = tuple(order)
-    if sorted(order) != list(range(graph.n)):
+    n = graph.n
+    if len(order) != n or set(order) != set(range(n)) or not set(map(type, order)) <= {int}:
         raise ValueError("order is not a permutation of the vertices")
     return order
 
@@ -182,6 +193,20 @@ def check_orientation(graph: Multigraph, orientation: Orientation) -> None:
             raise ValueError(f"head of edge {j} is not one of its endpoints")
 
 
+def _degree_vector(graph: Multigraph, heads, weighted: bool) -> DegreeVector:
+    """In/out degrees given the vertex each edge counts in for; weighted
+    ones sum :attr:`Multigraph.int_weights` and divide once per vertex."""
+    w, scale = graph.int_weights if weighted else ((1,) * graph.m, 1)
+    indeg = [0] * graph.n
+    for h, x in zip(heads, w):
+        indeg[h] += x
+    total = graph.int_weighted_degrees if weighted else graph.degrees
+    outdeg = tuple(t - x for t, x in zip(total, indeg))
+    if weighted:
+        return DegreeVector(*(tuple(Fraction(x, scale) for x in xs) for xs in (indeg, outdeg)))
+    return DegreeVector(tuple(indeg), outdeg)
+
+
 def degrees_of_order(graph: Multigraph, order: Sequence[int], weighted: bool = False) -> DegreeVector:
     """Left/right degrees of a vertex order.
 
@@ -189,23 +214,16 @@ def degrees_of_order(graph: Multigraph, order: Sequence[int], weighted: bool = F
     exactly one to the left degree of its vertex.  With ``weighted``,
     counts become weight sums.
     """
-    order = check_order(graph, order)
+    return _order_degrees(graph, check_order(graph, order), weighted)
+
+
+def _order_degrees(graph: Multigraph, order: Sequence[int], weighted: bool = False) -> DegreeVector:
+    """:func:`degrees_of_order` of an order already known to be valid."""
     pos = [0] * graph.n
     for i, v in enumerate(order):
         pos[v] = i
-    zero = Fraction(0) if weighted else 0
-    indeg = [zero] * graph.n
-    for j, (u, v) in enumerate(graph.edges):
-        w = graph.weight(j) if weighted else 1
-        if u == v:
-            indeg[u] += w
-        elif pos[u] < pos[v]:
-            indeg[v] += w
-        else:
-            indeg[u] += w
-    total = graph.weighted_degrees if weighted else graph.degrees
-    outdeg = [total[v] - indeg[v] for v in range(graph.n)]
-    return DegreeVector(tuple(indeg), tuple(outdeg))
+    # a loop's endpoints share a position, so it counts for u
+    return _degree_vector(graph, [v if pos[u] < pos[v] else u for u, v in graph.edges], weighted)
 
 
 def orientation_of_order(graph: Multigraph, order: Sequence[int]) -> Orientation:
@@ -222,13 +240,7 @@ def orientation_of_order(graph: Multigraph, order: Sequence[int]) -> Orientation
 
 def degrees_of_orientation(graph: Multigraph, orientation: Orientation, weighted: bool = False) -> DegreeVector:
     check_orientation(graph, orientation)
-    zero = Fraction(0) if weighted else 0
-    indeg = [zero] * graph.n
-    for j, head in enumerate(orientation.heads):
-        indeg[head] += graph.weight(j) if weighted else 1
-    total = graph.weighted_degrees if weighted else graph.degrees
-    outdeg = [total[v] - indeg[v] for v in range(graph.n)]
-    return DegreeVector(tuple(indeg), tuple(outdeg))
+    return _degree_vector(graph, orientation.heads, weighted)
 
 
 def is_acyclic(graph: Multigraph, orientation: Orientation) -> bool:
@@ -316,8 +328,6 @@ def block_tree(graph: Multigraph) -> BlockTree:
     """
     if graph.has_loops:
         raise ValueError("block decomposition requires a loop-free graph")
-    if not is_connected(graph):
-        raise ValueError("block decomposition requires a connected graph")
     n = graph.n
     if n == 0:
         return BlockTree((), frozenset(), ())
@@ -369,6 +379,8 @@ def block_tree(graph: Multigraph) -> BlockTree:
                     if top == pe:
                         break
                 raw_blocks.append(blk)
+    if counter < n:  # the search from vertex 0 left some vertex undiscovered
+        raise ValueError("block decomposition requires a connected graph")
     blocks = []
     for blk in raw_blocks:
         verts = set()
@@ -377,7 +389,6 @@ def block_tree(graph: Multigraph) -> BlockTree:
         blocks.append(Block(tuple(sorted(verts)), tuple(sorted(blk))))
     blocks.sort(key=lambda b: b.vertices)
     membership: dict[int, int] = {}
-    cuts = set()
     for b in blocks:
         for v in b.vertices:
             membership[v] = membership.get(v, 0) + 1
@@ -390,9 +401,8 @@ def subgraph(graph: Multigraph, vertices: Sequence[int], edge_ids: Sequence[int]
     """Relabelled subgraph plus the local-to-global vertex map."""
     vmap = {v: i for i, v in enumerate(vertices)}
     edges = [(vmap[graph.edges[j][0]], vmap[graph.edges[j][1]]) for j in edge_ids]
-    wt = None if graph.weights is None else [graph.weights[j] for j in edge_ids]
-    sub = build_graph(len(vertices), edges, wt, allow_loops=graph.allow_loops)
-    return sub, tuple(vertices)
+    wt = None if graph.weights is None else tuple(graph.weights[j] for j in edge_ids)
+    return Multigraph(len(vertices), tuple(edges), wt, graph.allow_loops), tuple(vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +423,17 @@ def st_order(graph: Multigraph, s: int, t: int) -> tuple[int, ...]:
         raise ValueError("need two distinct vertices of the graph")
     if graph.has_loops:
         raise ValueError("s-t orders are defined for loop-free graphs")
-    if n == 2 and graph.m >= 1:
-        return (s, t)
-    tree = block_tree(graph)
-    if len(tree.blocks) != 1:
+    if len(block_tree(graph).blocks) != 1:
         raise ValueError("graph is not biconnected")
+    return _st_order(graph, s, t)
 
+
+def _st_order(graph: Multigraph, s: int, t: int) -> tuple[int, ...]:
+    """:func:`st_order` on a graph already known to be loop-free and
+    biconnected, with s != t among its vertices."""
+    n = graph.n
+    if n == 2:
+        return (s, t)
     edges = list(graph.edges)
     st_edges = [j for j, (u, v) in enumerate(edges) if {u, v} == {s, t}]
     if st_edges:

@@ -255,7 +255,8 @@ class LiftedPhi:
         if self.f is not None and self.g is not None and self.f > self.g:
             raise ValueError(f"empty degree interval: f={self.f} > g={self.g}")
 
-    def cost(self, z: int) -> LiftedCost:
+    def parts(self, z: int) -> tuple:
+        """``(penalty, base)`` of :meth:`cost`, as plain numbers."""
         penalty = 0
         if self.f is not None and z < self.f:
             penalty += self.f - z
@@ -263,7 +264,10 @@ class LiftedPhi:
         if self.g is not None and z > self.g:
             penalty += z - self.g
             z = self.g
-        return LiftedCost(penalty, exact_number(self.spec(z)))
+        return penalty, exact_number(self.spec(z))
+
+    def cost(self, z: int) -> LiftedCost:
+        return LiftedCost(*self.parts(z))
 
 
 def lift(spec: PhiSpec, f: int | None = None, g: int | None = None) -> LiftedPhi:
@@ -300,6 +304,9 @@ class PhiSum:
         else:
             if self.shared is None:
                 raise ValueError("objective has neither a shared nor per-vertex cost")
+            same = isinstance(self.shared, PhiSpec) and self.shared != abs_balance()
+            if graph.n and same and all(b is None or isinstance(b, int) for b in (self.f, self.g)):
+                return (LiftedPhi(self.shared, self.f, self.g),) * graph.n  # one, shared
             specs = [self.shared] * graph.n
         out = []
         for v, entry in enumerate(specs):
@@ -385,7 +392,8 @@ def evaluate(objective, graph: Multigraph, dv: DegreeVector):
     k = objective.kind
     indeg = dv.indeg
     if k == "phi_sum":
-        return sum((phi.cost(indeg[v]) for v, phi in enumerate(objective.resolve(graph))), LiftedCost.zero())
+        parts = [phi.parts(z) for phi, z in zip(objective.resolve(graph), indeg)]
+        return LiftedCost(sum(p for p, _ in parts), sum(b for _, b in parts))
     if k in ("dec_min", "dec_max"):
         return tuple(sorted(indeg, reverse=True))
     if k in ("inc_max", "inc_min"):

@@ -15,18 +15,20 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import factorial, lcm
+from math import factorial
 from typing import Callable, Sequence
 
 from .exhaustive import _greedy_worst
 from .graph import (
+    BlockTree,
     Multigraph,
+    _order_degrees,
+    _st_order,
     as_fraction,
     block_tree,
     check_order,
     degrees_of_order,
-    is_connected,
-    st_order,
+    scaled_to_ints,
     subgraph,
 )
 from .objectives import (
@@ -44,31 +46,27 @@ from .objectives import (
 DP_CAP = 26
 
 
-def _int_weights(graph: Multigraph, weights) -> list[int] | None:
+def _int_weights(graph: Multigraph, weights) -> tuple[int, ...] | None:
     """Edge weights as ints that compare like the given ones, or None
     when they are all equal and positive, so that plain degrees do.
 
-    Multiplying by the LCM of the denominators is a positive scaling: it
-    keeps every comparison and every tie between weighted degrees.
+    Without ``weights`` the graph's cached :attr:`Multigraph.int_weights`
+    serve.  Scaling is positive: it keeps every comparison and every tie
+    between weighted degrees.
     """
     if weights is None:
-        if graph.weights is None:
-            return None
-        w = graph.weights
+        ints = graph.int_weights[0]
     else:
         w = [x if isinstance(x, int) else as_fraction(x) for x in weights]
         if len(w) != graph.m:
             raise ValueError("need one weight per edge")
         if any(x < 0 for x in w):
             raise ValueError("weights must be non-negative")
-    scale = lcm(*(x.denominator for x in w))
-    ints = [x.numerator * (scale // x.denominator) for x in w]
-    if len(set(ints)) == 1 and ints[0] > 0:
-        return None
-    return ints
+        ints = scaled_to_ints(w)[0]
+    return None if len(set(ints)) <= 1 and min(ints, default=1) > 0 else ints
 
 
-def _peel(graph: Multigraph, w: list[int] | None = None, choose=None) -> list[int] | None:
+def _peel(graph: Multigraph, w: Sequence[int] | None = None, choose=None) -> list[int] | None:
     """Smallest-last peeling: n times, remove a live vertex of minimum
     (weighted) degree; returns the removal sequence, the reverse order.
 
@@ -374,15 +372,19 @@ def imbalance_report(graph: Multigraph, order: Sequence[int]) -> ImbalanceReport
     return ImbalanceReport(per, sum(per))
 
 
-def _check_subcubic(graph: Multigraph) -> None:
+def _subcubic_blocks(graph: Multigraph) -> BlockTree:
+    """The block tree of a connected subcubic graph, whose search checks connectivity."""
     if graph.n < 2:
         raise ValueError("need at least two vertices")
     if graph.has_loops:
         raise ValueError("loops are not supported here")
-    if not is_connected(graph):
-        raise ValueError("graph must be connected")
+    try:
+        bt = block_tree(graph)
+    except ValueError:  # a loop-free graph fails only by being disconnected
+        raise ValueError("graph must be connected") from None
     if graph.max_degree > 3:
         raise ValueError("maximum degree must be at most 3")
+    return bt
 
 
 def _terminals(graph: Multigraph, bt) -> tuple[int, int, int, dict[int, int]]:
@@ -420,16 +422,19 @@ def combine_st_orders(graph: Multigraph) -> tuple[int, ...]:
     very first vertex and the free terminals of the other end components
     can then have all their edges on one side.
     """
-    _check_subcubic(graph)
     n = graph.n
-    bt = block_tree(graph)
+    bt = _subcubic_blocks(graph)
     blocks = bt.blocks
 
     def block_order(bi: int, s: int, t: int) -> list[int]:
         sub, verts = subgraph(graph, blocks[bi].vertices, blocks[bi].edge_ids)
         local = {v: i for i, v in enumerate(verts)}
-        return [verts[x] for x in st_order(sub, local[s], local[t])]
+        return [verts[x] for x in _st_order(sub, local[s], local[t])]
 
+    at: dict[int, list[int]] = {}  # cut vertex -> the blocks holding it
+    for bi, cuts in enumerate(bt.block_cuts):
+        for c in cuts:
+            at.setdefault(c, []).append(bi)
     root, s_root, t_root, free = _terminals(graph, bt)
     order: list[int] = block_order(root, s_root, t_root)
     seen_blocks = {root}
@@ -437,7 +442,7 @@ def combine_st_orders(graph: Multigraph) -> tuple[int, ...]:
     while stack:
         bi = stack.pop()
         for c in bt.block_cuts[bi]:
-            for bj in bt.blocks_at(c):
+            for bj in at[c]:
                 if bj in seen_blocks:
                     continue
                 seen_blocks.add(bj)
@@ -456,9 +461,8 @@ def terminal_imbalance_bound(graph: Multigraph) -> int:
     """Total imbalance the composed order achieves: (d-1) at the start
     vertex plus (d-1) at each free end-component terminal, computed from
     the block structure alone."""
-    _check_subcubic(graph)
     degs = graph.degrees
-    _, s, _, free = _terminals(graph, block_tree(graph))
+    _, s, _, free = _terminals(graph, _subcubic_blocks(graph))
     return degs[s] - 1 + sum(degs[t] - 1 for t in free.values())
 
 
@@ -473,16 +477,12 @@ class TrialsResult:
     mean: Fraction
 
 
-def _rho_delta_value(graph: Multigraph, order) -> int:
-    dv = degrees_of_order(graph, order)
-    return sum(i * o for i, o in zip(dv.indeg, dv.outdeg))
-
-
 def random_order_trials(graph: Multigraph, seed, trials: int) -> TrialsResult:
     """Sample uniform random orders; keep the best degree-product sum.
 
     A uniform order is a 3-approximation in expectation, since any two
     edges at a shared vertex point the same way with probability 2/3.
+    A shuffle is a valid order, so no trial checks its own.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -495,7 +495,8 @@ def random_order_trials(graph: Multigraph, seed, trials: int) -> TrialsResult:
     for _ in range(trials):
         perm = list(range(graph.n))
         rng.shuffle(perm)
-        val = _rho_delta_value(graph, perm)
+        dv = _order_degrees(graph, perm)
+        val = sum(i * o for i, o in zip(dv.indeg, dv.outdeg))
         total += val
         if best_val is None or val > best_val:
             best_val = val

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import orientopt
-from orientopt.cli import run
+from orientopt.cli import build_parser, run
 from orientopt.formats import parse_graph, parse_objective
 from orientopt.graph import Orientation, degrees_of_orientation
 from orientopt.objectives import evaluate
@@ -223,6 +223,35 @@ class TestExitCodes:
             "--mode", "sideways",
         )
         assert code == 2
+
+
+# help texts, usage errors and their exit codes, recorded with COLUMNS=80
+# from the parser that built every subcommand's arguments on every call
+PARSER_RECORDING = json.loads(Path(__file__).with_name("cli_parser_golden.json").read_text())
+RECORDED_PYTHON = tuple(int(x) for x in PARSER_RECORDING["python"].split("."))
+
+
+def parser_case_id(case):
+    return " ".join(case["argv"]) or "<no arguments>"
+
+
+class TestArgumentParsing:
+    @pytest.mark.skipif(sys.version_info[:2] != RECORDED_PYTHON,
+                        reason="argparse wording differs between Python versions")
+    @pytest.mark.parametrize("case", PARSER_RECORDING["cases"], ids=parser_case_id)
+    def test_output_matches_recording(self, capsys, monkeypatch, case):
+        monkeypatch.setenv("COLUMNS", str(PARSER_RECORDING["columns"]))
+        got = invoke(capsys, *case["argv"])
+        assert got == (case["code"], case["stdout"], case["stderr"])
+
+    @pytest.mark.parametrize("case", PARSER_RECORDING["cases"], ids=parser_case_id)
+    def test_subcommand_parser_matches_full_parser(self, capsys, case):
+        # run() gives only the named subcommand its arguments
+        got = invoke(capsys, *case["argv"])
+        with pytest.raises(SystemExit) as e:
+            build_parser().parse_args(case["argv"])
+        captured = capsys.readouterr()
+        assert got == (e.value.code, captured.out, captured.err)
 
 
 class TestOracle:

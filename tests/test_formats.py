@@ -50,6 +50,23 @@ class TestParseGraphText:
         g = parse_graph_text("2 2 weighted\n0 1 1/3\n0 1 0.5\n")
         assert g.weights == (Fraction(1, 3), Fraction(1, 2))
 
+    @pytest.mark.parametrize("token", [
+        "3/7", "+3/4", "-3/4", "007/010", "1_0/3", "١/٢", "0.5", "1e3", "-.5", "5",
+        "1/0", "3/-4", "3/+4", "+-3/4", "/3", "3/", "1__0/3", "²/3", "1/2/3", "3/4e2", "x",
+    ])
+    def test_weight_tokens_read_as_fraction_does(self, token):
+        try:
+            want = Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(FormatError, match="bad number"):
+                parse_graph_text(f"2 1 weighted\n0 1 {token}\n")
+        else:
+            if want < 0:
+                with pytest.raises(FormatError, match="negative edge weight"):
+                    parse_graph_text(f"2 1 weighted\n0 1 {token}\n")
+            else:
+                assert parse_graph_text(f"2 1 weighted\n0 1 {token}\n").weights == (want,)
+
     def test_loops_flag(self):
         g = parse_graph_text("1 1 loops\n0 0\n")
         assert g.loop_counts == (1,)
@@ -70,6 +87,23 @@ class TestParseGraphText:
             ("2 1 weighted\n0 1\n", "needs 3 fields", 2, 3),
             ("2 1 weighted\n0 1 x\n", "bad number", 2, 5),
             ("2 1 weighted\n0 1 -2\n", "negative edge weight", 2, 5),
+            # columns count raw characters: leading blanks and tabs are one each
+            ("  2 x\n0 1\n", "expected an integer, got 'x'", 1, 5),
+            ("2\t1\n0\t9\n", "endpoint out of range for n=2", 2, 3),
+            ("\t\t3  # only n\n", "header needs `n m`", 1, 3),
+            ("  3 2\n 0 1\n\t1 1\n", "loop found but the header has no `loops` flag", 3, 2),
+            ("2 1\n  \t0\t 1 x\n", "edge line needs 2 fields, got 3", 2, 9),
+            ("2 1\n0 1 7 8\n", "edge line needs 2 fields, got 4", 2, 5),  # the first extra
+            # a trailing comment is no field, even glued to the last token
+            ("2 1 # header\n0 1 2 # extra field\n", "edge line needs 2 fields, got 3", 2, 5),
+            ("2 1\n0 5# glued comment\n", "endpoint out of range for n=2", 2, 3),
+            ("2 1 weighted\n 0\t1  1/0 # w\n", "bad number '1/0'", 2, 7),
+            # CRLF line ends
+            ("2 1\r\n0 1\r\n1 0\r\n", "header promises 1 edges but the file has 2", 3, 1),
+            ("2 1\r\n0 x\r\n", "expected an integer, got 'x'", 2, 3),
+            # comment-only and blank lines still count as lines
+            ("# title\n2 1\n# only a comment\n0 q\n", "expected an integer, got 'q'", 4, 3),
+            ("# c\n\n   # c\n", "empty graph file", 3, 1),
         ]
         for text, fragment, line, column in cases:
             with pytest.raises(FormatError) as e:

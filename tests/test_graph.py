@@ -10,6 +10,7 @@ from orientopt.graph import (
     as_fraction,
     block_tree,
     build_graph,
+    check_order,
     degrees_of_order,
     degrees_of_orientation,
     is_acyclic,
@@ -75,6 +76,70 @@ def test_degrees_of_order_basics():
         degrees_of_order(g, (0, 1))
     with pytest.raises(ValueError):
         degrees_of_order(g, (0, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        (0.0, 1.0, 2.0),  # floats equal to the ids
+        (False, True, 2),  # bools are ints to Python, not vertex ids
+        ("0", "1", "2"),
+        (0, 1, 1),  # a duplicate
+        (0, 1),  # too short
+        (0, 1, 2, 0),  # too long
+        (0, 1, 3),  # out of range
+        (-1, 0, 1),
+    ],
+)
+def test_check_order_rejects_non_permutations(order):
+    g = k3()
+    for check in (check_order, degrees_of_order, orientation_of_order):
+        with pytest.raises(ValueError):
+            check(g, order)
+
+
+def test_check_order_returns_a_tuple():
+    assert check_order(k3(), [2, 0, 1]) == (2, 0, 1)
+    assert check_order(build_graph(0, []), []) == ()
+
+
+def naive_weighted_degrees(g, head_of):
+    """Per-edge Fraction sums: (indeg, outdeg), each edge counting in for
+    ``head_of(j)`` and out for its other endpoint (a loop counts in only)."""
+    indeg = [Fraction(0)] * g.n
+    outdeg = [Fraction(0)] * g.n
+    for j, (u, v) in enumerate(g.edges):
+        h = head_of(j)
+        indeg[h] += g.weights[j]
+        if u != v:
+            outdeg[v if h == u else u] += g.weights[j]
+    return tuple(indeg), tuple(outdeg)
+
+
+def test_int_weight_model_matches_naive_fraction_sums():
+    rng = random.Random(2026)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 16))]
+        weights = [Fraction(rng.randint(0, 30), rng.choice([1, 2, 3, 4, 6, 7, 10])) for _ in edges]
+        g = build_graph(n, edges, weights, allow_loops=True)
+        order = list(range(n))
+        rng.shuffle(order)
+        pos = {v: i for i, v in enumerate(order)}
+        by_order = naive_weighted_degrees(
+            g, lambda j: max(g.edges[j], key=pos.__getitem__)
+        )
+        dv = degrees_of_order(g, order, weighted=True)
+        assert (dv.indeg, dv.outdeg) == by_order
+        assert g.weighted_degrees == tuple(i + o for i, o in zip(*by_order))
+        entries = dv.indeg + dv.outdeg + g.weighted_degrees
+        if g.has_loops:
+            continue
+        heads = tuple(rng.choice(e) for e in g.edges)
+        dv = degrees_of_orientation(g, Orientation(heads), weighted=True)
+        assert (dv.indeg, dv.outdeg) == naive_weighted_degrees(g, heads.__getitem__)
+        entries += dv.indeg + dv.outdeg
+        assert all(type(x) is Fraction for x in entries)
 
 
 def test_orientation_of_order_and_back():
@@ -217,6 +282,10 @@ def test_block_tree_matches_brute_grouping():
         bt = block_tree(g)
         got = sorted(tuple(sorted(b.edge_ids)) for b in bt.blocks)
         assert got == _blocks_by_brute_force(g)
+        for v in range(n):
+            assert bt.blocks_at(v) == tuple(
+                i for i, b in enumerate(bt.blocks) if v in b.vertices
+            )
 
 
 def _check_st_postcondition(g, order, s, t):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -13,6 +14,7 @@ from orientopt.graph import build_graph, degrees_of_order
 from orientopt.instances import (
     FIG4_DECMIN_ORDER,
     fig4_graph,
+    named_instance,
     random_multigraph,
 )
 from orientopt.objectives import (
@@ -561,6 +563,16 @@ class TestCombineStOrders:
         with pytest.raises(ValueError):
             combine_st_orders(build_graph(2, [(0, 0), (0, 1)], allow_loops=True))
 
+    def test_long_path_within_budget(self):
+        # every inner vertex of a path is a cut vertex: looking up the
+        # blocks at each one by a scan over all blocks made this walk
+        # quadratic, 0.2 s at 1000 vertices, 0.6 s at 2000 and 2.5 s at 4000
+        g = named_instance("path:20000")
+        start = time.perf_counter()
+        order = combine_st_orders(g)
+        assert time.perf_counter() - start < 5.0  # 0.3 s on a 2-core VM
+        assert order == tuple(range(20000))
+
     def test_optimal_on_subcubic_suite(self):
         for g in subcubic_suite(101, 30):
             order = combine_st_orders(g)
@@ -589,6 +601,21 @@ class TestRandomTrials:
         r = random_order_trials(g, seed=3, trials=40)
         assert r.value == rho_delta(g, r.order)
         assert r.value >= r.mean
+
+    @pytest.mark.parametrize(
+        "graph_args, seed, trials, order, value, mean",
+        [
+            ((12, 30, 5), 7, 25, (4, 1, 2, 5, 0, 11, 3, 9, 6, 8, 10, 7), 57, Fraction(1051, 25)),
+            ((20, 45, 11), 2026, 40,
+             (3, 12, 4, 19, 1, 14, 11, 13, 8, 18, 0, 7, 2, 16, 10, 5, 6, 9, 15, 17),
+             74, Fraction(1203, 20)),
+        ],
+    )
+    def test_golden_draws(self, graph_args, seed, trials, order, value, mean):
+        # recorded before the trials summed from positions: the same
+        # rng.shuffle draws must keep giving these orders, values and means
+        r = random_order_trials(random_multigraph(*graph_args), seed, trials)
+        assert (r.order, r.value, r.mean) == (order, value, mean)
 
     def test_rejects_loops_and_zero_trials(self):
         g = build_graph(1, [(0, 0)], allow_loops=True)
