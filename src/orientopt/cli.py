@@ -21,9 +21,12 @@ from pathlib import Path
 
 from .graph import (
     Multigraph,
+    Orientation,
+    _degree_vector,
+    _order_heads,
+    check_order,
     degrees_of_order,
     degrees_of_orientation,
-    orientation_of_order,
 )
 from .objectives import PhiSum, LiftedCost, evaluate, needs_weighted_degrees
 from .flow import solve_cyclic
@@ -130,9 +133,12 @@ def _run_mode(graph, objective, mode, seed, trials):
         order = derandomized_order(graph)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    dv = degrees_of_order(graph, order, weighted=needs_weighted_degrees(objective))
-    key = evaluate(objective, graph, dv)
-    orientation = None if graph.has_loops else orientation_of_order(graph, order)
+    order = check_order(graph, order)
+    heads = _order_heads(graph, order)
+    # without weights, the plain degrees equal the weighted ones
+    weighted = needs_weighted_degrees(objective) and graph.weights is not None
+    key = evaluate(objective, graph, _degree_vector(graph, heads, weighted))
+    orientation = None if graph.has_loops else Orientation(heads)
     return order, orientation, key, extra
 
 
@@ -142,17 +148,17 @@ def _solve_report(graph, objective, mode, seed, trials):
     elapsed = time.perf_counter() - start
     # round-trip: the reported key must re-evaluate from the reported
     # orientation (or order, when loops keep orientations undefined)
-    weighted = needs_weighted_degrees(objective)
+    weighted = needs_weighted_degrees(objective) and graph.weights is not None
     if orientation is not None:
         dv = degrees_of_orientation(graph, orientation, weighted=weighted)
     else:
         dv = degrees_of_order(graph, order, weighted=weighted)
     if evaluate(objective, graph, dv) != key:
         raise RuntimeError("internal error: reported key does not re-evaluate")
-    plain = dv  # an orientation of the order has the order's degrees
-    if weighted:
-        plain = (degrees_of_orientation(graph, orientation) if order is None
-                 else degrees_of_order(graph, order))
+    plain = dv
+    if weighted:  # an orientation of the order has the order's degrees
+        heads = orientation.heads if orientation is not None else _order_heads(graph, order)
+        plain = _degree_vector(graph, heads, False)
     report = {
         "schema": 1,
         "subcommand": "solve",

@@ -35,8 +35,9 @@ class FormatError(ValueError):
 
 _PHI_KINDS = ("square", "cube", "binom2", "abs_balance", "exp_base",
               "neg_exp_base", "linear", "zero", "table")
-_KEY_KINDS = ("dec_min", "inc_max", "inc_min", "dec_max", "rho_delta_sum",
-              "max_weighted_indeg", "forbidden_subpaths")
+_KEY_OBJECTIVES = {o.kind: o for o in (obj.DecMin, obj.IncMax, obj.IncMin, obj.DecMax,
+                                        obj.RhoDeltaSum, obj.MaxWeightedIndeg,
+                                        obj.ForbiddenSubpaths)}
 
 
 def _at(message: str, lines: list[str], lineno: int, k: int) -> FormatError:
@@ -94,9 +95,8 @@ def parse_graph_text(text: str) -> Multigraph:
             raise _at("loop found but the header has no `loops` flag", lines, lineno, 0)
         edges.append((u, v))
         if weighted:
-            num, _, den = toks[2].partition("/")
-            try:  # int() takes what Fraction's pattern takes around a "/"
-                w = Fraction(int(num), int(den)) if den.isdecimal() else as_fraction(toks[2])
+            try:
+                w = _rational(toks[2])
             except (ValueError, ZeroDivisionError):
                 raise _at(f"bad number {toks[2]!r}", lines, lineno, 2) from None
             if w < 0:
@@ -160,12 +160,19 @@ def _load_json(text: str):
         raise FormatError(e.msg, e.lineno, e.colno) from None
 
 
+def _rational(token: str) -> Fraction:
+    """``Fraction(token)``, reading ``p/q`` with int(): it takes what Fraction
+    takes around the "/", but for whitespace before it."""
+    num, _, den = token.partition("/")
+    if den.isdecimal() and not num[-1:].isspace():
+        return Fraction(int(num), int(den))
+    return Fraction(token)
+
+
 def _json_rational(value, what: str) -> Fraction:
-    if isinstance(value, bool):
-        raise FormatError(f"{what} must be a number or 'p/q' string")
-    if isinstance(value, (int, float, str)):
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
-            return as_fraction(value)
+            return _rational(value) if isinstance(value, str) else as_fraction(value)
         except (ValueError, ZeroDivisionError):
             pass
     raise FormatError(f"{what} must be a number or 'p/q' string")
@@ -183,14 +190,8 @@ def _parse_phi(doc, what: str) -> obj.PhiSpec:
     kind = doc["kind"]
     if kind not in _PHI_KINDS:
         raise FormatError(f"{what}: unknown cost kind {kind!r}")
-    if kind == "square":
-        return obj.square()
-    if kind == "cube":
-        return obj.cube()
-    if kind == "binom2":
-        return obj.binom2()
-    if kind == "zero":
-        return obj.zero()
+    if kind in ("square", "cube", "binom2", "zero"):  # no parameters
+        return obj.PhiSpec(kind)
     if kind == "abs_balance":
         d = doc.get("d")
         if d is not None and (not isinstance(d, int) or d < 0):
@@ -233,16 +234,8 @@ def parse_objective(text: str):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FormatError("objective spec must have a `kind`")
     kind = doc["kind"]
-    if kind in _KEY_KINDS:
-        return {
-            "dec_min": obj.DecMin,
-            "inc_max": obj.IncMax,
-            "inc_min": obj.IncMin,
-            "dec_max": obj.DecMax,
-            "rho_delta_sum": obj.RhoDeltaSum,
-            "max_weighted_indeg": obj.MaxWeightedIndeg,
-            "forbidden_subpaths": obj.ForbiddenSubpaths,
-        }[kind]()
+    if kind in _KEY_OBJECTIVES:
+        return _KEY_OBJECTIVES[kind]()
     if kind in _PHI_KINDS:
         # a bare cost shape means: minimize its sum over all vertices
         return obj.PhiSum(shared=_parse_phi(doc, "objective"))
@@ -281,7 +274,7 @@ def parse_objective(text: str):
 
 def rational_to_json(x):
     """Exact value for a report: int when integral, else ``"p/q"``."""
-    x = Fraction(x)
+    x = x if isinstance(x, Fraction) else Fraction(x)
     if x.denominator == 1:
         return int(x)
     return f"{x.numerator}/{x.denominator}"

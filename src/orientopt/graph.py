@@ -214,16 +214,16 @@ def degrees_of_order(graph: Multigraph, order: Sequence[int], weighted: bool = F
     exactly one to the left degree of its vertex.  With ``weighted``,
     counts become weight sums.
     """
-    return _order_degrees(graph, check_order(graph, order), weighted)
+    return _degree_vector(graph, _order_heads(graph, check_order(graph, order)), weighted)
 
 
-def _order_degrees(graph: Multigraph, order: Sequence[int], weighted: bool = False) -> DegreeVector:
-    """:func:`degrees_of_order` of an order already known to be valid."""
+def _order_heads(graph: Multigraph, order: Sequence[int]) -> tuple[int, ...]:
+    """The later endpoint of every edge in an order already known to be
+    valid; a loop's endpoints share a position, so it counts for u."""
     pos = [0] * graph.n
     for i, v in enumerate(order):
         pos[v] = i
-    # a loop's endpoints share a position, so it counts for u
-    return _degree_vector(graph, [v if pos[u] < pos[v] else u for u, v in graph.edges], weighted)
+    return tuple([v if pos[u] < pos[v] else u for u, v in graph.edges])
 
 
 def orientation_of_order(graph: Multigraph, order: Sequence[int]) -> Orientation:
@@ -231,11 +231,7 @@ def orientation_of_order(graph: Multigraph, order: Sequence[int]) -> Orientation
     order = check_order(graph, order)
     if graph.has_loops:
         raise ValueError("graphs with loops cannot be oriented")
-    pos = [0] * graph.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    heads = tuple(v if pos[u] < pos[v] else u for u, v in graph.edges)
-    return Orientation(heads)
+    return Orientation(_order_heads(graph, order))
 
 
 def degrees_of_orientation(graph: Multigraph, orientation: Orientation, weighted: bool = False) -> DegreeVector:

@@ -15,6 +15,7 @@ from .objectives import (
     PhiSum,
     binom2,
     cube,
+    exact_number,
     linear,
     square,
     table,
@@ -268,8 +269,6 @@ def scheduling_to_orientation(instance: SchedulingInstance):
 def brute_schedule_cost(instance: SchedulingInstance):
     """Exact minimum total cost over every feasible assignment,
     including the cost of empty slots."""
-    from .objectives import exact_number
-
     choices = [sorted(I) for I in instance.feasible]
     best = None
     stack = [(0, [0] * instance.num_slots)]

@@ -14,21 +14,19 @@ Lexicographic objectives compare the sorted indegree sequence itself;
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from typing import Callable, Sequence
 
-from .graph import DegreeVector, Multigraph
+from .graph import DegreeVector, Multigraph, as_fraction
 
 
 def exact_number(value):
     """Exact scalar: ints stay ints, everything else becomes Fraction."""
-    if isinstance(value, int):
-        return value
-    from .graph import as_fraction
-
-    return as_fraction(value)
+    return value if isinstance(value, int) else as_fraction(value)
 
 
 @dataclass(frozen=True)
@@ -123,11 +121,6 @@ def _int_costs(
     if maximize:
         ints = [[-x for x in row] for row in ints]
     return ints
-
-
-_KINDS = frozenset(
-    ["square", "cube", "binom2", "abs_balance", "exp_base", "neg_exp_base", "linear", "zero", "table"]
-)
 
 
 @dataclass(frozen=True)
@@ -378,6 +371,41 @@ class ForbiddenSubpaths:
 Objective = object  # any of the classes above
 
 
+def _sum_parts(phis: Sequence[LiftedPhi], indeg) -> LiftedCost:
+    """Sum of ``phi.parts(z)`` over the vertices, exactly.  A cost shared by
+    every vertex runs once per distinct indegree; an unbounded linear one
+    with exact coefficients adds a * z and b, not a * z + b.  Fraction terms
+    add numerators per denominator, so the base is a Fraction iff a term is."""
+    times = repeat(1)
+    if len(indeg) == len(phis) > 0 and all(phi is phis[0] for phi in phis):
+        counts = Counter(indeg)
+        phis, indeg, times = repeat(phis[0]), counts.keys(), counts.values()
+    penalty = whole = 0
+    sums: dict[int, int] = {}  # numerators of the Fraction terms, per denominator
+
+    def add(x, count):
+        nonlocal whole
+        if isinstance(x, int):
+            whole += x * count
+        else:
+            num, den = x.as_integer_ratio()
+            sums[den] = sums.get(den, 0) + num * count
+
+    for phi, z, c in zip(phis, indeg, times):
+        spec = phi.spec
+        if spec.kind == "linear" and phi.f is None and phi.g is None:
+            a, b = spec.params
+            if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
+                add(a, z * c)
+                add(b, c)
+                continue
+        p, x = phi.parts(z)
+        penalty += p * c
+        add(x, c)
+    base = whole + sum(Fraction(x, d) for d, x in sums.items()) if sums else whole
+    return LiftedCost(penalty, base)
+
+
 def needs_weighted_degrees(objective) -> bool:
     return isinstance(objective, MaxWeightedIndeg)
 
@@ -392,8 +420,7 @@ def evaluate(objective, graph: Multigraph, dv: DegreeVector):
     k = objective.kind
     indeg = dv.indeg
     if k == "phi_sum":
-        parts = [phi.parts(z) for phi, z in zip(objective.resolve(graph), indeg)]
-        return LiftedCost(sum(p for p, _ in parts), sum(b for _, b in parts))
+        return _sum_parts(objective.resolve(graph), indeg)
     if k in ("dec_min", "dec_max"):
         return tuple(sorted(indeg, reverse=True))
     if k in ("inc_max", "inc_min"):

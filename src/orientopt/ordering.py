@@ -16,13 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import factorial
+from operator import mul, sub
 from typing import Callable, Sequence
 
 from .exhaustive import _greedy_worst
 from .graph import (
     BlockTree,
     Multigraph,
-    _order_degrees,
     _st_order,
     as_fraction,
     block_tree,
@@ -41,6 +41,7 @@ from .objectives import (
     ForbiddenSubpaths,
     _int_costs,
     evaluate,
+    exact_number,
 )
 
 DP_CAP = 26
@@ -204,20 +205,16 @@ def is_greedy_run(graph: Multigraph, order: Sequence[int]) -> bool:
 
 def linear_slope_order(graph: Multigraph, slopes: Sequence) -> tuple[int, ...]:
     """Optimal order for per-vertex linear costs a_v * indeg + b_v:
-    non-increasing slope, ties to the lowest id."""
-    from .objectives import exact_number
-
+    non-increasing slope, ties to the lowest id (the sort is stable)."""
     if len(slopes) != graph.n:
         raise ValueError("need one slope per vertex")
-    a = [exact_number(s) for s in slopes]
-    return tuple(sorted(range(graph.n), key=lambda v: (-a[v], v)))
+    neg = [-a for a in scaled_to_ints([exact_number(s) for s in slopes])[0]]
+    return tuple(sorted(range(graph.n), key=neg.__getitem__))
 
 
 def linear_optimum_value(graph: Multigraph, slopes: Sequence, intercepts=None):
     """Closed-form optimum of a linear cost sum: every edge pays the
     smaller endpoint slope, plus all intercepts."""
-    from .objectives import exact_number
-
     if graph.has_loops:
         raise ValueError("the closed form assumes a loop-free graph")
     a = [exact_number(s) for s in slopes]
@@ -489,14 +486,23 @@ def random_order_trials(graph: Multigraph, seed, trials: int) -> TrialsResult:
     if graph.has_loops:
         raise ValueError("loops are not supported here")
     rng = random.Random(seed)
+    n, edges, degrees = graph.n, graph.edges, graph.degrees
     total = 0
     best_val = None
     best_order: tuple[int, ...] = ()
     for _ in range(trials):
-        perm = list(range(graph.n))
+        perm = list(range(n))
         rng.shuffle(perm)
-        dv = _order_degrees(graph, perm)
-        val = sum(i * o for i, o in zip(dv.indeg, dv.outdeg))
+        pos = [0] * n
+        for i, v in enumerate(perm):
+            pos[v] = i
+        indeg = [0] * n  # each edge counts at its later endpoint
+        for u, v in edges:
+            if pos[u] < pos[v]:
+                indeg[v] += 1
+            else:
+                indeg[u] += 1
+        val = sum(map(mul, indeg, map(sub, degrees, indeg)))  # in * out
         total += val
         if best_val is None or val > best_val:
             best_val = val

@@ -71,6 +71,7 @@ def run_bench(workload, trace):
 # a counter each workload's solver must drive above zero
 WORK_COUNTER = {
     "acyclic-exact": "ordering.dp_subsets",
+    "acyclic-heuristic": "ordering.smallest_last_vertices",
     "cyclic": "flow.edges",
     "oracle": "exhaustive.candidates",
 }

@@ -11,8 +11,8 @@ import pytest
 
 import orientopt
 from orientopt.cli import build_parser, run
-from orientopt.formats import parse_graph, parse_objective
-from orientopt.graph import Orientation, degrees_of_orientation
+from orientopt.formats import parse_graph, parse_objective, rational_to_json
+from orientopt.graph import Orientation, degrees_of_order, degrees_of_orientation
 from orientopt.objectives import evaluate
 
 
@@ -113,6 +113,24 @@ class TestSolve:
             "--mode", "slope",
         )
         assert code == 3 and "linear" in err
+
+    @pytest.mark.parametrize("text", [
+        "4 5 weighted\n0 1 3/2\n1 2 1\n2 3 5/4\n3 0 2\n0 2 1/3\n",
+        "3 4 weighted loops\n0 0 2\n0 1 1/2\n1 2 3\n2 0 7/3\n",
+        "4 5\n0 1\n1 2\n2 3\n3 0\n0 2\n",
+    ])
+    def test_weighted_key_with_plain_degrees(self, capsys, tmp_path, text):
+        p = tmp_path / "g.graph"
+        p.write_text(text)
+        rep = report_of(
+            capsys, "solve", "--input", str(p), "--objective", "max_weighted_indeg",
+            "--mode", "smallest-last",
+        )
+        g = parse_graph(text)
+        weighted = degrees_of_order(g, rep["order"], weighted=True)
+        plain = degrees_of_order(g, rep["order"])
+        assert rep["key"] == rational_to_json(max(weighted.indeg))
+        assert (rep["indeg"], rep["outdeg"]) == (list(plain.indeg), list(plain.outdeg))
 
     def test_greedy_seed_switches_tie_rule(self, capsys):
         base = report_of(

@@ -67,6 +67,27 @@ class TestParseGraphText:
             else:
                 assert parse_graph_text(f"2 1 weighted\n0 1 {token}\n").weights == (want,)
 
+    @pytest.mark.parametrize("token", [
+        "3/7", "+3/4", "-3/4", "007/010", "1_0/3", "١/٢", "0.5", "1e3", "-.5", "5",
+        "1/0", "3/-4", "3/+4", "+-3/4", "/3", "3/", "1__0/3", "²/3", "1/2/3", "3/4e2", "x",
+        " 3/4", "3 /4", "3/4 ", "3\t/4", "3/ 4",
+    ])
+    def test_objective_rationals_read_as_fraction_does(self, token):
+        docs = [
+            {"kind": "linear", "a": token},
+            {"kind": "table", "values": [0, token]},
+        ]
+        for doc in docs:
+            try:
+                want = Fraction(token)
+            except (ValueError, ZeroDivisionError):
+                with pytest.raises(FormatError, match="must be a number"):
+                    parse_objective(json.dumps(doc))
+            else:
+                spec = parse_objective(json.dumps(doc)).shared
+                got = spec.params[0] if spec.kind == "linear" else spec.params[1]
+                assert (got, type(got)) == (want, Fraction)
+
     def test_loops_flag(self):
         g = parse_graph_text("1 1 loops\n0 0\n")
         assert g.loop_counts == (1,)

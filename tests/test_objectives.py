@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from orientopt.instances import (
     FIG4_DECMIN_ORDER,
     FIG4_INCMAX_ORDER,
     fig4_graph,
+    random_multigraph,
 )
 from orientopt.objectives import (
     DecMin,
@@ -16,6 +18,7 @@ from orientopt.objectives import (
     LiftedCost,
     LiftedPhi,
     MaxWeightedIndeg,
+    PhiSpec,
     PhiSum,
     RhoDeltaSum,
     abs_balance,
@@ -208,6 +211,90 @@ class TestEvaluate:
         good = rank_key(DecMin(), g, degrees_of_order(g, FIG4_DECMIN_ORDER))
         other = rank_key(DecMin(), g, degrees_of_order(g, tuple(range(9))))
         assert good <= other
+
+
+def ref_phi_sum(objective, graph, indeg):
+    """The phi_sum key as a plain per-vertex sum: clamp into [f, g], count
+    the units clamped, and add one exact value per vertex."""
+    penalty, base = 0, 0
+    for phi, z in zip(objective.resolve(graph), indeg):
+        if phi.f is not None and z < phi.f:
+            penalty, z = penalty + phi.f - z, phi.f
+        if phi.g is not None and z > phi.g:
+            penalty, z = penalty + z - phi.g, phi.g
+        x = phi.spec(z)
+        base += x if isinstance(x, (int, Fraction)) else Fraction(str(x))
+    return LiftedCost(penalty, base)
+
+
+def random_specs(rng, graph):
+    """One cost of every kind, with int, Fraction and mixed parameters."""
+    top = max(graph.degrees, default=0) + 3  # bounds may clamp z up to 2
+    frac = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return [
+        square(), cube(), binom2(), zero(), abs_balance(), abs_balance(rng.randint(0, 4)),
+        exp_base(rng.randint(2, 4)), neg_exp_base(rng.randint(2, 4)),
+        linear(rng.randint(-5, 5), rng.randint(-3, 3)), linear(frac(), frac()),
+        linear(frac(), rng.randint(0, 3)), linear(rng.randint(-2, 2), frac()),
+        linear(Fraction(4, 2), Fraction(0)), PhiSpec("linear", (0.1, 0.2)),
+        table([rng.randint(-5, 5) for _ in range(top)]),
+        table([frac() for _ in range(top)]),
+        table([rng.choice([rng.randint(0, 3), frac()]) for _ in range(top)]),
+    ]
+
+
+class TestEvaluateAgainstPlainSum:
+    """evaluate sums phi_sum keys per denominator; the key, and its int or
+    Fraction type, must be those of a plain per-vertex sum."""
+
+    def check(self, objective, graph, rng):
+        for _ in range(3):
+            order = list(range(graph.n))
+            rng.shuffle(order)
+            dv = degrees_of_order(graph, order)
+            got = evaluate(objective, graph, dv)
+            want = ref_phi_sum(objective, graph, dv.indeg)
+            assert got == want
+            assert (type(got.base), repr(got)) == (type(want.base), repr(want))
+
+    def test_every_kind_shared_and_bounded(self):
+        rng = random.Random(5)
+        for seed in range(12):
+            g = random_multigraph(rng.randint(2, 9), rng.randint(0, 16), seed)
+            for spec in random_specs(rng, g):
+                f, upper = rng.randint(0, 2), rng.randint(1, 3)
+                self.check(PhiSum(shared=spec), g, rng)
+                self.check(PhiSum(shared=spec, f=f, g=max(f, upper)), g, rng)
+                per_f = tuple(rng.randint(0, 2) for _ in range(g.n))
+                self.check(PhiSum(shared=spec, f=per_f), g, rng)
+
+    def test_per_vertex_mixtures(self):
+        rng = random.Random(9)
+        for seed in range(40):
+            g = random_multigraph(rng.randint(2, 10), rng.randint(0, 20), seed)
+            pool = random_specs(rng, g)
+            per = []
+            for _ in range(g.n):
+                spec = rng.choice(pool)
+                if rng.random() < 0.3 and spec != abs_balance():  # lifted costs resolve as given
+                    f = rng.randint(0, 2)
+                    spec = lift(spec, f, f + rng.randint(0, 2))
+                per.append(spec)
+            objective = PhiSum(per_vertex=tuple(per))
+            if not any(isinstance(p, LiftedPhi) for p in per) and rng.random() < 0.5:
+                objective = PhiSum(per_vertex=tuple(per), g=rng.randint(0, 3))
+            self.check(objective, g, rng)
+
+    def test_integral_fraction_sums_stay_fractions(self):
+        g = build_graph(2, [(0, 1)])
+        dv = degrees_of_order(g, (0, 1))
+        half = Fraction(1, 2)
+        key = evaluate(PhiSum(per_vertex=(linear(half), linear(half, half))), g, dv)
+        assert (key, type(key.base)) == (LiftedCost(0, 1), Fraction)
+        key = evaluate(PhiSum(shared=table([Fraction(2), 3])), g, dv)
+        assert (key, type(key.base)) == (LiftedCost(0, 5), Fraction)
+        key = evaluate(PhiSum(shared=linear(2, 1)), g, dv)
+        assert (key, type(key.base)) == (LiftedCost(0, 4), int)
 
 
 class TestPhiSumResolve:

@@ -516,6 +516,18 @@ class TestLinearSlope:
             assert val(order) == want
             assert linear_optimum_value(g, slopes, intercepts) == want
 
+    def test_matches_a_sort_on_fractions(self):
+        # ints, negative Fractions, dyadic floats (equal as Fractions to
+        # their shortest repr) and "p/q" strings, from a small value pool
+        # so that ties are many
+        rng = random.Random(23)
+        pool = [3, -1, 0, Fraction(-3, 2), Fraction(6, 4), 1.5, -0.25, "-1/4", "3/1", "0/5", 2]
+        for n in (0, 1, 7, 40, 300):
+            g = build_graph(n, [])
+            a = [rng.choice(pool) for _ in range(n)]
+            want = tuple(sorted(range(n), key=lambda v: (-Fraction(a[v]), v)))
+            assert linear_slope_order(g, a) == want
+
     def test_closed_form_rejects_loops(self):
         g = build_graph(1, [(0, 0)], allow_loops=True)
         with pytest.raises(ValueError):
