@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 from .graph import (
@@ -105,6 +106,23 @@ def _slopes_from_objective(graph, objective):
     return slopes
 
 
+def _heads_key(graph, objective, heads, dv=None):
+    """The key of the orientation that ``heads`` give; ``dv``, if given,
+    holds its plain degrees.  A weighted ``max_weighted_indeg`` key is
+    one Fraction of the largest int weighted indegree (in units of
+    :attr:`Multigraph.int_weights`), so it needs no Fraction per vertex."""
+    if needs_weighted_degrees(objective) and graph.weights is not None:
+        w, scale = graph.int_weights
+        indeg = [0] * graph.n
+        for h, x in zip(heads, w):
+            indeg[h] += x
+        return Fraction(max(indeg), scale) if indeg else 0
+    # without weights, the plain degrees equal the weighted ones
+    if dv is None:
+        dv = _degree_vector(graph, heads, False)
+    return evaluate(objective, graph, dv)
+
+
 def _run_mode(graph, objective, mode, seed, trials):
     """Dispatch one solver mode; returns (order | None, orientation | None,
     key, extra report fields)."""
@@ -135,9 +153,7 @@ def _run_mode(graph, objective, mode, seed, trials):
         raise ValueError(f"unknown mode {mode!r}")
     order = check_order(graph, order)
     heads = _order_heads(graph, order)
-    # without weights, the plain degrees equal the weighted ones
-    weighted = needs_weighted_degrees(objective) and graph.weights is not None
-    key = evaluate(objective, graph, _degree_vector(graph, heads, weighted))
+    key = _heads_key(graph, objective, heads)
     orientation = None if graph.has_loops else Orientation(heads)
     return order, orientation, key, extra
 
@@ -148,17 +164,14 @@ def _solve_report(graph, objective, mode, seed, trials):
     elapsed = time.perf_counter() - start
     # round-trip: the reported key must re-evaluate from the reported
     # orientation (or order, when loops keep orientations undefined)
-    weighted = needs_weighted_degrees(objective) and graph.weights is not None
     if orientation is not None:
-        dv = degrees_of_orientation(graph, orientation, weighted=weighted)
+        plain = degrees_of_orientation(graph, orientation)
+        heads = orientation.heads
     else:
-        dv = degrees_of_order(graph, order, weighted=weighted)
-    if evaluate(objective, graph, dv) != key:
+        plain = degrees_of_order(graph, order)
+        heads = _order_heads(graph, order)
+    if _heads_key(graph, objective, heads, plain) != key:
         raise RuntimeError("internal error: reported key does not re-evaluate")
-    plain = dv
-    if weighted:  # an orientation of the order has the order's degrees
-        heads = orientation.heads if orientation is not None else _order_heads(graph, order)
-        plain = _degree_vector(graph, heads, False)
     report = {
         "schema": 1,
         "subcommand": "solve",

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import orientopt
-from orientopt.cli import build_parser, run
+from orientopt.cli import _run_mode, _solve_report, build_parser, run
 from orientopt.formats import parse_graph, parse_objective, rational_to_json
-from orientopt.graph import Orientation, degrees_of_order, degrees_of_orientation
+from orientopt.graph import Orientation, build_graph, degrees_of_order, degrees_of_orientation
+from orientopt.instances import random_multigraph
 from orientopt.objectives import evaluate
 
 
@@ -131,6 +132,23 @@ class TestSolve:
         plain = degrees_of_order(g, rep["order"])
         assert rep["key"] == rational_to_json(max(weighted.indeg))
         assert (rep["indeg"], rep["outdeg"]) == (list(plain.indeg), list(plain.outdeg))
+
+    def test_weighted_max_key_is_the_fraction_maximum(self):
+        """The key taken from int weighted indegrees equals ``evaluate`` on
+        the Fraction weighted degrees in value, type and repr, including
+        integral maxima and graphs with loops or zero weights."""
+        obj = parse_objective("max_weighted_indeg")
+        for seed in range(8):
+            g = random_multigraph(10, 24, seed, weighted=True, allow_loops=seed % 2 == 1)
+            if seed == 4:
+                g = build_graph(g.n, g.edges, [2] * g.m)
+            if seed == 5:
+                g = build_graph(g.n, g.edges, [j % 3 for j in range(g.m)], allow_loops=True)
+            for mode in ("smallest-last", "acyclic-greedy") + ("random",) * (not g.has_loops):
+                order, _, key, _ = _run_mode(g, obj, mode, 1, 5)
+                want = evaluate(obj, g, degrees_of_order(g, order, weighted=True))
+                assert repr(key) == repr(want), (seed, mode)
+                assert repr(_solve_report(g, obj, mode, 1, 5)[1]) == repr(want)
 
     def test_greedy_seed_switches_tie_rule(self, capsys):
         base = report_of(

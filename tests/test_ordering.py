@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orientopt.exhaustive import brute_optimal, enumerate_orders
+from orientopt.formats import parse_objective
 from orientopt.graph import build_graph, degrees_of_order
 from orientopt.instances import (
     FIG4_DECMIN_ORDER,
@@ -269,10 +270,7 @@ class TestSubsetDP:
             "mixed int and Fraction": rows(lambda: rng.choice([0, 1, Fraction(1, 2), Fraction(2)])),
         }
 
-    def test_matches_naive_reference_on_every_value_type(self):
-        rng = random.Random(8)
-        graphs = small_random_graphs(17, 30, (1, 7), (0, 14), allow_loops=True)
-        assert any(g.has_loops for g in graphs) and any(not g.is_simple for g in graphs)
+    def assert_matches_reference(self, graphs, rng):
         for g in graphs:
             for name, t in self.value_tables(g, rng).items():
                 for maximize in (False, True):
@@ -281,6 +279,36 @@ class TestSubsetDP:
                     assert got == want, (g.edges, name, maximize)
                     assert type(got[1]) is type(want[1])
                     assert repr(got) == repr(want)
+
+    def test_matches_naive_reference_on_every_value_type(self):
+        rng = random.Random(8)
+        graphs = small_random_graphs(17, 30, (1, 7), (0, 14), allow_loops=True)
+        assert any(g.has_loops for g in graphs) and any(not g.is_simple for g in graphs)
+        self.assert_matches_reference(graphs, rng)
+
+    def test_matches_naive_reference_where_vertices_stand_apart(self):
+        """Graphs where many masks hold a vertex with no neighbour in
+        them: edgeless graphs, vertices with only loops, and disjoint
+        unions, up to n = 12 so that both half-mask tables have entries.
+        Vertex ids are shuffled so that each part meets both halves."""
+        rng = random.Random(9)
+
+        def shuffled(n, edges):
+            ids = list(range(n))
+            rng.shuffle(ids)
+            return build_graph(n, [(ids[a], ids[b]) for a, b in edges], allow_loops=True)
+
+        graphs = [build_graph(n, []) for n in (1, 5, 12)]
+        for n, apart in ((6, 2), (9, 4), (12, 5)):
+            core = random_multigraph(n - apart, 2 * (n - apart), rng.random())
+            loops = [(v, v) for v in range(n - apart, n) for _ in range(rng.randint(1, 2))]
+            graphs.append(shuffled(n, [*core.edges, *loops]))
+        for n1, n2 in ((2, 3), (4, 5), (5, 7)):
+            a = random_multigraph(n1, 2 * n1, rng.random(), allow_loops=True)
+            b = random_multigraph(n2, 2 * n2, rng.random(), allow_loops=True)
+            graphs.append(shuffled(n1 + n2, [*a.edges, *((u + n1, v + n1) for u, v in b.edges)]))
+        assert max(g.n for g in graphs) == 12
+        self.assert_matches_reference(graphs, rng)
 
     def test_one_penalty_unit_outweighs_a_huge_base_spread(self):
         # order (0, 1) costs LiftedCost(1, 0) and order (1, 0) costs
@@ -342,6 +370,100 @@ class TestSolveAcyclicExact:
         g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
         order, key = solve_acyclic_exact(g, PhiSum(shared=zero(), f=1, g=1))
         assert key == LiftedCost(2, 0)  # source and sink each break a bound
+
+
+# (n, seed, objective) -> (order, key) of solve_acyclic_exact on
+# random_multigraph(n, 2n, seed), under the objectives of the benchmark's
+# acyclic-exact workload, recorded before the isolated-vertex rule.
+EXACT_PINS = {
+    (14, 1, "square"): (
+        (12, 3, 10, 8, 0, 13, 7, 6, 11, 1, 9, 5, 4, 2),
+        LiftedCost(penalty=0, base=64),
+    ),
+    (14, 1, "cube_bounded"): (
+        (12, 3, 10, 8, 0, 13, 7, 6, 11, 1, 9, 5, 4, 2),
+        LiftedCost(penalty=1, base=155),
+    ),
+    (14, 1, "dec_min"): (
+        (12, 3, 10, 8, 0, 13, 7, 6, 11, 1, 9, 5, 4, 2),
+        (3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 0),
+    ),
+    (14, 1, "inc_max"): (
+        (12, 3, 10, 8, 0, 13, 7, 6, 11, 1, 9, 5, 4, 2),
+        (0, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3),
+    ),
+    (14, 1, "rho_delta_sum"): (
+        (13, 6, 10, 8, 0, 5, 3, 12, 7, 11, 4, 1, 9, 2),
+        63,
+    ),
+    (14, 1, "forbidden_subpaths"): (
+        (12, 3, 10, 8, 0, 13, 7, 6, 11, 1, 9, 5, 4, 2),
+        18,
+    ),
+    (15, 2, "square"): (
+        (8, 5, 14, 2, 13, 7, 12, 11, 6, 10, 0, 9, 4, 3, 1),
+        LiftedCost(penalty=0, base=70),
+    ),
+    (15, 2, "cube_bounded"): (
+        (8, 5, 14, 2, 13, 7, 12, 11, 6, 10, 0, 9, 4, 3, 1),
+        LiftedCost(penalty=1, base=175),
+    ),
+    (15, 2, "dec_min"): (
+        (8, 5, 14, 2, 13, 7, 12, 11, 6, 10, 0, 9, 4, 3, 1),
+        (3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2, 1, 1, 0),
+    ),
+    (15, 2, "inc_max"): (
+        (8, 5, 14, 2, 13, 7, 12, 11, 6, 10, 0, 9, 4, 3, 1),
+        (0, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3),
+    ),
+    (15, 2, "rho_delta_sum"): (
+        (9, 3, 0, 13, 10, 6, 2, 14, 8, 5, 7, 12, 11, 4, 1),
+        63,
+    ),
+    (15, 2, "forbidden_subpaths"): (
+        (8, 5, 14, 2, 13, 7, 12, 11, 6, 10, 0, 9, 4, 3, 1),
+        20,
+    ),
+    (16, 3, "square"): (
+        (15, 2, 11, 12, 0, 8, 13, 4, 14, 9, 3, 10, 7, 6, 5, 1),
+        LiftedCost(penalty=0, base=72),
+    ),
+    (16, 3, "cube_bounded"): (
+        (15, 2, 11, 12, 0, 8, 13, 4, 14, 9, 3, 10, 7, 6, 5, 1),
+        LiftedCost(penalty=1, base=171),
+    ),
+    (16, 3, "dec_min"): (
+        (15, 2, 11, 12, 0, 8, 13, 4, 14, 9, 3, 10, 7, 6, 5, 1),
+        (3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 0),
+    ),
+    (16, 3, "inc_max"): (
+        (15, 2, 11, 12, 0, 8, 13, 4, 14, 9, 3, 10, 7, 6, 5, 1),
+        (0, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3),
+    ),
+    (16, 3, "rho_delta_sum"): (
+        (14, 6, 7, 4, 13, 12, 8, 15, 11, 2, 0, 9, 1, 3, 10, 5),
+        64,
+    ),
+    (16, 3, "forbidden_subpaths"): (
+        (15, 2, 11, 12, 0, 8, 13, 4, 14, 9, 3, 10, 7, 6, 5, 1),
+        20,
+    ),
+}
+BENCH_OBJECTIVES = {
+    "square": "square",
+    "cube_bounded": '{"kind": "phi_sum", "shared": {"kind": "cube"}, "f": 1, "g": 3}',
+    "dec_min": "dec_min",
+    "inc_max": "inc_max",
+    "rho_delta_sum": "rho_delta_sum",
+    "forbidden_subpaths": "forbidden_subpaths",
+}
+
+
+@pytest.mark.parametrize("n, seed, name", list(EXACT_PINS))
+def test_exact_orders_and_keys_are_pinned_at_benchmark_size(n, seed, name):
+    g = random_multigraph(n, 2 * n, seed)
+    got = solve_acyclic_exact(g, parse_objective(BENCH_OBJECTIVES[name]))
+    assert repr(got) == repr(EXACT_PINS[n, seed, name])
 
 
 class TestSmallestLast:
