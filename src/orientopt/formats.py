@@ -20,7 +20,7 @@ import json
 import re
 from fractions import Fraction
 
-from .graph import Multigraph, as_fraction, build_graph
+from .graph import Multigraph, as_fraction
 from . import objectives as obj
 
 
@@ -139,10 +139,11 @@ def parse_graph_json(text: str) -> Multigraph:
             raise FormatError(f"edge {i} is a loop but `allow_loops` is false")
         edges.append((u, v))
         if len(e) == 3:
-            weights.append(_json_rational(e[2], f"edge {i} weight"))
-    return build_graph(
-        n, edges, weights if arity == 3 else None, allow_loops=allow_loops
-    )
+            w = _json_rational(e[2], f"edge {i} weight")
+            if w < 0:
+                raise FormatError(f"edge {i} has negative weight {w}")
+            weights.append(w)
+    return Multigraph(n, tuple(edges), tuple(weights) if arity == 3 else None, allow_loops)
 
 
 def parse_graph(text: str) -> Multigraph:

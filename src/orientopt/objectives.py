@@ -18,8 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .graph import DegreeVector, Multigraph, as_fraction
 
@@ -29,7 +28,7 @@ def exact_number(value):
     return value if isinstance(value, int) else as_fraction(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class LiftedCost:
     """Cost with a bound-violation part and a finite part.
 
@@ -59,21 +58,6 @@ class LiftedCost:
     def __neg__(self):
         return LiftedCost(-self.penalty, -self.base)
 
-    def _key(self):
-        return (self.penalty, self.base)
-
-    def __lt__(self, other):
-        return self._key() < other._key()
-
-    def __le__(self, other):
-        return self._key() <= other._key()
-
-    def __gt__(self, other):
-        return self._key() > other._key()
-
-    def __ge__(self, other):
-        return self._key() >= other._key()
-
     @property
     def feasible(self) -> bool:
         return self.penalty == 0
@@ -81,46 +65,6 @@ class LiftedCost:
     @classmethod
     def zero(cls) -> "LiftedCost":
         return cls(0, 0)
-
-
-def _int_costs(
-    rows: list[list], spread: Callable[[list[list[int]]], int], maximize: bool = False
-) -> list[list[int]]:
-    """The rows of costs as ints that a consumer may compare, add and
-    subtract in place of the costs themselves, ties included.
-
-    Every value must be an int or a Fraction, or every value a LiftedCost
-    with an int penalty and an int or Fraction base; anything else raises
-    TypeError.  ints and Fractions are scaled by the LCM of their
-    denominators.  A LiftedCost becomes penalty * M + base over the
-    scaled bases, with M = spread(scaled base rows) + 1.  The encoding is
-    additive, so it keeps the lexicographic order of any two sums whose
-    bases differ by at most ``spread``: the consumer's bound on every
-    base difference it compares.  ``maximize`` negates the result.
-    """
-    entries = [x for row in rows for x in row]
-    kinds = {isinstance(x, LiftedCost) for x in entries}
-    if len(kinds) > 1:
-        raise TypeError("cost table mixes LiftedCost with other values")
-    lifted = True in kinds
-    if lifted:
-        if not all(isinstance(x.penalty, int) for x in entries):
-            raise TypeError("LiftedCost penalties must be ints")
-        bases = [[x.base for x in row] for row in rows]
-        entries = [x for row in bases for x in row]
-    else:
-        bases = rows
-    for x in entries:
-        if not isinstance(x, (int, Fraction)):
-            raise TypeError(f"cost {x!r} is not an int, a Fraction or a LiftedCost")
-    scale = lcm(*(x.denominator for x in entries))
-    ints = [[x.numerator * (scale // x.denominator) for x in row] for row in bases]
-    if lifted:
-        big = spread(ints) + 1
-        ints = [[x.penalty * big + b for x, b in zip(row, brow)] for row, brow in zip(rows, ints)]
-    if maximize:
-        ints = [[-x for x in row] for row in ints]
-    return ints
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import factorial
+from itertools import islice
 from operator import mul, sub
 from typing import Callable, Sequence
 
@@ -36,10 +36,10 @@ from .objectives import (
     DecMin,
     IncMax,
     IncMin,
+    LiftedCost,
     PhiSum,
     RhoDeltaSum,
     ForbiddenSubpaths,
-    _int_costs,
     evaluate,
     exact_number,
 )
@@ -241,11 +241,45 @@ def _subset_sums(start: int, weights: Sequence[int]) -> list[int]:
     return sums
 
 
+def _int_costs(rows: list[list], maximize: bool) -> list[list[int]]:
+    """The cost rows as ints that the DP compares, adds and subtracts in
+    place of the costs, ties included.
+
+    Every value must be an int or a Fraction, or every value a LiftedCost
+    with an int penalty and an int or Fraction base; anything else raises
+    TypeError.  Values are scaled by the LCM of their denominators.  A
+    LiftedCost becomes penalty * M + base over the scaled bases, with M
+    one more than the sum of the rows' spreads (max - min).  Two sums the
+    DP compares take one entry from each row of the same mask, so their
+    bases differ by less than M and the encoding keeps their
+    lexicographic order.  ``maximize`` negates the result.
+    """
+    entries = [x for row in rows for x in row]
+    kinds = {isinstance(x, LiftedCost) for x in entries}
+    if len(kinds) > 1:
+        raise TypeError("cost table mixes LiftedCost with other values")
+    lifted = True in kinds
+    if lifted:
+        if not all(isinstance(x.penalty, int) for x in entries):
+            raise TypeError("LiftedCost penalties must be ints")
+        bases = [x.base for x in entries]
+    else:
+        bases = entries
+    for x in bases:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"cost {x!r} is not an int, a Fraction or a LiftedCost")
+    scaled = iter(scaled_to_ints(bases)[0])
+    ints = [list(islice(scaled, len(row))) for row in rows]
+    if lifted:
+        big = sum(max(r) - min(r) for r in ints) + 1
+        ints = [[x.penalty * big + b for x, b in zip(row, brow)] for row, brow in zip(rows, ints)]
+    if maximize:
+        ints = [[-x for x in row] for row in ints]
+    return ints
+
+
 def exact_subset_dp(
-    graph: Multigraph,
-    cost_of: Callable[[int, int], object],
-    maximize: bool = False,
-    cap: int = DP_CAP,
+    graph: Multigraph, cost_of: Callable[[int, int], object], maximize: bool = False
 ):
     """Optimal order for any separable order cost.
 
@@ -280,17 +314,17 @@ def exact_subset_dp(
     at n = 14–16 (seeds 1–3).
 
     Returns ``(order, value)``, with the value summed from the original
-    costs; ties resolve to the lowest vertex id.
+    costs; ties resolve to the lowest vertex id.  More than ``DP_CAP``
+    vertices raise ValueError.
     """
     n = graph.n
-    if n > cap:
-        raise ValueError(f"subset DP over {n} vertices exceeds the cap ({cap})")
+    if n > DP_CAP:
+        raise ValueError(f"subset DP over {n} vertices exceeds the cap ({DP_CAP})")
     if n == 0:
         return (), 0
     degs = graph.degrees
     tables = [[cost_of(v, z) for z in range(degs[v] + 1)] for v in range(n)]
-    # one entry per vertex of the same mask: the spread bounds every base difference
-    costs = _int_costs(tables, lambda rows: sum(max(r) - min(r) for r in rows), maximize)
+    costs = _int_costs(tables, maximize)
     loops = graph.loop_counts
     counts = graph.neighbor_counts
     half = n // 2
@@ -342,15 +376,19 @@ def exact_subset_dp(
     suffix = []
     value = 0
     mask = full - 1
-    while mask:
+    for _ in range(n):
         v = g[mask]
+        if not mask >> v & 1:
+            break
         suffix.append(v)
         value += tables[v][lo[v][mask & low] + hi[v][mask >> half]]
         mask ^= 1 << v
+    if mask:
+        raise RuntimeError(f"internal error: subset DP backtrack stopped at mask {mask:#x}")
     return tuple(reversed(suffix)), value
 
 
-def solve_acyclic_exact(graph: Multigraph, objective, cap: int = DP_CAP):
+def solve_acyclic_exact(graph: Multigraph, objective):
     """Exact optimal order for any separable-encodable objective.
 
     Lexicographic objectives run through their power-sum encodings with
@@ -359,24 +397,21 @@ def solve_acyclic_exact(graph: Multigraph, objective, cap: int = DP_CAP):
     """
     base = max(graph.n, 2)
     top = graph.max_degree
+    degs = graph.degrees
     if isinstance(objective, PhiSum):
         phis = objective.resolve(graph)
-        order, _ = exact_subset_dp(graph, lambda v, z: phis[v].cost(z), cap=cap)
-    elif isinstance(objective, DecMin):
-        order, _ = exact_subset_dp(graph, lambda v, z: base ** z, cap=cap)
-    elif isinstance(objective, DecMax):
-        order, _ = exact_subset_dp(graph, lambda v, z: base ** z, maximize=True, cap=cap)
-    elif isinstance(objective, IncMax):
-        order, _ = exact_subset_dp(graph, lambda v, z: base ** (top - z), cap=cap)
-    elif isinstance(objective, IncMin):
-        order, _ = exact_subset_dp(graph, lambda v, z: base ** (top - z), maximize=True, cap=cap)
+        cost_of, maximize = (lambda v, z: phis[v].cost(z)), False
+    elif isinstance(objective, (DecMin, DecMax)):
+        cost_of, maximize = (lambda v, z: base ** z), isinstance(objective, DecMax)
+    elif isinstance(objective, (IncMax, IncMin)):
+        cost_of, maximize = (lambda v, z: base ** (top - z)), isinstance(objective, IncMin)
     elif isinstance(objective, RhoDeltaSum):
-        degs = graph.degrees
-        order, _ = exact_subset_dp(graph, lambda v, z: z * (degs[v] - z), maximize=True, cap=cap)
+        cost_of, maximize = (lambda v, z: z * (degs[v] - z)), True
     elif isinstance(objective, ForbiddenSubpaths):
-        order, _ = exact_subset_dp(graph, lambda v, z: z * (z - 1) // 2, cap=cap)
+        cost_of, maximize = (lambda v, z: z * (z - 1) // 2), False
     else:
         raise ValueError(f"objective {objective.kind!r} has no separable encoding for the DP")
+    order, _ = exact_subset_dp(graph, cost_of, maximize)
     key = evaluate(objective, graph, degrees_of_order(graph, order, False))
     return order, key
 
@@ -569,48 +604,17 @@ def relative_order_counts(mults: Sequence[int]):
     return f
 
 
-def _closed_form(graph: Multigraph, method: str) -> bool:
-    """Whether ``method`` selects the closed form of a free vertex's term."""
-    if method not in ("auto", "table", "closed"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "closed" and not graph.is_simple:
-        raise ValueError("the closed form needs a simple graph")
-    return method == "closed" or (method == "auto" and graph.is_simple)
-
-
-def _free_term(d: int, mults: Sequence[int], closed: bool) -> Fraction:
-    """Expected left times right degree of a free vertex of degree d
-    whose free neighbours have multiplicities ``mults``, over the uniform
-    relative orders of it and them; placed neighbours are all to its
-    left.  ``closed`` uses D(3d - 2D - 1)/6, D = sum(mults), which needs
-    every multiplicity to be 1."""
-    D = sum(mults)
-    if D == 0:
-        # every neighbor is placed, so the right degree is 0
-        return Fraction(0)
-    if closed:
-        return Fraction(D * (3 * d - 2 * D - 1), 6)
-    num = 0
-    for row in relative_order_counts(mults):
-        for l, cnt in enumerate(row):
-            if cnt:
-                num += cnt * (d - l) * l
-    return Fraction(num, factorial(len(mults) + 1))
-
-
-def conditional_expectation(
-    graph: Multigraph, prefix: Sequence[int] = (), method: str = "auto"
-) -> Fraction:
+def conditional_expectation(graph: Multigraph, prefix: Sequence[int] = ()) -> Fraction:
     """Exact expected degree-product sum over uniform completions of a
     fixed prefix.
 
-    Placed vertices contribute their left degree into the prefix times
-    their degree to everything later.  A free vertex's expectation runs
-    over the relative orders of itself and its free neighbors
-    (:func:`relative_order_counts`); multiplicities enter through the
-    recurrence shift.  For simple graphs ``method="closed"`` uses
-    D(3d - 2D - 1)/6 with D the free degree; ``"auto"`` picks it when
-    the graph is simple.
+    A placed vertex contributes its left degree into the prefix times its
+    degree to everything later.  A free vertex of degree d contributes
+    T = (3dD - 2D^2 - S)/6, where its free neighbours have multiplicities
+    c, D = sum c and S = sum c^2: each free neighbour follows it with
+    probability 1/2 and each two with probability 1/3, and its placed
+    neighbours precede it.  The tests check T against the counts of
+    :func:`relative_order_counts`.  Six times each term is summed in ints.
     """
     if graph.has_loops:
         raise ValueError("loops are not supported here")
@@ -620,23 +624,23 @@ def conditional_expectation(
     for v in prefix:
         if not 0 <= v < graph.n:
             raise ValueError(f"prefix vertex {v} out of range")
-    closed = _closed_form(graph, method)
     counts = graph.neighbor_counts
     degs = graph.degrees
-    in_prefix = {}
-    total = Fraction(0)
-    for idx, v in enumerate(prefix):
-        dprev = sum(c for u, c in counts[v].items() if u in in_prefix)
-        total += dprev * (degs[v] - dprev)
-        in_prefix[v] = idx
+    placed = set()
+    six = 0
+    for v in prefix:
+        dprev = sum(c for u, c in counts[v].items() if u in placed)
+        six += 6 * dprev * (degs[v] - dprev)
+        placed.add(v)
     for v in range(graph.n):
-        if v not in in_prefix:
-            mults = [c for u, c in sorted(counts[v].items()) if u not in in_prefix]
-            total += _free_term(degs[v], mults, closed)
-    return total
+        if v not in placed:
+            mults = [c for u, c in counts[v].items() if u not in placed]
+            d = sum(mults)
+            six += 3 * degs[v] * d - 2 * d * d - sum(c * c for c in mults)
+    return Fraction(six, 6)
 
 
-def derandomized_order(graph: Multigraph, method: str = "auto") -> tuple[int, ...]:
+def derandomized_order(graph: Multigraph) -> tuple[int, ...]:
     """Greedy prefix extension by conditional expectations.
 
     At each step appends the vertex maximizing the expected final value
@@ -656,12 +660,10 @@ def derandomized_order(graph: Multigraph, method: str = "auto") -> tuple[int, ..
     Only D and S of u's free neighbours change when u is placed, so only
     their gains and those of their free neighbours are recomputed; a lazy
     heap of gains picks the next vertex.  With maximum degree Δ that is
-    O(n Δ² (Δ + log n)) in all.  ``method`` is checked as in
-    :func:`conditional_expectation`; every method gives the same gains.
+    O(n Δ² (Δ + log n)) in all.
     """
     if graph.has_loops:
         raise ValueError("loops are not supported here")
-    _closed_form(graph, method)
     n = graph.n
     degs = graph.degrees
     nbrs = [list(c.items()) for c in graph.neighbor_counts]

@@ -252,16 +252,11 @@ def test_combined_st_orders_maximize_rho_delta_sum():
 def test_conditional_expectation_matches_enumeration():
     """Expectation engine on 50 mixed simple/multigraphs, n <= 7: the empty
     prefix equals the exhaustive average of the product-sum objective as an
-    exact rational, and on simple graphs the closed-form and table-based
-    paths agree bit for bit; < 2 min."""
+    exact rational; < 2 min."""
     t0 = time.perf_counter()
-    for g, simple in _expectation_suite():
+    for g, _simple in _expectation_suite():
         total, count, _best = order_value_stats(g)
         assert conditional_expectation(g, ()) == Fraction(total, count), g.edges
-        if simple:
-            closed = conditional_expectation(g, (), method="closed")
-            tabled = conditional_expectation(g, (), method="table")
-            assert closed == tabled, g.edges
     elapsed = time.perf_counter() - t0
     assert elapsed < 120, f"took {elapsed:.1f}s"
 

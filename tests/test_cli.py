@@ -188,6 +188,16 @@ class TestExitCodes:
         assert code == 2
         assert "line 2" in err
 
+    def test_negative_json_weight_is_2(self, capsys, tmp_path):
+        p = tmp_path / "negative.json"
+        p.write_text('{"n": 2, "edges": [[0, 1, -1]]}')
+        code, _, err = invoke(
+            capsys, "solve", "--input", str(p), "--objective", "square",
+            "--mode", "cyclic-flow",
+        )
+        assert code == 2
+        assert err == "error: line 1, column 1: edge 0 has negative weight -1\n"
+
     def test_bad_objective_is_2(self, capsys):
         code, _, err = invoke(
             capsys, "solve", "--input", "k3", "--objective", "mystery",
@@ -252,6 +262,18 @@ class TestExitCodes:
             "--mode", "acyclic-exact",
         )
         assert code == 3
+
+    def test_subset_dp_cap_is_3(self, capsys, tmp_path):
+        from orientopt.ordering import DP_CAP
+
+        p = tmp_path / "wide.graph"
+        p.write_text(f"{DP_CAP + 1} 0\n")
+        code, out, err = invoke(
+            capsys, "solve", "--input", str(p), "--objective", "square",
+            "--mode", "acyclic-exact",
+        )
+        assert code == 3 and out == ""
+        assert f"exceeds the cap ({DP_CAP})" in err
 
     def test_unknown_mode_is_argparse_2(self, capsys):
         code, _, _ = invoke(

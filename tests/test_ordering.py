@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -36,6 +37,7 @@ from orientopt.objectives import (
     zero,
 )
 from orientopt.ordering import (
+    DP_CAP,
     combine_st_orders,
     conditional_expectation,
     degeneracy,
@@ -153,6 +155,30 @@ def ref_expectation(g, prefix):
     return total
 
 
+def table_term(d, mults):
+    """A free vertex's expected left times right degree from the counts of
+    relative_order_counts: sum cnt * (d - l) * l / (p + 1)!, where l is
+    the multiplicity sum of the p free neighbours after it."""
+    f = relative_order_counts(mults)
+    num = sum(cnt * (d - l) * l for row in f for l, cnt in enumerate(row))
+    return Fraction(num, factorial(len(mults) + 1))
+
+
+def table_expectation(g, prefix):
+    """conditional_expectation with every free vertex's term from table_term."""
+    prefix = tuple(prefix)
+    ends = [[b if a == v else a for a, b in g.edges if v in (a, b)] for v in range(g.n)]
+    total = Fraction(0)
+    for i, v in enumerate(prefix):
+        left = sum(1 for x in ends[v] if x in prefix[:i])
+        total += left * (len(ends[v]) - left)
+    for v in range(g.n):
+        if v not in prefix:
+            mults = list(Counter(x for x in ends[v] if x not in prefix).values())
+            total += table_term(len(ends[v]), mults)
+    return total
+
+
 def ref_derandomized(g):
     order = []
     free = set(range(g.n))
@@ -211,9 +237,9 @@ class TestSubsetDP:
         assert value == 0
 
     def test_cap(self):
-        g = build_graph(30, [])
-        with pytest.raises(ValueError):
-            exact_subset_dp(g, lambda v, z: z)
+        for n in (DP_CAP + 1, 30):
+            with pytest.raises(ValueError, match=rf"\({DP_CAP}\)"):
+                exact_subset_dp(build_graph(n, []), lambda v, z: z)
 
     def test_empty_graph(self):
         assert exact_subset_dp(build_graph(0, []), lambda v, z: z) == ((), 0)
@@ -582,17 +608,15 @@ class TestAgainstNaiveReference:
                 assert is_greedy_run(g, bent) == verdicts[-1], (g.edges, bent)
         assert True in verdicts and False in verdicts
 
-    def test_derandomized_every_method(self):
+    def test_derandomized_matches_reference(self):
         graphs = small_random_graphs(98, 25, (1, 9), (0, 16)) + small_random_graphs(
             99, 10, (2, 9), (1, 16), simple=True
         )
         for g in graphs:
             want = ref_derandomized(g)
-            methods = ("auto", "table", "closed") if g.is_simple else ("auto", "table")
-            for method in methods:
-                assert derandomized_order(g, method) == want, (g.edges, method)
-                prefix = want[: g.n // 2]
-                assert conditional_expectation(g, prefix, method) == ref_expectation(g, prefix)
+            assert derandomized_order(g) == want, g.edges
+            prefix = want[: g.n // 2]
+            assert conditional_expectation(g, prefix) == ref_expectation(g, prefix)
 
 
 def test_smallest_last_certifies_degeneracy_at_scale():
@@ -795,6 +819,14 @@ class TestRelativeOrderCounts:
         }
         assert got == want
 
+    @given(st.lists(st.integers(1, 4), max_size=6), st.integers(0, 6))
+    def test_closed_form_on_multigraphs(self, mults, extra):
+        # a free vertex of degree d >= D = sum(mults), with the rest placed
+        D = sum(mults)
+        d = D + extra
+        want = Fraction(3 * d * D - 2 * D * D - sum(c * c for c in mults), 6)
+        assert table_term(d, mults) == want
+
 
 class TestConditionalExpectation:
     def test_p3_from_scratch(self):
@@ -807,18 +839,25 @@ class TestConditionalExpectation:
             orders = list(enumerate_orders(g))
             avg = Fraction(sum(rho_delta(g, o) for o in orders), len(orders))
             assert conditional_expectation(g) == avg
-            assert conditional_expectation(g, method="table") == avg
+            assert table_expectation(g, ()) == avg
+
+    @staticmethod
+    def assert_closed_equals_table(graphs):
+        for g in graphs:
+            order = tuple(random.Random(g.m).sample(range(g.n), g.n))
+            for k in range(g.n + 1):
+                prefix = order[:k]
+                assert conditional_expectation(g, prefix) == table_expectation(g, prefix), g.edges
 
     def test_closed_equals_table_on_simple(self):
-        for g in small_random_graphs(43, 10, (3, 7), (1, 9), simple=True):
-            assert conditional_expectation(g, method="closed") == conditional_expectation(
-                g, method="table"
-            )
+        self.assert_closed_equals_table(small_random_graphs(43, 10, (3, 7), (1, 9), simple=True))
 
-    def test_closed_rejects_multigraphs(self):
-        g = build_graph(2, [(0, 1), (0, 1)])
-        with pytest.raises(ValueError):
-            conditional_expectation(g, method="closed")
+    def test_closed_equals_table_on_multigraphs(self):
+        double = build_graph(2, [(0, 1), (0, 1)])
+        assert conditional_expectation(double) == 0
+        graphs = small_random_graphs(44, 10, (3, 7), (1, 12))
+        assert not all(g.is_simple for g in graphs)
+        self.assert_closed_equals_table([double] + graphs)
 
     def test_law_of_total_expectation(self):
         g = random_multigraph(5, 7, seed=9)
@@ -839,8 +878,6 @@ class TestConditionalExpectation:
             conditional_expectation(path(3), (0, 0))
         with pytest.raises(ValueError):
             conditional_expectation(path(3), (7,))
-        with pytest.raises(ValueError):
-            conditional_expectation(path(3), method="sideways")
 
 
 class TestDerandomized:
