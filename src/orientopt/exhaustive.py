@@ -9,6 +9,17 @@ with weights scaled by the LCM of their denominators.  A per-kind ranker
 ranks each candidate: by the penalty and base sums of per-vertex tables,
 kept by delta updates, for separable kinds; by the maximum or the sorted
 degree list, negated where the objective maximizes, for the others.
+
+Three savings per candidate are allowed, and no more.  The order walk
+closes the last two vertices a < b, joined by weight c, directly: a
+then b gives them left degrees prefix[a] and prefix[b] + c, b then a
+gives prefix[b] and prefix[a] + c.  The table sums are compared with
+the best so far inside the walk.  A sorted key is built only when its
+head, the maximum or minimum degree (negated where the objective
+maximizes), ties or beats the best head, since a strictly worse head
+cannot start an optimal rank.  So a caller sees only the candidates that
+tie or beat the best so far, in the same sequence, and the witness and
+the number of optima stay exact.
 """
 
 from __future__ import annotations
@@ -59,90 +70,134 @@ class BruteResult:
 
 
 def _ranker(graph: Multigraph, objective):
-    """``(w, pen, base, leaf)``: int edge weights, then either per-vertex
-    penalty and base tables indexed by degree (``leaf`` None) or a
-    function ranking the degree list (tables None).  Smaller is better."""
+    """``(w, pen, base, top, sign, leaf)``: int edge weights, then either
+    per-vertex penalty and base tables indexed by degree, for a table kind
+    (``w`` all 1), or a ``leaf`` ranking the degree list, whose first
+    entry, the head, is ``sign * top(degrees)``.  Smaller is better."""
     k = objective.kind
     degs = graph.degrees
     w = [1] * graph.m
     zeros = [[0] * (d + 1) for d in degs]
     if k == "phi_sum":
         costs = [[phi.cost(z) for z in range(d + 1)] for phi, d in zip(objective.resolve(graph), degs)]
-        return w, [[c.penalty for c in cs] for cs in costs], [[c.base for c in cs] for cs in costs], None
+        pen = [[c.penalty for c in cs] for cs in costs]
+        return w, pen, [[c.base for c in cs] for cs in costs], None, 1, None
     if k == "rho_delta_sum":
-        return w, zeros, [[-z * (d - z) for z in range(d + 1)] for d in degs], None
+        return w, zeros, [[-z * (d - z) for z in range(d + 1)] for d in degs], None, 1, None
     if k == "forbidden_subpaths":
-        return w, zeros, [[z * (z - 1) // 2 for z in range(d + 1)] for d in degs], None
+        return w, zeros, [[z * (z - 1) // 2 for z in range(d + 1)] for d in degs], None, 1, None
     if k == "max_weighted_indeg" and graph.weights is not None:
         scale = lcm(*(x.denominator for x in graph.weights))
         w = [int(x * scale) for x in graph.weights]
     leaves = {
-        "max_weighted_indeg": lambda ind: max(ind, default=0),
-        "dec_min": lambda ind: sorted(ind, reverse=True),
-        "inc_min": sorted,
-        "dec_max": lambda ind: [-z for z in sorted(ind, reverse=True)],
-        "inc_max": lambda ind: [-z for z in sorted(ind)],
+        "max_weighted_indeg": (max, 1, lambda ind: max(ind, default=0)),
+        "dec_min": (max, 1, lambda ind: sorted(ind, reverse=True)),
+        "inc_min": (min, 1, sorted),
+        "dec_max": (max, -1, lambda ind: [-z for z in sorted(ind, reverse=True)]),
+        "inc_max": (min, -1, lambda ind: [-z for z in sorted(ind)]),
     }
     if k not in leaves:
         raise ValueError(f"unknown objective kind {k!r}")
-    return w, None, None, leaves[k]
+    return (w, None, None, *leaves[k])
 
 
-def _walk_orientations(graph: Multigraph, w, pen, base, visit) -> None:
-    """Call ``visit(tp, tb, indeg, heads)`` on each of the 2**m
-    orientations of a loop-free graph, in Gray-code order from every edge
-    pointing at its second end.  ``indeg`` counts in units of ``w``;
-    ``tp`` and ``tb`` sum the tables at it (0 without tables)."""
+def _head(r, deg):
+    """The head of a degree list's rank: the table sums ``(tp, tb)``, or
+    ``sign * top`` (0 without vertices)."""
+    _, pen, base, top, sign, _ = r
+    if pen is None:
+        return sign * top(deg, default=0)
+    return sum(p[z] for p, z in zip(pen, deg)), sum(b[z] for b, z in zip(base, deg))
+
+
+def _walk_orientations(graph: Multigraph, r, visit) -> None:
+    """Walk the 2**m orientations of a loop-free graph in Gray-code order
+    from every edge pointing at its second end, with ``visit(head, indeg,
+    heads)`` called as in :func:`_walk_orders`.  ``indeg`` counts in units
+    of ``w``; the table sums follow each flip by the tables' steps."""
+    w, pen, base, top, sign, _ = r
     edges = graph.edges
     heads = [v for _, v in edges]
     ind = [0] * graph.n
     for j, v in enumerate(heads):
         ind[v] += w[j]
-    tp = sum(p[z] for p, z in zip(pen, ind)) if pen is not None else 0
-    tb = sum(b[z] for b, z in zip(base, ind)) if base is not None else 0
-    visit(tp, tb, ind, heads)
+    h = _head(r, ind)
+    bar = visit(h, ind, heads)
+    if pen is None:
+        for i in range(1, 1 << len(edges)):
+            j = (i & -i).bit_length() - 1
+            u, v = edges[j]
+            lose = heads[j]
+            gain = heads[j] = u if lose == v else v
+            ind[lose] -= w[j]
+            ind[gain] += w[j]
+            h = sign * top(ind)
+            if h <= bar:
+                bar = visit(h, ind, heads)
+        return
+    (tp, tb), (bp, bb) = h, bar
+    # the change of each table when a vertex's indegree goes from z to z + 1
+    dp = [[y - x for x, y in zip(t, t[1:])] for t in pen]
+    db = [[y - x for x, y in zip(t, t[1:])] for t in base]
     for i in range(1, 1 << len(edges)):
         j = (i & -i).bit_length() - 1
         u, v = edges[j]
         lose = heads[j]
         gain = heads[j] = u if lose == v else v
-        zl, zg = ind[lose], ind[gain]
-        yl = ind[lose] = zl - w[j]
-        yg = ind[gain] = zg + w[j]
-        if pen is not None:
-            tp += pen[lose][yl] - pen[lose][zl] + pen[gain][yg] - pen[gain][zg]
-            tb += base[lose][yl] - base[lose][zl] + base[gain][yg] - base[gain][zg]
-        visit(tp, tb, ind, heads)
+        yl = ind[lose] = ind[lose] - 1
+        zg = ind[gain]
+        ind[gain] = zg + 1
+        tp += dp[gain][zg] - dp[lose][yl]
+        tb += db[gain][zg] - db[lose][yl]
+        if tp < bp or tp == bp and tb <= bb:
+            bp, bb = visit((tp, tb), ind, heads)
 
 
-def _walk_orders(graph: Multigraph, w, pen, base, visit) -> None:
-    """Call ``visit(tp, tb, left, order)`` on each of the n! vertex orders,
-    in lexicographic order.  ``left`` holds the left degrees in units of
-    ``w`` (a loop counts once); ``tp`` and ``tb`` sum the tables at them
-    (0 without tables)."""
+def _walk_orders(graph: Multigraph, r, visit) -> None:
+    """Walk the n! vertex orders in lexicographic order.  ``left`` holds
+    the left degrees in units of ``w`` (a loop counts once).
+
+    ``bar = visit(head, left, order)`` sees the first candidate and each
+    later one whose head (see :func:`_head`; pairs compare
+    lexicographically) is at most the bar it last returned: a candidate
+    with a greater head ranks worse than one already seen.  A bar that no
+    head exceeds lets every candidate through."""
     n = graph.n
+    w, pen, base, top, sign, _ = r
     prefix = [0] * n  # left degree each vertex would get if placed now
-    wn: list[dict[int, int]] = [{} for _ in range(n)]
+    mult = [[0] * n for _ in range(n)]  # weight between two distinct vertices
+    left = [0] * n  # those of the identity order, the first one walked
     for j, (u, v) in enumerate(graph.edges):
         if u == v:
             prefix[u] += w[j]
         else:
-            wn[u][v] = wn[u].get(v, 0) + w[j]
-            wn[v][u] = wn[v].get(u, 0) + w[j]
-    nbrs = [list(d.items()) for d in wn]
-    left = [0] * n
+            mult[u][v] += w[j]
+            mult[v][u] += w[j]
+        left[max(u, v)] += w[j]
+    if n < 2:
+        visit(_head(r, left), left, tuple(range(n)))
+        return
+    nbrs = [[(u, c) for u, c in enumerate(row) if c] for row in mult]
     rest = list(range(n))  # unplaced vertices, increasing
     order: list[int] = []
+    bar = _head(r, left)
 
     def rec(tp, tb):
-        if len(rest) == 1:  # the last vertex has no successor to update
-            v = rest[0]
-            z = left[v] = prefix[v]
-            order.append(v)
-            if pen is not None:
-                tp, tb = tp + pen[v][z], tb + base[v][z]
-            visit(tp, tb, left, order)
-            order.pop()
+        nonlocal bar
+        if len(rest) == 2:  # close the last pair a < b, a first then b first
+            a, b = rest
+            x, y, c = prefix[a], prefix[b], mult[a][b]
+            for u, zu, v, zv in ((a, x, b, y + c), (b, y, a, x + c)):
+                left[u], left[v] = zu, zv
+                if pen is None:
+                    h = sign * top(left)
+                    if h <= bar:
+                        bar = visit(h, left, (*order, u, v))
+                    continue
+                sp = tp + pen[u][zu] + pen[v][zv]
+                sb = tb + base[u][zu] + base[v][zv]
+                if sp < bar[0] or sp == bar[0] and sb <= bar[1]:
+                    bar = visit((sp, sb), left, (*order, u, v))
             return
         for i in range(len(rest)):
             v = rest.pop(i)
@@ -159,10 +214,7 @@ def _walk_orders(graph: Multigraph, w, pen, base, visit) -> None:
             order.pop()
             rest.insert(i, v)
 
-    if rest:
-        rec(0, 0)
-    else:  # the empty graph has one order, the empty one
-        visit(0, 0, left, order)
+    rec(0, 0)
 
 
 def brute_optimal(graph: Multigraph, objective, mode: str, count_optima: bool = False) -> BruteResult:
@@ -184,17 +236,19 @@ def brute_optimal(graph: Multigraph, objective, mode: str, count_optima: bool = 
         walk, witness_of, degrees_of = _walk_orders, tuple, degrees_of_order
     else:
         raise ValueError(f"unknown oracle mode {mode!r}")
-    w, pen, base, leaf = _ranker(graph, objective)
-    best = [None, None, 0]  # rank, witness, number of optima
+    r = _ranker(graph, objective)
+    *_, leaf = r
+    best = [None, None, 0, None]  # rank, witness, number of optima, head
 
-    def visit(tp, tb, degrees, at):
-        rank = (tp, tb) if leaf is None else leaf(degrees)
+    def visit(head, degrees, at):
+        rank = head if leaf is None else leaf(degrees)
         if best[0] is None or rank < best[0]:
-            best[:] = rank, tuple(at), 1
+            best[:] = rank, tuple(at), 1, head
         elif count_optima and rank == best[0]:
             best[2] += 1
+        return best[3]
 
-    walk(graph, w, pen, base, visit)
+    walk(graph, r, visit)
     witness = witness_of(best[1])
     dv = degrees_of(graph, witness, needs_weighted_degrees(objective))
     return BruteResult(evaluate(objective, graph, dv), witness, best[2])
@@ -215,13 +269,16 @@ def order_value_stats(graph: Multigraph, value_of_left_degree=None):
     values = [[value(v, z) for z in range(d + 1)] for v, d in enumerate(degs)]
     acc = [0, 0, None]  # total, leaves, best
 
-    def visit(tp, tb, left, order):
+    def visit(head, left, order):
+        tb = head[1]
         acc[0] += tb
         acc[1] += 1
         if acc[2] is None or tb > acc[2]:
             acc[2] = tb
+        return 1, 0  # every penalty is 0, so this bar lets every order through
 
-    _walk_orders(graph, [1] * graph.m, [[0] * (d + 1) for d in degs], values, visit)
+    zeros = [[0] * (d + 1) for d in degs]
+    _walk_orders(graph, ([1] * graph.m, zeros, values, None, 1, None), visit)
     return acc[0], acc[1], acc[2]
 
 
@@ -282,11 +339,18 @@ def vertex_certificate(graph: Multigraph, orientation: Orientation, cap: int = 1
     for pos, v in enumerate(topo):
         slopes[v] = n - pos
     target = degrees_of_orientation(graph, orientation).indeg
-    vectors = {degrees_of_orientation(graph, o).indeg for o in enumerate_orientations(graph, cap=cap)}
-    value = {ind: sum(s * z for s, z in zip(slopes, ind)) for ind in vectors}
-    least = min(value.values())
-    verdict = {ind for ind, val in value.items() if val == least} == {target}
-    return tuple(slopes), verdict
+    least = [None, set()]  # least slope sum, the indegree vectors attaining it
+
+    def visit(head, ind, heads):
+        if least[0] is None or head < least[0]:
+            least[:] = head, set()
+        least[1].add(tuple(ind))
+        return least[0]
+
+    sums = [[s * z for z in range(d + 1)] for s, d in zip(slopes, graph.degrees)]
+    zeros = [[0] * len(t) for t in sums]
+    _walk_orientations(graph, ([1] * graph.m, zeros, sums, None, 1, None), visit)
+    return tuple(slopes), least[1] == {target}
 
 
 def shortest_directed_cycle(graph: Multigraph, orientation: Orientation):

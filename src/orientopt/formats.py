@@ -120,6 +120,8 @@ def parse_graph_json(text: str) -> Multigraph:
     allow_loops = doc.get("allow_loops", False)
     if not isinstance(allow_loops, bool):
         raise FormatError("`allow_loops` must be a boolean")
+    if not isinstance(doc["edges"], list):
+        raise FormatError("`edges` must be a list")
     edges = []
     weights = []
     arity = None

@@ -198,6 +198,17 @@ class TestExitCodes:
         assert code == 2
         assert err == "error: line 1, column 1: edge 0 has negative weight -1\n"
 
+    @pytest.mark.parametrize("edges", ["5", '{"0": [0, 1]}'])
+    def test_json_edges_not_a_list_is_2(self, capsys, tmp_path, edges):
+        p = tmp_path / "edges.json"
+        p.write_text('{"n": 2, "edges": %s}' % edges)
+        code, _, err = invoke(
+            capsys, "solve", "--input", str(p), "--objective", "square",
+            "--mode", "cyclic-flow",
+        )
+        assert code == 2
+        assert err == "error: line 1, column 1: `edges` must be a list\n"
+
     def test_bad_objective_is_2(self, capsys):
         code, _, err = invoke(
             capsys, "solve", "--input", "k3", "--objective", "mystery",

@@ -182,6 +182,68 @@ class TestBruteOptimal:
             assert not (u in {1, 2, 4, 7} and v in {1, 2, 4, 7})
 
 
+def gray_orientations(g):
+    """The orientations in the oracle's Gray sequence, rebuilt from
+    i ^ (i >> 1): a set bit j points edge j at its first end."""
+    for i in range(1 << g.m):
+        code = i ^ (i >> 1)
+        yield Orientation(tuple(u if code >> j & 1 else v for j, (u, v) in enumerate(g.edges)))
+
+
+def assert_first_optimum(g, mode):
+    """brute_optimal against a plain evaluate scan of the same sequence:
+    the optimum, the number of optima and the first optimum, every kind."""
+    if mode == "cyclic":
+        candidates, degrees_of = list(gray_orientations(g)), degrees_of_orientation
+    else:
+        candidates, degrees_of = list(enumerate_orders(g)), degrees_of_order
+    plain = [degrees_of(g, c) for c in candidates]
+    weighted = [degrees_of(g, c, weighted=True) for c in candidates]
+    for obj in EVERY_KIND:
+        dvs = weighted if obj.kind == "max_weighted_indeg" else plain
+        ranks = [rank_of(obj, evaluate(obj, g, dv)) for dv in dvs]
+        want = min(ranks)
+        got = brute_optimal(g, obj, mode, count_optima=True)
+        assert rank_of(obj, got.key) == want, obj
+        assert got.count == ranks.count(want), obj
+        assert got.witness == candidates[ranks.index(want)], obj
+
+
+class TestWalkerContract:
+    def test_cyclic_witness_is_the_first_gray_optimum(self):
+        rng = random.Random(20)
+        done = 0
+        while done < 16:
+            try:
+                g = random_multigraph(
+                    rng.randint(2, 5), rng.randint(1, 8), seed=rng.random(), weighted=done >= 8
+                )
+            except ValueError:
+                continue
+            done += 1
+            assert_first_optimum(g, "cyclic")
+
+    @pytest.mark.parametrize(
+        "n, edges, weights",
+        [
+            (0, [], None),
+            (1, [], None),
+            (1, [(0, 0), (0, 0)], [Fraction(1, 2), 3]),
+            (2, [(1, 0)], None),
+            (2, [(0, 1), (0, 1), (1, 1)], [1, Fraction(2, 3), 2]),
+            (3, [(0, 0), (1, 2)], None),
+            (3, [(0, 1), (1, 2), (0, 2), (2, 2), (1, 0)], [2, 1, Fraction(1, 3), 5, 1]),
+        ],
+    )
+    def test_orders_at_n_up_to_3(self, n, edges, weights):
+        assert_first_optimum(build_graph(n, edges, weights, allow_loops=True), "acyclic")
+
+    def test_seven_vertices_in_each_regime(self):
+        assert_first_optimum(random_multigraph(7, 12, seed=71), "cyclic")
+        g = random_multigraph(7, 12, seed=72, weighted=True, allow_loops=True)
+        assert_first_optimum(g, "acyclic")
+
+
 class TestOrderValueStats:
     def test_default_value_matches_expectation_machinery(self):
         g = random_multigraph(5, 7, seed=2)
