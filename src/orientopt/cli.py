@@ -29,7 +29,7 @@ from .graph import (
     degrees_of_order,
     degrees_of_orientation,
 )
-from .objectives import PhiSum, LiftedCost, evaluate, needs_weighted_degrees
+from .objectives import PhiSum, LiftedCost, evaluate, needs_weighted_degrees, resolved
 from .flow import solve_cyclic
 from .ordering import (
     combine_st_orders,
@@ -98,12 +98,10 @@ def _load_objective(spec: str):
 def _slopes_from_objective(graph, objective):
     if not isinstance(objective, PhiSum):
         raise ValueError("slope mode needs a phi_sum objective with linear costs")
-    slopes = []
-    for phi in objective.resolve(graph):
-        if phi.spec.kind != "linear" or phi.f is not None or phi.g is not None:
-            raise ValueError("slope mode needs unbounded linear per-vertex costs")
-        slopes.append(phi.spec.params[0])
-    return slopes
+    phis = resolved(objective, graph)
+    if any(phi.spec.kind != "linear" or phi.f is not None or phi.g is not None for phi in phis):
+        raise ValueError("slope mode needs unbounded linear per-vertex costs")
+    return [phi.spec.params[0] for phi in phis]
 
 
 def _heads_key(graph, objective, heads, dv=None):
@@ -131,7 +129,7 @@ def _run_mode(graph, objective, mode, seed, trials):
         sol = solve_cyclic(graph, objective)
         return None, sol.orientation, sol.key, extra
     if mode == "acyclic-exact":
-        order, _ = solve_acyclic_exact(graph, objective)
+        order, key = solve_acyclic_exact(graph, objective)
     elif mode == "acyclic-greedy":
         if seed is None:
             order = greedy_min_degree(graph)
@@ -153,7 +151,8 @@ def _run_mode(graph, objective, mode, seed, trials):
         raise ValueError(f"unknown mode {mode!r}")
     order = check_order(graph, order)
     heads = _order_heads(graph, order)
-    key = _heads_key(graph, objective, heads)
+    if mode != "acyclic-exact":  # the exact solver returns its key
+        key = _heads_key(graph, objective, heads)
     orientation = None if graph.has_loops else Orientation(heads)
     return order, orientation, key, extra
 

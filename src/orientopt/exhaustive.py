@@ -6,9 +6,10 @@ that could share a bug with a solver.  Every candidate is visited, by a
 Gray code over the 2**m orientations (one edge flips per step) or a
 recursion over the n! orders (left degrees carried down), on int degrees
 with weights scaled by the LCM of their denominators.  A per-kind ranker
-ranks each candidate: by the penalty and base sums of per-vertex tables,
-kept by delta updates, for separable kinds; by the maximum or the sorted
-degree list, negated where the objective maximizes, for the others.
+ranks each candidate: by the penalty and base sums of per-vertex tables
+(built from the cost specs here, not by the solvers' cost code), kept by
+delta updates, for separable kinds; by the maximum or the sorted degree
+list, negated where the objective maximizes, for the others.
 
 Three savings per candidate are allowed, and no more.  The order walk
 closes the last two vertices a < b, joined by weight c, directly: a
@@ -39,25 +40,25 @@ from .graph import (
     is_acyclic,
     topological_order,
 )
-from .objectives import evaluate, needs_weighted_degrees
+from .objectives import LiftedPhi, abs_balance, evaluate, needs_weighted_degrees
 
 ORIENTATION_CAP = 20  # at most 2**20 orientations
 ORDER_CAP = 10  # at most 10! orders
 
 
-def enumerate_orientations(graph: Multigraph, cap: int = ORIENTATION_CAP) -> Iterator[Orientation]:
+def enumerate_orientations(graph: Multigraph) -> Iterator[Orientation]:
     """Yield every orientation of a loop-free graph, 2**m of them."""
     if graph.has_loops:
         raise ValueError("graphs with loops cannot be oriented")
-    if graph.m > cap:
+    if graph.m > ORIENTATION_CAP:
         raise ValueError(f"refusing to enumerate 2**{graph.m} orientations")
     edges = graph.edges
     for bits in range(1 << graph.m):
         yield Orientation(tuple(e[1] if bits >> j & 1 == 0 else e[0] for j, e in enumerate(edges)))
 
 
-def enumerate_orders(graph: Multigraph, cap: int = ORDER_CAP) -> Iterator[tuple[int, ...]]:
-    if graph.n > cap:
+def enumerate_orders(graph: Multigraph) -> Iterator[tuple[int, ...]]:
+    if graph.n > ORDER_CAP:
         raise ValueError(f"refusing to enumerate {graph.n}! orders")
     return permutations(range(graph.n))
 
@@ -79,9 +80,25 @@ def _ranker(graph: Multigraph, objective):
     w = [1] * graph.m
     zeros = [[0] * (d + 1) for d in degs]
     if k == "phi_sum":
-        costs = [[phi.cost(z) for z in range(d + 1)] for phi, d in zip(objective.resolve(graph), degs)]
-        pen = [[c.penalty for c in cs] for cs in costs]
-        return w, pen, [[c.base for c in cs] for cs in costs], None, 1, None
+        # a degree outside [f, g] is clamped into it and pays one penalty unit per unit moved
+        n = graph.n
+        specs = objective.per_vertex if objective.per_vertex is not None else [objective.shared] * n
+        fs, gs = ([b] * n if b is None or isinstance(b, int) else b for b in (objective.f, objective.g))
+        if None in specs or not len(specs) == len(fs) == len(gs) == n:
+            raise ValueError("need a cost spec and degree bounds for every vertex")
+        pen, base = [], []
+        for spec, f, g, d in zip(specs, fs, gs, degs):
+            if isinstance(spec, LiftedPhi) and (objective.f, objective.g) != (None, None):
+                raise ValueError("shared degree bounds clash with per-vertex lifted costs")
+            spec = spec if isinstance(spec, LiftedPhi) else LiftedPhi(spec, f, g)  # checks f, g
+            spec, f, g = spec.spec, spec.f, spec.g
+            if spec.kind == "abs_balance" and spec.params[0] is None:
+                spec = abs_balance(d)
+            at = [z if f is None or z >= f else f for z in range(d + 1)]
+            at = [y if g is None or y <= g else g for y in at]
+            pen.append([abs(z - y) for z, y in enumerate(at)])
+            base.append([spec(y) for y in at])
+        return w, pen, base, None, 1, None
     if k == "rho_delta_sum":
         return w, zeros, [[-z * (d - z) for z in range(d + 1)] for d in degs], None, 1, None
     if k == "forbidden_subpaths":
@@ -282,12 +299,12 @@ def order_value_stats(graph: Multigraph, value_of_left_degree=None):
     return acc[0], acc[1], acc[2]
 
 
-def _greedy_worst(graph: Multigraph, cap: int = 20) -> tuple[int, ...]:
+def _greedy_worst(graph: Multigraph) -> tuple[int, ...]:
     """The greedy minimum-degree run whose order has the largest square
     sum of left degrees (the ``exhaustive-worst`` tie rule), by a memoized
     walk over every greedy-feasible removal choice."""
     n = graph.n
-    if n > cap:
+    if n > 20:
         raise ValueError("exhaustive-worst greedy is limited to small graphs")
     nbrs = [list(graph.neighbor_counts[v].items()) for v in range(n)]
     loops = graph.loop_counts
@@ -322,7 +339,7 @@ def _greedy_worst(graph: Multigraph, cap: int = 20) -> tuple[int, ...]:
 # Corner certificates for the two orientation regimes.
 
 
-def vertex_certificate(graph: Multigraph, orientation: Orientation, cap: int = 16):
+def vertex_certificate(graph: Multigraph, orientation: Orientation):
     """Linear weights certifying an acyclic orientation's indegree vector.
 
     Assigns strictly decreasing weights along a topological order, then
@@ -332,7 +349,7 @@ def vertex_certificate(graph: Multigraph, orientation: Orientation, cap: int = 1
     topo = topological_order(graph, orientation)
     if topo is None:
         raise ValueError("orientation has a directed cycle")
-    if graph.m > cap:
+    if graph.m > 16:
         raise ValueError(f"refusing to certify over 2**{graph.m} orientations")
     n = graph.n
     slopes = [0] * n

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Multigraph, Orientation, degrees_of_orientation
-from .objectives import DecMin, IncMax, LiftedCost, PhiSum, evaluate, square
+from .objectives import DecMin, IncMax, LiftedCost, PhiSum, evaluate, resolved, square
 
 
 def build_network(graph: Multigraph, phis, heads) -> list[list[tuple]]:
@@ -142,7 +142,7 @@ def _internal_phis(graph: Multigraph, objective):
     """Resolve the objective to per-vertex lifted costs; dec-min and
     inc-max resolve to the square sum, whose optima they share."""
     if isinstance(objective, PhiSum):
-        return objective.resolve(graph)
+        return resolved(objective, graph)
     if isinstance(objective, (DecMin, IncMax)):
         return PhiSum(shared=square()).resolve(graph)
     raise ValueError(

@@ -8,8 +8,8 @@ units separately from the finite cost, and compares lexicographically,
 so any bound violation outweighs every finite cost difference.
 
 Lexicographic objectives compare the sorted indegree sequence itself;
-``decmin_equals_exp_key`` checks the equivalence with the
-``n**z`` power-sum encodings that the acyclic subset DP uses internally.
+the acyclic subset DP reaches them through ``n**z`` power-sum encodings.
+A request resolves a ``phi_sum`` objective once, see :func:`resolved`.
 """
 
 from __future__ import annotations
@@ -260,6 +260,16 @@ class PhiSum:
         return tuple(out)
 
 
+def resolved(objective: PhiSum, graph: Multigraph) -> tuple[LiftedPhi, ...]:
+    """``objective.resolve(graph)``, kept on the graph like its cached
+    properties: one slot, keyed by the objective's identity, so that
+    every consumer of a request's objective shares one resolve."""
+    memo = graph.__dict__.get("_resolved")
+    if memo is None or memo[0] is not objective:
+        memo = graph.__dict__["_resolved"] = (objective, objective.resolve(graph))
+    return memo[1]
+
+
 @dataclass(frozen=True)
 class DecMin:
     """Lexicographically minimize the non-increasing sorted indegrees."""
@@ -364,7 +374,7 @@ def evaluate(objective, graph: Multigraph, dv: DegreeVector):
     k = objective.kind
     indeg = dv.indeg
     if k == "phi_sum":
-        return _sum_parts(objective.resolve(graph), indeg)
+        return _sum_parts(resolved(objective, graph), indeg)
     if k in ("dec_min", "dec_max"):
         return tuple(sorted(indeg, reverse=True))
     if k in ("inc_max", "inc_min"):
@@ -392,40 +402,3 @@ def rank_of(objective, key):
 
 def rank_key(objective, graph: Multigraph, dv: DegreeVector):
     return rank_of(objective, evaluate(objective, graph, dv))
-
-
-# ---------------------------------------------------------------------------
-# Agreement of lexicographic comparators with power-sum encodings.
-
-
-def _cmp(a, b) -> int:
-    return (a > b) - (a < b)
-
-
-def _vertex_count(graph) -> int:
-    return graph.n if isinstance(graph, Multigraph) else int(graph)
-
-
-def decmin_equals_exp_key(graph, dv1: Sequence[int], dv2: Sequence[int]) -> bool:
-    """Does the dec-min comparator order ``dv1, dv2`` exactly as the
-    ``sum(n**z)`` encoding does?  Takes a graph or a vertex count n >= 2;
-    both vectors must have one entry per vertex."""
-    n = _vertex_count(graph)
-    if n < 2 or len(dv1) != n or len(dv2) != n:
-        raise ValueError("need n >= 2 and one entry per vertex")
-    lex = _cmp(tuple(sorted(dv1, reverse=True)), tuple(sorted(dv2, reverse=True)))
-    power = _cmp(sum(n ** z for z in dv1), sum(n ** z for z in dv2))
-    return lex == power
-
-
-def incmax_equals_exp_key(graph, dv1: Sequence[int], dv2: Sequence[int]) -> bool:
-    """Inc-max counterpart: a lexicographically larger non-decreasing
-    sequence must mean a strictly smaller ``sum(n**-z)``."""
-    n = _vertex_count(graph)
-    if n < 2 or len(dv1) != n or len(dv2) != n:
-        raise ValueError("need n >= 2 and one entry per vertex")
-    lex = _cmp(tuple(sorted(dv1)), tuple(sorted(dv2)))
-    power = _cmp(
-        sum(Fraction(1, n ** z) for z in dv1), sum(Fraction(1, n ** z) for z in dv2)
-    )
-    return lex == -power

@@ -32,16 +32,15 @@ from .graph import (
     subgraph,
 )
 from .objectives import (
-    DecMax,
-    DecMin,
-    IncMax,
-    IncMin,
     LiftedCost,
     PhiSum,
-    RhoDeltaSum,
-    ForbiddenSubpaths,
+    binom2,
     evaluate,
     exact_number,
+    exp_base,
+    neg_exp_base,
+    resolved,
+    table,
 )
 
 DP_CAP = 26
@@ -388,30 +387,41 @@ def exact_subset_dp(
     return tuple(reversed(suffix)), value
 
 
+def _dp_form(graph: Multigraph, objective) -> tuple[PhiSum, bool]:
+    """The ``phi_sum`` whose sum the DP optimizes for ``objective``, and
+    whether it maximizes that sum (see :func:`solve_acyclic_exact`)."""
+    k = objective.kind
+    if k == "phi_sum":
+        return objective, False
+    base = max(graph.n, 2)
+    if k in ("dec_min", "dec_max"):
+        return PhiSum(shared=exp_base(base)), k == "dec_max"
+    if k in ("inc_max", "inc_min"):
+        return PhiSum(shared=neg_exp_base(base)), k == "inc_min"
+    if k == "rho_delta_sum":
+        rows = (table([z * (d - z) for z in range(d + 1)]) for d in graph.degrees)
+        return PhiSum(per_vertex=tuple(rows)), True
+    if k == "forbidden_subpaths":
+        return PhiSum(shared=binom2()), False
+    raise ValueError(f"objective {k!r} has no separable encoding for the DP")
+
+
 def solve_acyclic_exact(graph: Multigraph, objective):
     """Exact optimal order for any separable-encodable objective.
 
-    Lexicographic objectives run through their power-sum encodings with
-    base max(n, 2); scaling by base**max_degree keeps the inc keys in
-    integers.  Returns ``(order, natural key)``.
+    The DP optimizes the sum of a ``phi_sum`` form (:func:`_dp_form`):
+    the objective itself; b**z (``exp_base``), minimized for dec-min and
+    maximized for dec-max, and 1/b**z (``neg_exp_base``), minimized for
+    inc-max and maximized for inc-min, with b = max(n, 2), so that a
+    vector's top term outweighs its other n - 1; tables of z * (d_v - z),
+    maximized, for the degree-product sum; ``binom2`` for forbidden
+    subpaths.  The DP scales the costs by the LCM of their denominators,
+    so 1/b**z runs as the exact int b**(max_degree - z).
+    Returns ``(order, natural key)``.
     """
-    base = max(graph.n, 2)
-    top = graph.max_degree
-    degs = graph.degrees
-    if isinstance(objective, PhiSum):
-        phis = objective.resolve(graph)
-        cost_of, maximize = (lambda v, z: phis[v].cost(z)), False
-    elif isinstance(objective, (DecMin, DecMax)):
-        cost_of, maximize = (lambda v, z: base ** z), isinstance(objective, DecMax)
-    elif isinstance(objective, (IncMax, IncMin)):
-        cost_of, maximize = (lambda v, z: base ** (top - z)), isinstance(objective, IncMin)
-    elif isinstance(objective, RhoDeltaSum):
-        cost_of, maximize = (lambda v, z: z * (degs[v] - z)), True
-    elif isinstance(objective, ForbiddenSubpaths):
-        cost_of, maximize = (lambda v, z: z * (z - 1) // 2), False
-    else:
-        raise ValueError(f"objective {objective.kind!r} has no separable encoding for the DP")
-    order, _ = exact_subset_dp(graph, cost_of, maximize)
+    form, maximize = _dp_form(graph, objective)
+    phis = resolved(form, graph)
+    order, _ = exact_subset_dp(graph, lambda v, z: phis[v].cost(z), maximize)
     key = evaluate(objective, graph, degrees_of_order(graph, order, False))
     return order, key
 

@@ -14,7 +14,7 @@ from orientopt.cli import _run_mode, _solve_report, build_parser, run
 from orientopt.formats import parse_graph, parse_objective, rational_to_json
 from orientopt.graph import Orientation, build_graph, degrees_of_order, degrees_of_orientation
 from orientopt.instances import random_multigraph
-from orientopt.objectives import evaluate
+from orientopt.objectives import PhiSum, evaluate
 
 
 def invoke(capsys, *argv):
@@ -175,6 +175,35 @@ class TestSolve:
         )
         assert rep["orientation"] is None
         assert sum(rep["indeg"]) == 2  # the loop counts one onto its vertex
+
+
+class TestOneResolve:
+    """Every consumer of a request's ``phi_sum`` objective (the solver, the
+    key, the round-trip check, the oracle) shares one resolve."""
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--input", "fig4", "--objective", "square", "--mode", "cyclic-flow"),
+        ("solve", "--input", "fig4", "--objective", "square", "--mode", "acyclic-exact"),
+        ("solve", "--input", "fig4", "--objective", "square", "--mode", "acyclic-greedy"),
+        ("solve", "--input", "fig4", "--objective", "slopes.json", "--mode", "slope"),
+        ("compare", "--input", "k3", "--objective", "square", "--mode", "acyclic-exact"),
+        ("oracle", "--input", "k3", "--objective", "square", "--mode", "acyclic"),
+    ])
+    def test_at_most_one_resolve_per_run(self, capsys, monkeypatch, tmp_path, argv):
+        spec = {"kind": "phi_sum",
+                "per_vertex": [{"kind": "linear", "a": f"{v % 4}/3", "b": v} for v in range(9)]}
+        (tmp_path / "slopes.json").write_text(json.dumps(spec))
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        resolve = PhiSum.resolve
+
+        def counted(objective, graph):
+            calls.append(objective)
+            return resolve(objective, graph)
+
+        monkeypatch.setattr(PhiSum, "resolve", counted)
+        report_of(capsys, *argv)
+        assert len(calls) <= 1
 
 
 class TestExitCodes:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from orientopt.graph import build_graph, degrees_of_order
+from orientopt.graph import DegreeVector, build_graph, degrees_of_order
 from orientopt.instances import (
     FIG4_DECMIN_ORDER,
     FIG4_INCMAX_ORDER,
@@ -12,9 +12,11 @@ from orientopt.instances import (
     random_multigraph,
 )
 from orientopt.objectives import (
+    DecMax,
     DecMin,
     ForbiddenSubpaths,
     IncMax,
+    IncMin,
     LiftedCost,
     LiftedPhi,
     MaxWeightedIndeg,
@@ -24,10 +26,8 @@ from orientopt.objectives import (
     abs_balance,
     binom2,
     cube,
-    decmin_equals_exp_key,
     evaluate,
     exp_base,
-    incmax_equals_exp_key,
     lift,
     linear,
     neg_exp_base,
@@ -38,6 +38,7 @@ from orientopt.objectives import (
     validate_convex,
     zero,
 )
+from orientopt.ordering import _dp_form
 
 costs = st.builds(
     LiftedCost,
@@ -331,25 +332,33 @@ class TestPhiSumResolve:
             PhiSum().resolve(build_graph(1, []))
 
 
+def _cmp(a, b) -> int:
+    return (a > b) - (a < b)
+
+
 class TestExpKeyAgreement:
+    """The DP's power-sum forms order degree vectors as the lexicographic
+    keys do: the form's sum, negated when maximized, against ``rank_of``."""
+
+    KINDS = (DecMin(), DecMax(), IncMax(), IncMin())
+
+    def agree(self, dv1, dv2):
+        g = build_graph(len(dv1), [])
+        dvs = [DegreeVector(tuple(dv), ()) for dv in (dv1, dv2)]
+        for objective in self.KINDS:
+            form, maximize = _dp_form(g, objective)
+            sums = [evaluate(form, g, dv) for dv in dvs]
+            if maximize:
+                sums = [-x for x in sums]
+            ranks = [rank_key(objective, g, dv) for dv in dvs]
+            assert _cmp(*sums) == _cmp(*ranks), (objective.kind, dv1, dv2)
+
     def test_spec_example_pair(self):
         # 3^2 + 2 = 11 > 3 + 3 + 1 = 7, and (2,0,0) > (1,1,0) lexicographically
-        assert decmin_equals_exp_key(3, (2, 0, 0), (1, 1, 0))
+        self.agree((2, 0, 0), (1, 1, 0))
 
     def test_equal_vectors_tie(self):
-        assert decmin_equals_exp_key(4, (1, 2, 0, 1), (0, 1, 1, 2))
-        assert incmax_equals_exp_key(4, (1, 2, 0, 1), (0, 1, 1, 2))
-
-    def test_takes_graph_or_count(self):
-        g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-        assert decmin_equals_exp_key(g, (2, 1, 0), (1, 1, 1))
-        assert incmax_equals_exp_key(g, (2, 1, 0), (1, 1, 1))
-
-    def test_size_checks(self):
-        with pytest.raises(ValueError):
-            decmin_equals_exp_key(1, (0,), (0,))
-        with pytest.raises(ValueError):
-            incmax_equals_exp_key(3, (0, 0), (0, 0, 0))
+        self.agree((1, 2, 0, 1), (0, 1, 1, 2))
 
     @given(
         st.integers(2, 6).flatmap(
@@ -360,9 +369,7 @@ class TestExpKeyAgreement:
         )
     )
     def test_agreement_holds_for_all_pairs(self, pair):
-        dv1, dv2 = pair
-        assert decmin_equals_exp_key(len(dv1), dv1, dv2)
-        assert incmax_equals_exp_key(len(dv1), dv1, dv2)
+        self.agree(*pair)
 
     def test_exhaustive_small_sweep(self):
         from itertools import product
@@ -370,8 +377,7 @@ class TestExpKeyAgreement:
         vectors = list(product(range(4), repeat=3))
         for dv1 in vectors:
             for dv2 in vectors:
-                assert decmin_equals_exp_key(3, dv1, dv2)
-                assert incmax_equals_exp_key(3, dv1, dv2)
+                self.agree(dv1, dv2)
 
 
 def _same_preorder(keys1, keys2):

@@ -38,6 +38,7 @@ from orientopt.objectives import (
     PhiSum,
     RhoDeltaSum,
     evaluate,
+    lift,
     linear,
     rank_of,
     square,
@@ -115,6 +116,26 @@ class TestBruteOptimal:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             brute_optimal(k3(), DecMin(), "sideways")
+
+    @pytest.mark.parametrize("objective", [
+        PhiSum(),
+        PhiSum(per_vertex=(square(),) * 2),
+        PhiSum(shared=square(), g=(1, 1)),
+        PhiSum(shared=square(), f=(2, 2, 2), g=(1, 1, 1)),
+        PhiSum(shared=square(), f=(-1, 0, 0)),
+        PhiSum(per_vertex=(lift(square(), 0, 2),) * 3, f=1),
+    ])
+    def test_malformed_phi_sum_is_refused_before_the_walk(self, objective, monkeypatch):
+        import orientopt.exhaustive as ex
+
+        def walked(*args):
+            raise AssertionError("walked before refusing")
+
+        monkeypatch.setattr(ex, "_walk_orientations", walked)
+        monkeypatch.setattr(ex, "_walk_orders", walked)
+        for mode in ("cyclic", "acyclic"):
+            with pytest.raises(ValueError):
+                brute_optimal(k3(), objective, mode)
 
     def test_gray_code_walk_agrees_with_plain_scan(self):
         # the Gray-code walk must agree with a naive evaluate-everything

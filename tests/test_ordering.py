@@ -474,6 +474,32 @@ EXACT_PINS = {
         (15, 2, 11, 12, 0, 8, 13, 4, 14, 9, 3, 10, 7, 6, 5, 1),
         20,
     ),
+    # dec_max and inc_min are not benchmark slots; they pin the two
+    # maximizing power-sum forms at the same sizes
+    (14, 1, "dec_max"): (
+        (13, 9, 8, 7, 6, 5, 4, 3, 1, 0, 12, 11, 10, 2),
+        (9, 5, 4, 3, 3, 2, 1, 1, 0, 0, 0, 0, 0, 0),
+    ),
+    (14, 1, "inc_min"): (
+        (13, 9, 8, 7, 6, 5, 4, 3, 1, 0, 12, 11, 10, 2),
+        (0, 0, 0, 0, 0, 0, 1, 1, 2, 3, 3, 4, 5, 9),
+    ),
+    (15, 2, "dec_max"): (
+        (13, 9, 7, 6, 1, 5, 3, 2, 0, 14, 11, 12, 10, 4, 8),
+        (7, 6, 4, 4, 3, 3, 2, 1, 0, 0, 0, 0, 0, 0, 0),
+    ),
+    (15, 2, "inc_min"): (
+        (13, 9, 7, 6, 1, 5, 3, 2, 0, 14, 11, 12, 10, 4, 8),
+        (0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 3, 4, 4, 6, 7),
+    ),
+    (16, 3, "dec_max"): (
+        (12, 2, 11, 8, 7, 6, 15, 14, 9, 13, 10, 5, 1, 4, 3, 0),
+        (6, 6, 5, 4, 4, 2, 2, 2, 1, 0, 0, 0, 0, 0, 0, 0),
+    ),
+    (16, 3, "inc_min"): (
+        (12, 2, 11, 8, 7, 6, 15, 14, 9, 13, 10, 5, 1, 4, 3, 0),
+        (0, 0, 0, 0, 0, 0, 0, 1, 2, 2, 2, 4, 4, 5, 6, 6),
+    ),
 }
 BENCH_OBJECTIVES = {
     "square": "square",
@@ -482,6 +508,8 @@ BENCH_OBJECTIVES = {
     "inc_max": "inc_max",
     "rho_delta_sum": "rho_delta_sum",
     "forbidden_subpaths": "forbidden_subpaths",
+    "dec_max": "dec_max",
+    "inc_min": "inc_min",
 }
 
 
