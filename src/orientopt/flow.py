@@ -1,4 +1,4 @@
-"""Cyclic-regime solver by path augmentation on the orientation.
+"""Cyclic-regime solver by path reversal on the orientation.
 
 Reversing a directed path s ~> t moves one unit of indegree from t to
 s.  Under a separable convex cost, with the marginals
@@ -9,20 +9,26 @@ s.  Under a separable convex cost, with the marginals
 that reversal changes the cost by D+(s) - D-(t).  The indegree vectors
 of the orientations form an M-convex set, so an orientation is optimal
 if and only if no path s ~> t has D+(s) < D-(t) (Murota, *Discrete
-Convex Analysis*).  On such a set the dec-min, inc-max and square-sum
-optima coincide (Frank & Murota, *Discrete Decreasing Minimization*),
-so those keys are solved as the square sum.
+Convex Analysis*): if label(x) is the largest D-(t) over the vertices t
+that x reaches by a path of one or more arcs, every x with such a path
+has D+(x) >= label(x).  On such a set the dec-min, inc-max and
+square-sum optima coincide (Frank & Murota, *Discrete Decreasing
+Minimization*), so those keys are solved as the square sum.
 
 This is the unit-capacity min-cost flow of the layered network (source,
 vertex nodes, edge nodes, sink) with the network left implicit: only
 its source arcs cost anything, and a residual path through edge nodes
 is a directed path of the current orientation.  :func:`build_network`
 builds the source arc costs, one row of marginals per vertex, and
-:func:`min_cost_flow` augments along those paths, the semi-matching
-augmentation of Harvey, Ladner, Lovasz & Tamir (J. Algorithms 2006).
-The marginals are ``(penalty, base)`` pairs of the lifted costs, which
-Python compares lexicographically, so a degree-bound penalty outweighs
-any finite cost without a numeric big-M.
+:func:`min_cost_flow` reverses vertex-disjoint improving paths in
+phases, in the style of the semi-matching algorithm of Harvey, Ladner,
+Lovasz & Tamir (J. Algorithms 2006) and the egalitarian orientations of
+Borradaile et al. (JGAA 2017).  Each phase starts with a pass that
+computes every label, and the pass that finds no violation of the
+condition above is the optimality certificate.  The marginals are
+``(penalty, base)`` pairs of the lifted costs, which Python compares
+lexicographically, so a degree-bound penalty outweighs any finite cost
+without a numeric big-M.
 """
 
 from __future__ import annotations
@@ -75,55 +81,87 @@ def min_cost_flow(graph: Multigraph, marg, heads, free) -> list:
     """Orient the ``free`` edges (ids) in ``heads``, in place and at least
     cost, given the rows ``marg`` of :func:`build_network`.
 
-    The free edges are inserted in id order.  For edge u-v, a backward
-    search over the inserted free edges finds every vertex x with a
-    directed path to u or v.  The x with the least ``(D+(x), x)`` takes
-    the unit: its path is reversed and the edge points at the path's
-    end.  Only x's indegree changes.  Fixed edges are never traversed.
+    With ``load[x]`` the free units x holds, D+(x) = ``marg[x][load[x]]``
+    and D-(x) = ``marg[x][load[x] - 1]``.  Fixed edges are never
+    traversed or reversed.
 
-    Each insertion keeps the orientation H of the inserted edges optimal.
-    Let H' be the result of inserting u-v into an optimal H with x*
-    chosen, and let s ~> t be a path of H' (s != t).  It has no
-    improving reversal:
+    * **Start.**  Each free edge, in id order, points at the endpoint
+      with the smaller ``(D+, id)``.
+    * **Label pass.**  The vertices holding a unit are grouped by D-,
+      from the highest level to the lowest.  For each level, one
+      multi-source backward search over the free arcs starts from that
+      level's unlabelled vertices and gives each unlabelled vertex it
+      reaches the level as its label and the arc it came by as its
+      parent.  A vertex reached at a level was not reached at a higher
+      one, so its label is the largest D- of a vertex it reaches: the
+      label(x) of the module docstring, for every vertex with a parent.
+      A root, labelled by its own D-, has D+ >= D- by convexity.
+    * **Reversal.**  A vertex x with a parent and D+(x) < label(x) is a
+      violator.  Taken by ``(D+, label, id)``, a violator's parent path
+      to its root r is reversed when no vertex on it has been used in
+      this phase, and its vertices are then marked used.  The paths of
+      a phase are vertex-disjoint, so each one is still a path when it
+      is reversed, and the loads of x and r are still those of the
+      pass: the reversal changes the cost by D+(x) - D-(r) =
+      D+(x) - label(x) < 0.  The first violator's path is always free,
+      so every phase that finds a violator strictly lowers the
+      lexicographic ``(penalty, base)`` cost, and there are finitely
+      many orientations: the phases end.
+    * **Stop.**  A pass that finds no violator has D+(x) >= label(x) for
+      every vertex with a parent, which is the optimality condition.
 
-    * If the path uses no arc new in H' (a reversed arc or u-v), it is a
-      path of H, and D'+(s) >= D+(s) by convexity.  If t != x*, then
-      D'-(t) = D-(t) <= D+(s) by H's optimality.  If t = x*, s reaches x*
-      and so u or v in H, so D+(s) >= D+(x*) = D'-(x*) by the choice.
-    * Otherwise, the tail of its first new arc reaches u or v in H (it is
-      on the reversed path, or it is u or v), so s does too and
-      D'+(s) >= D+(s) >= D+(x*).  The head of its last new arc is on
-      x*'s path in H, so x* reaches t in H and D+(x*) >= D-(t) = D'-(t)
-      by H's optimality if t != x*, while D'-(x*) = D+(x*).
-
-    Either way D'+(s) >= D'-(t).  Returns ``heads``.
+    Returns ``heads``.
     """
     edges = graph.edges
-    load = [0] * graph.n  # free units each vertex holds
-    inserted = [[] for _ in range(graph.n)]  # inserted free edges per vertex
+    load = [0] * graph.n
+    into = [set() for _ in range(graph.n)]  # free edges into each vertex
+    other = [u ^ v for u, v in edges]  # an endpoint xor this is the other one
     for j in free:
         u, v = edges[j]
-        parent = {u: -1, v: -1}  # vertex -> its arc toward u or v
-        queue = [u, v]
-        for y in queue:
-            for e in inserted[y]:
-                if heads[e] == y:
-                    a, b = edges[e]
-                    x = a + b - y
-                    if x not in parent:
+        x = u if (marg[u][load[u]], u) < (marg[v][load[v]], v) else v
+        heads[j] = x
+        load[x] += 1
+        into[x].add(j)
+    while True:
+        label = [None] * graph.n
+        parent = [-1] * graph.n
+        violators = []
+        levels = {}
+        for v in range(graph.n):
+            if load[v]:
+                levels.setdefault(marg[v][load[v] - 1], []).append(v)
+        for level in sorted(levels, reverse=True):
+            queue = [t for t in levels[level] if label[t] is None]
+            for t in queue:
+                label[t] = level
+            for y in queue:
+                for e in into[y]:
+                    x = other[e] ^ y
+                    if label[x] is None:
+                        label[x] = level
                         parent[x] = e
                         queue.append(x)
-        x = min(queue, key=lambda y: (marg[y][load[y]], y))
-        load[x] += 1
-        while parent[x] >= 0:
-            e = parent[x]
-            a, b = edges[e]
-            heads[e] = x
-            x = a + b - x
-        heads[j] = x
-        inserted[u].append(j)
-        inserted[v].append(j)
-    return heads
+                        if marg[x][load[x]] < level:
+                            violators.append(x)
+        if not violators:
+            return heads
+        violators.sort(key=lambda x: (marg[x][load[x]], label[x], x))
+        used = [False] * graph.n
+        for x in violators:
+            path = [x]
+            while not used[path[-1]] and parent[path[-1]] >= 0:
+                path.append(other[parent[path[-1]]] ^ path[-1])
+            if used[path[-1]]:
+                continue
+            for y in path[:-1]:
+                e = parent[y]
+                into[heads[e]].remove(e)
+                into[y].add(e)
+                heads[e] = y
+            for y in path:
+                used[y] = True
+            load[x] += 1
+            load[path[-1]] -= 1
 
 
 @dataclass(frozen=True)

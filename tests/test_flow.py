@@ -9,7 +9,14 @@ import pytest
 from orientopt.exhaustive import brute_optimal, enumerate_orientations
 from orientopt.flow import build_network, min_cost_flow, solve_cyclic, solve_mixed
 from orientopt.graph import Orientation, build_graph, degrees_of_orientation
-from orientopt.instances import fig4_graph, random_multigraph
+from orientopt.instances import (
+    SchedulingInstance,
+    brute_schedule_cost,
+    fig4_graph,
+    random_multigraph,
+    random_scheduling_instance,
+    scheduling_to_orientation,
+)
 from orientopt.objectives import (
     DecMin,
     IncMax,
@@ -21,6 +28,7 @@ from orientopt.objectives import (
     cube,
     evaluate,
     lift,
+    rank_of,
     square,
     table,
     zero,
@@ -211,9 +219,12 @@ def test_lifted_bounds_match_brute_and_flag_feasibility():
 
 
 def test_mixed_completion_is_optimal_given_fixed_arcs():
+    """Every objective of OBJECTIVES and bounded tables (unit 1 and 1/7)
+    with 0 to m edges fixed: the completion keeps the fixed heads and
+    its key is the best over every orientation that keeps them."""
     rng = random.Random(31)
     done = 0
-    while done < 25:
+    while done < 60:
         n = rng.randint(2, 5)
         m = rng.randint(2, 7)
         try:
@@ -221,19 +232,52 @@ def test_mixed_completion_is_optimal_given_fixed_arcs():
         except ValueError:
             continue
         done += 1
-        k = rng.randint(1, m - 1)
-        ids = rng.sample(range(m), k)
-        fixed = {j: g.edges[j][rng.randint(0, 1)] for j in ids}
-        obj = PhiSum(shared=square())
-        sol = solve_mixed(g, fixed, obj)
-        for j, head in fixed.items():
-            assert sol.orientation.heads[j] == head
-        best = min(
-            evaluate(obj, g, degrees_of_orientation(g, o))
-            for o in enumerate_orientations(g)
-            if all(o.heads[j] == h for j, h in fixed.items())
-        )
-        assert sol.key == best
+        f = [rng.choice([None, 0, 1, 2]) for _ in range(n)]
+        gg = [rng.choice([None, (fv or 0) + rng.randint(0, 2)]) for fv in f]
+        tables = [bounded_tables(rng, g, f, gg, unit) for unit in (1, Fraction(1, 7))]
+        for obj in OBJECTIVES + tables:
+            ids = rng.sample(range(m), rng.randint(0, m))
+            fixed = {j: g.edges[j][rng.randint(0, 1)] for j in ids}
+            sol = solve_mixed(g, fixed, obj)
+            for j, head in fixed.items():
+                assert sol.orientation.heads[j] == head
+            best = min(
+                (
+                    evaluate(obj, g, degrees_of_orientation(g, o))
+                    for o in enumerate_orientations(g)
+                    if all(o.heads[j] == h for j, h in fixed.items())
+                ),
+                key=lambda key: rank_of(obj, key),
+            )
+            assert sol.key == best
+
+
+def test_scheduling_completion_matches_brute_assignment():
+    """The scheduling reduction against the brute-force assignment, with
+    no edge fixed and with some jobs' slots imposed: an edge fixed at
+    its slot assigns the job there, one fixed at its job rules that
+    slot out."""
+    for s in range(40):
+        inst = random_scheduling_instance(seed=2200 + s, max_jobs=6, max_slots=4)
+        graph, objective = scheduling_to_orientation(inst)
+        sol = solve_cyclic(graph, objective)
+        assert sol.feasible and sol.key == LiftedCost(0, brute_schedule_cost(inst)), s
+        rng = random.Random(s)
+        J = len(inst.feasible)
+        feasible = list(inst.feasible)
+        fixed = {}
+        for j in rng.sample(range(J), rng.randint(1, J)):
+            eid = rng.choice([e for e, (a, _) in enumerate(graph.edges) if a == j])
+            slot = graph.edges[eid][1] - J
+            if len(feasible[j]) > 1 and rng.random() < 0.5:
+                fixed[eid] = j
+                feasible[j] = feasible[j] - {slot}
+            else:
+                fixed[eid] = J + slot
+                feasible[j] = frozenset({slot})
+        restricted = SchedulingInstance(inst.num_slots, tuple(feasible), inst.slot_costs)
+        sol = solve_mixed(graph, fixed, objective)
+        assert sol.feasible and sol.key == LiftedCost(0, brute_schedule_cost(restricted)), s
 
 
 def test_mixed_with_everything_fixed():
@@ -311,3 +355,64 @@ def test_no_improving_path_at_scale():
             assert all(heads[j] == h for j, h in fixed.items())
             movable = [j for j in range(g.m) if j not in fixed]
             assert _improving_path(g, phis, heads, movable) is None
+
+
+def _label_violations(g, phis, heads, movable):
+    """The vertices s with D+(s) < label(s), where label(s) is the
+    largest D-(t) of a vertex t that s reaches by one or more
+    ``movable`` arcs.  One backward search per target, from the highest
+    D- down, labels the vertices it reaches that have no label yet: a
+    labelled vertex was reached from a target at least as high, and so
+    was every vertex that reaches it."""
+    indeg = [0] * g.n
+    for h in heads:
+        indeg[h] += 1
+    into = [[] for _ in range(g.n)]
+    for j in movable:
+        u, v = g.edges[j]
+        into[heads[j]].append(u + v - heads[j])
+
+    def drop(t):
+        return phis[t].cost(indeg[t]) - phis[t].cost(indeg[t] - 1)
+
+    label = [None] * g.n
+    for t in sorted((t for t in range(g.n) if into[t]), key=drop, reverse=True):
+        level = drop(t)
+        stack = [t]
+        while stack:
+            for s in into[stack.pop()]:
+                if label[s] is None:
+                    label[s] = level
+                    stack.append(s)
+    return [
+        s
+        for s in range(g.n)
+        if label[s] is not None
+        and phis[s].cost(indeg[s] + 1) - phis[s].cost(indeg[s]) < label[s]
+    ]
+
+
+def test_label_pass_certifies_optimality_at_scale():
+    """A label pass of its own checks the optimality condition on one
+    square solve at n = 10**4, m = 3 * 10**4, and on one completion of
+    bounded tables at n = 2000 with a third of the edges fixed.  The
+    same pass finds violations in an orientation that points every
+    edge at its first endpoint."""
+    g = random_multigraph(10**4, 3 * 10**4, seed=1)
+    obj = PhiSum(shared=square())
+    phis = obj.resolve(g)
+    assert _label_violations(g, phis, [u for u, _ in g.edges], range(g.m))
+    heads = solve_cyclic(g, obj).orientation.heads
+    assert _label_violations(g, phis, heads, range(g.m)) == []
+
+    rng = random.Random(5)
+    g = random_multigraph(2000, 6000, seed=2)
+    f = [rng.choice([None, 1, 2, 3]) for _ in range(g.n)]
+    gg = [rng.choice([None, (fv or 0) + rng.randint(0, 2)]) for fv in f]
+    obj = bounded_tables(rng, g, f, gg, Fraction(1, 7))
+    phis = obj.resolve(g)
+    fixed = {j: g.edges[j][rng.randint(0, 1)] for j in rng.sample(range(g.m), g.m // 3)}
+    movable = [j for j in range(g.m) if j not in fixed]
+    heads = solve_mixed(g, fixed, obj).orientation.heads
+    assert all(heads[j] == h for j, h in fixed.items())
+    assert _label_violations(g, phis, heads, movable) == []
