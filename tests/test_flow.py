@@ -1,4 +1,4 @@
-"""Path-augmentation orientation solver against exhaustive oracles and
+"""Path-reversal orientation solver against exhaustive oracles and
 the optimality condition."""
 
 import random
