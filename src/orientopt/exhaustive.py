@@ -11,16 +11,20 @@ ranks each candidate: by the penalty and base sums of per-vertex tables
 delta updates, for separable kinds; by the maximum or the sorted degree
 list, negated where the objective maximizes, for the others.
 
-Three savings per candidate are allowed, and no more.  The order walk
-closes the last two vertices a < b, joined by weight c, directly: a
-then b gives them left degrees prefix[a] and prefix[b] + c, b then a
-gives prefix[b] and prefix[a] + c.  The table sums are compared with
-the best so far inside the walk.  A sorted key is built only when its
-head, the maximum or minimum degree (negated where the objective
-maximizes), ties or beats the best head, since a strictly worse head
-cannot start an optimal rank.  So a caller sees only the candidates that
-tie or beat the best so far, in the same sequence, and the witness and
-the number of optima stay exact.
+Four savings per candidate are allowed, and no more.  The order walk
+closes the last three vertices a < b < c directly: in each of their six
+orders x, y, z, taken lexicographically, x gets left degree prefix[x],
+y gets prefix[y] + mult[x][y] and z gets prefix[z] + mult[x][z] +
+mult[y][z].  The table sums are compared with the best so far inside
+the walk.  A sorted key is built only when its head, the maximum or
+minimum degree (negated where the objective maximizes), ties or beats
+the best head, since a strictly worse head cannot start an optimal rank.
+For inc_min and inc_max a tied head is followed by the number of
+vertices at the minimum, the next thing the sorted key compares: more
+of them is better for inc_min and worse for inc_max, and a strictly
+worse count skips the sorted key as well.  So a caller sees only the
+candidates that tie or beat the best so far, in the same sequence, and
+the witness and the number of optima stay exact.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ def enumerate_orders(graph: Multigraph) -> Iterator[tuple[int, ...]]:
 class BruteResult:
     key: object  # natural objective key
     witness: object  # Orientation or order tuple
-    count: int  # number of optima (1 unless counting was requested)
+    count: int | None  # number of optima; None unless counting was requested
 
 
 def _ranker(graph: Multigraph, objective):
@@ -135,6 +139,7 @@ def _walk_orientations(graph: Multigraph, r, visit) -> None:
     w, pen, base, top, sign, _ = r
     edges = graph.edges
     heads = [v for _, v in edges]
+    other = [u ^ v for u, v in edges]  # a head XOR this is the edge's other end
     ind = [0] * graph.n
     for j, v in enumerate(heads):
         ind[v] += w[j]
@@ -143,9 +148,8 @@ def _walk_orientations(graph: Multigraph, r, visit) -> None:
     if pen is None:
         for i in range(1, 1 << len(edges)):
             j = (i & -i).bit_length() - 1
-            u, v = edges[j]
             lose = heads[j]
-            gain = heads[j] = u if lose == v else v
+            gain = heads[j] = lose ^ other[j]
             ind[lose] -= w[j]
             ind[gain] += w[j]
             h = sign * top(ind)
@@ -158,9 +162,8 @@ def _walk_orientations(graph: Multigraph, r, visit) -> None:
     db = [[y - x for x, y in zip(t, t[1:])] for t in base]
     for i in range(1, 1 << len(edges)):
         j = (i & -i).bit_length() - 1
-        u, v = edges[j]
         lose = heads[j]
-        gain = heads[j] = u if lose == v else v
+        gain = heads[j] = lose ^ other[j]
         yl = ind[lose] = ind[lose] - 1
         zg = ind[gain]
         ind[gain] = zg + 1
@@ -191,30 +194,47 @@ def _walk_orders(graph: Multigraph, r, visit) -> None:
             mult[u][v] += w[j]
             mult[v][u] += w[j]
         left[max(u, v)] += w[j]
-    if n < 2:
-        visit(_head(r, left), left, tuple(range(n)))
+    bar = _head(r, left)
+    if n < 3:
+        for order in permutations(range(n)):
+            for i, v in enumerate(order):
+                left[v] = prefix[v] + sum(mult[u][v] for u in order[:i])
+            h = _head(r, left)
+            if h <= bar:
+                bar = visit(h, left, order)
         return
     nbrs = [[(u, c) for u, c in enumerate(row) if c] for row in mult]
     rest = list(range(n))  # unplaced vertices, increasing
     order: list[int] = []
-    bar = _head(r, left)
 
     def rec(tp, tb):
         nonlocal bar
-        if len(rest) == 2:  # close the last pair a < b, a first then b first
-            a, b = rest
-            x, y, c = prefix[a], prefix[b], mult[a][b]
-            for u, zu, v, zv in ((a, x, b, y + c), (b, y, a, x + c)):
-                left[u], left[v] = zu, zv
-                if pen is None:
+        if len(rest) == 3:  # close the last three a < b < c in their six orders
+            a, b, c = rest
+            pa, pb, pc = prefix[a], prefix[b], prefix[c]
+            ab, ac, bc = mult[a][b], mult[a][c], mult[b][c]
+            # x, y, z: x gets prefix[x], y adds mult[x][y], z adds mult[x][z] + mult[y][z]
+            tail = (
+                (a, b, c, pa, pb + ab, pc + ac + bc),
+                (a, c, b, pa, pc + ac, pb + ab + bc),
+                (b, a, c, pb, pa + ab, pc + ac + bc),
+                (b, c, a, pb, pc + bc, pa + ab + ac),
+                (c, a, b, pc, pa + ac, pb + ab + bc),
+                (c, b, a, pc, pb + bc, pa + ab + ac),
+            )
+            if pen is None:
+                for x, y, z, zx, zy, zz in tail:
+                    left[x], left[y], left[z] = zx, zy, zz
                     h = sign * top(left)
                     if h <= bar:
-                        bar = visit(h, left, (*order, u, v))
-                    continue
-                sp = tp + pen[u][zu] + pen[v][zv]
-                sb = tb + base[u][zu] + base[v][zv]
+                        bar = visit(h, left, (*order, x, y, z))
+                return
+            for x, y, z, zx, zy, zz in tail:
+                sp = tp + pen[x][zx] + pen[y][zy] + pen[z][zz]
+                sb = tb + base[x][zx] + base[y][zy] + base[z][zz]
                 if sp < bar[0] or sp == bar[0] and sb <= bar[1]:
-                    bar = visit((sp, sb), left, (*order, u, v))
+                    left[x], left[y], left[z] = zx, zy, zz
+                    bar = visit((sp, sb), left, (*order, x, y, z))
             return
         for i in range(len(rest)):
             v = rest.pop(i)
@@ -254,13 +274,18 @@ def brute_optimal(graph: Multigraph, objective, mode: str, count_optima: bool = 
     else:
         raise ValueError(f"unknown oracle mode {mode!r}")
     r = _ranker(graph, objective)
-    *_, leaf = r
-    best = [None, None, 0, None]  # rank, witness, number of optima, head
+    *_, sign, leaf = r
+    # past the minimum, an inc key ranks by how many vertices sit at it: more
+    # is better for inc_min and worse for inc_max; tie * count is smaller-better
+    tie = {"inc_min": -1, "inc_max": 1}.get(objective.kind, 0)
+    best = [None, None, 0, None, 0]  # rank, witness, number of optima, head, tie * count
 
     def visit(head, degrees, at):
+        if tie and head == best[3] and tie * degrees.count(sign * head) > best[4]:
+            return head
         rank = head if leaf is None else leaf(degrees)
         if best[0] is None or rank < best[0]:
-            best[:] = rank, tuple(at), 1, head
+            best[:] = rank, tuple(at), 1, head, tie and tie * degrees.count(sign * head)
         elif count_optima and rank == best[0]:
             best[2] += 1
         return best[3]
@@ -268,7 +293,8 @@ def brute_optimal(graph: Multigraph, objective, mode: str, count_optima: bool = 
     walk(graph, r, visit)
     witness = witness_of(best[1])
     dv = degrees_of(graph, witness, needs_weighted_degrees(objective))
-    return BruteResult(evaluate(objective, graph, dv), witness, best[2])
+    count = best[2] if count_optima else None
+    return BruteResult(evaluate(objective, graph, dv), witness, count)
 
 
 def order_value_stats(graph: Multigraph, value_of_left_degree=None):

@@ -370,6 +370,11 @@ class TestOracle:
         assert rep["key"] == [2, 1, 0]
         assert sorted(rep["order"]) == [0, 1, 2]
 
+    def test_optima_only_when_counted(self, capsys):
+        argv = ("oracle", "--input", "k3", "--objective", "square", "--mode", "acyclic")
+        assert "optima" not in report_of(capsys, *argv)
+        assert report_of(capsys, *argv, "--count")["optima"] == 6
+
 
 class TestCompare:
     def test_self_consistency(self, capsys):

@@ -3,6 +3,7 @@ closed forms, and cross-checks between independent enumeration styles."""
 
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -211,21 +212,23 @@ def gray_orientations(g):
         yield Orientation(tuple(u if code >> j & 1 else v for j, (u, v) in enumerate(g.edges)))
 
 
-def assert_first_optimum(g, mode):
+def assert_first_optimum(g, mode, objectives=EVERY_KIND):
     """brute_optimal against a plain evaluate scan of the same sequence:
-    the optimum, the number of optima and the first optimum, every kind."""
+    the optimum, the number of optima and the first optimum, every kind.
+    Orders come straight from itertools.permutations."""
     if mode == "cyclic":
         candidates, degrees_of = list(gray_orientations(g)), degrees_of_orientation
     else:
-        candidates, degrees_of = list(enumerate_orders(g)), degrees_of_order
+        candidates, degrees_of = list(permutations(range(g.n))), degrees_of_order
     plain = [degrees_of(g, c) for c in candidates]
     weighted = [degrees_of(g, c, weighted=True) for c in candidates]
-    for obj in EVERY_KIND:
+    for obj in objectives:
         dvs = weighted if obj.kind == "max_weighted_indeg" else plain
-        ranks = [rank_of(obj, evaluate(obj, g, dv)) for dv in dvs]
+        keys = [evaluate(obj, g, dv) for dv in dvs]
+        ranks = [rank_of(obj, key) for key in keys]
         want = min(ranks)
         got = brute_optimal(g, obj, mode, count_optima=True)
-        assert rank_of(obj, got.key) == want, obj
+        assert got.key == keys[ranks.index(want)], obj
         assert got.count == ranks.count(want), obj
         assert got.witness == candidates[ranks.index(want)], obj
 
@@ -259,10 +262,65 @@ class TestWalkerContract:
     def test_orders_at_n_up_to_3(self, n, edges, weights):
         assert_first_optimum(build_graph(n, edges, weights, allow_loops=True), "acyclic")
 
+    @pytest.mark.parametrize(
+        "n, edges, weights",
+        [
+            (4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], None),
+            (4, [(3, 3), (0, 3), (0, 3), (1, 2), (2, 1), (1, 1)], [1, Fraction(1, 2), 2, 3, 1, 1]),
+            (4, [(0, 0), (0, 0)], [Fraction(2, 3), 1]),
+            (5, [(0, 4), (4, 1), (1, 3), (3, 2), (2, 0), (4, 2), (2, 2)], None),
+            (5, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 4), (4, 4), (4, 2)],
+             [Fraction(3, 2), 1, 2, Fraction(1, 3), 5, 2, 1]),
+            (6, [(0, 5), (5, 4), (4, 3), (3, 5), (1, 2), (2, 2), (1, 2), (0, 3)], None),
+            (6, [(5, 0), (0, 1), (1, 4), (4, 2), (2, 3), (3, 3), (3, 5), (2, 5), (1, 1)],
+             [1, Fraction(5, 4), 2, 1, Fraction(2, 3), 1, 3, 1, 2]),
+        ],
+    )
+    def test_orders_where_the_last_three_close(self, n, edges, weights):
+        # n = 4, 5, 6 reach the closed last three one, two and three levels down
+        assert_first_optimum(build_graph(n, edges, weights, allow_loops=True), "acyclic")
+
     def test_seven_vertices_in_each_regime(self):
         assert_first_optimum(random_multigraph(7, 12, seed=71), "cyclic")
         g = random_multigraph(7, 12, seed=72, weighted=True, allow_loops=True)
         assert_first_optimum(g, "acyclic")
+
+
+def star(n, center):
+    return build_graph(n, [(v, center) for v in range(n) if v != center])
+
+
+class TestTieCountAtTheMinimum:
+    """Loop-free graphs with fewer edges than vertices, or walked as
+    orders, have minimum indegree 0 in every candidate, so the inc heads
+    always tie and the number of vertices at 0 (sources) decides next."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            star(5, 0),
+            star(5, 4),
+            build_graph(6, [(0, 1), (0, 1), (1, 2), (3, 4), (5, 4)]),
+            build_graph(6, [(5, 2), (2, 3), (3, 0), (1, 4)]),
+        ],
+        ids=["star-center-first", "star-center-last", "forest-multi", "forest-paths"],
+    )
+    @pytest.mark.parametrize("mode", ["cyclic", "acyclic"])
+    def test_inc_keys_in_both_modes(self, g, mode):
+        assert_first_optimum(g, mode, (IncMax(), IncMin()))
+
+    def test_dense_orders_tie_at_zero(self):
+        g = random_multigraph(6, 11, seed=5)
+        assert_first_optimum(g, "acyclic", (IncMax(), IncMin()))
+
+    def test_source_counts_decide(self):
+        # inc_max wants one source: the center or a leaf, then the center;
+        # inc_min wants every leaf before the center
+        g = star(5, 4)
+        assert brute_optimal(g, IncMax(), "acyclic", count_optima=True).count == 48
+        assert brute_optimal(g, IncMin(), "acyclic", count_optima=True).count == 24
+        assert brute_optimal(g, IncMax(), "cyclic").key == (0, 1, 1, 1, 1)
+        assert brute_optimal(g, IncMin(), "cyclic").key == (0, 0, 0, 0, 4)
 
 
 class TestOrderValueStats:
