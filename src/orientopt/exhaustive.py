@@ -41,7 +41,6 @@ from .graph import (
     check_orientation,
     degrees_of_order,
     degrees_of_orientation,
-    is_acyclic,
     topological_order,
 )
 from .objectives import LiftedPhi, abs_balance, evaluate, needs_weighted_degrees

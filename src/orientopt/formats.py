@@ -68,6 +68,8 @@ def parse_graph_text(text: str) -> Multigraph:
         n, m = int(header[0]), int(header[1])
     except ValueError:
         raise _not_an_int(lines, lineno, header[:2]) from None
+    if n < 0:
+        raise _at("vertex count must be non-negative", lines, lineno, 0)
     for k, tok in enumerate(header[2:], start=2):
         if tok not in ("weighted", "loops"):
             raise _at(f"unknown header flag {tok!r}", lines, lineno, k)
@@ -102,8 +104,6 @@ def parse_graph_text(text: str) -> Multigraph:
             if w < 0:
                 raise _at("negative edge weight", lines, lineno, 2)
             weights.append(w)
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
     return Multigraph(n, tuple(edges), None if weights is None else tuple(weights), allow_loops)
 
 

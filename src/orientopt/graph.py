@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -247,8 +248,6 @@ def topological_order(graph: Multigraph, orientation: Orientation):
     """Topological order of an oriented graph, or None if it has a
     directed cycle.  Ties go to the lowest vertex id."""
     check_orientation(graph, orientation)
-    import heapq
-
     indeg = [0] * graph.n
     out: list[list[int]] = [[] for _ in range(graph.n)]
     for j, head in enumerate(orientation.heads):
@@ -256,34 +255,70 @@ def topological_order(graph: Multigraph, orientation: Orientation):
         out[tail].append(head)
         indeg[head] += 1
     ready = [v for v in range(graph.n) if indeg[v] == 0]
-    heapq.heapify(ready)
+    heapify(ready)
     order = []
     while ready:
-        v = heapq.heappop(ready)
+        v = heappop(ready)
         order.append(v)
         for w in out[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                heapq.heappush(ready, w)
+                heappush(ready, w)
     if len(order) != graph.n:
         return None
     return tuple(order)
 
 
 def is_connected(graph: Multigraph) -> bool:
-    if graph.n == 0:
-        return True
-    seen = [False] * graph.n
-    seen[0] = True
-    stack = [0]
+    return graph.n == 0 or len(_lowpoints(graph, 0)[0]) == graph.n
+
+
+def _lowpoints(graph: Multigraph, root: int, first: int = -1):
+    """Iterative depth-first search from ``root``: the vertices it reaches
+    in preorder, each vertex's parent (-1 for the root and for vertices
+    not reached) and each reached vertex's lowpoint, the earliest vertex
+    in preorder that its subtree reaches by at most one back edge.
+
+    Only the tree edge into a vertex is skipped, by id, so a parallel
+    copy of it is a back edge.  With ``first`` set, the search leaves
+    ``root`` first for that vertex, as if by an extra edge joining them;
+    every real edge between the two is then a back edge.
+    """
+    edges = graph.edges
+    incident = graph.incident
+    num = [-1] * graph.n  # preorder number, -1 until reached
+    low = [0] * graph.n  # lowpoint as a preorder number
+    parent = [-1] * graph.n
+    order = [root]
+    num[root] = 0
+    stack = [(root, -1, iter(incident[root]))]
+    if first >= 0:
+        num[first] = low[first] = 1
+        parent[first] = root
+        order.append(first)
+        stack.append((first, -1, iter(incident[first])))
     while stack:
-        v = stack.pop()
-        for eid in graph.incident[v]:
-            u = graph.other_end(eid, v)
-            if not seen[u]:
-                seen[u] = True
-                stack.append(u)
-    return all(seen)
+        v, tree_edge, rest = stack[-1]
+        lv = low[v]
+        for j in rest:
+            a, b = edges[j]
+            u = b if a == v else a
+            k = num[u]
+            if k < 0:
+                num[u] = low[u] = len(order)
+                parent[u] = v
+                order.append(u)
+                stack.append((u, j, iter(incident[u])))
+                break
+            if k < lv and j != tree_edge:
+                lv = k
+        else:
+            stack.pop()
+            p = parent[v]
+            if p >= 0 and lv < low[p]:
+                low[p] = lv
+        low[v] = lv
+    return order, parent, [order[k] for k in low]
 
 
 # ---------------------------------------------------------------------------
@@ -319,76 +354,44 @@ class BlockTree:
 def block_tree(graph: Multigraph) -> BlockTree:
     """Decompose a connected loop-free graph into blocks.
 
-    Iterative lowpoint DFS with an edge stack; parallel edges land in the
-    same block because the second copy is a back edge.
+    One lowpoint search from vertex 0 labels the edges.  The tree edge
+    into v starts a new block when v's subtree reaches nothing above v's
+    parent; otherwise it joins the block of the parent's tree edge.
+    Every other edge joins the block of the tree edge into its later
+    endpoint in preorder, so parallel edges share a block.
     """
     if graph.has_loops:
         raise ValueError("block decomposition requires a loop-free graph")
     n = graph.n
     if n == 0:
         return BlockTree((), frozenset(), ())
-    disc = [0] * n
-    low = [0] * n
-    edge_stack: list[int] = []
-    raw_blocks: list[list[int]] = []
-    counter = 1
-    disc[0] = low[0] = 1
-    # frame: [vertex, parent edge id, next index into incident list]
-    frames: list[list[int]] = [[0, -1, 0]]
-    while frames:
-        frame = frames[-1]
-        v, pe, idx = frame
-        advanced = False
-        inc = graph.incident[v]
-        while idx < len(inc):
-            eid = inc[idx]
-            idx += 1
-            if eid == pe:
-                continue
-            u = graph.other_end(eid, v)
-            if disc[u] == 0:
-                edge_stack.append(eid)
-                counter += 1
-                disc[u] = low[u] = counter
-                frame[2] = idx
-                frames.append([u, eid, 0])
-                advanced = True
-                break
-            if disc[u] < disc[v]:
-                # back edge to an ancestor; seen once, from below
-                edge_stack.append(eid)
-                if disc[u] < low[v]:
-                    low[v] = disc[u]
-        if advanced:
-            continue
-        frames.pop()
-        if pe != -1:
-            u = frames[-1][0]
-            if low[v] < low[u]:
-                low[u] = low[v]
-            if low[v] >= disc[u]:
-                # edges above pe (inclusive) form one block
-                blk = []
-                while True:
-                    top = edge_stack.pop()
-                    blk.append(top)
-                    if top == pe:
-                        break
-                raw_blocks.append(blk)
-    if counter < n:  # the search from vertex 0 left some vertex undiscovered
+    order, parent, low = _lowpoints(graph, 0)
+    if len(order) < n:
         raise ValueError("block decomposition requires a connected graph")
-    blocks = []
-    for blk in raw_blocks:
-        verts = set()
-        for eid in blk:
-            verts.update(graph.edges[eid])
-        blocks.append(Block(tuple(sorted(verts)), tuple(sorted(blk))))
-    blocks.sort(key=lambda b: b.vertices)
-    membership: dict[int, int] = {}
-    for b in blocks:
-        for v in b.vertices:
-            membership[v] = membership.get(v, 0) + 1
-    cuts = frozenset(v for v, c in membership.items() if c >= 2)
+    num = [0] * n
+    for i, v in enumerate(order):
+        num[v] = i
+    label = [0] * n  # block of the tree edge into each vertex
+    members: list[list[int]] = []  # per block: its top vertex, then the lower ends
+    for v in order[1:]:
+        p = parent[v]
+        if num[low[v]] >= num[p]:
+            label[v] = len(members)
+            members.append([p, v])
+        else:
+            label[v] = label[p]
+            members[label[p]].append(v)
+    edge_ids: list[list[int]] = [[] for _ in members]
+    for j, (u, v) in enumerate(graph.edges):
+        edge_ids[label[u if num[u] > num[v] else v]].append(j)
+    blocks = sorted(
+        (Block(tuple(sorted(vs)), tuple(ids)) for vs, ids in zip(members, edge_ids)),
+        key=lambda b: b.vertices,
+    )
+    # a vertex other than the root is a cut vertex iff it tops a block;
+    # the root is one iff it tops two
+    tops = [vs[0] for vs in members]
+    cuts = frozenset(tops) if tops.count(0) > 1 else frozenset(tops) - {0}
     block_cuts = tuple(tuple(v for v in b.vertices if v in cuts) for b in blocks)
     return BlockTree(tuple(blocks), cuts, block_cuts)
 
@@ -426,132 +429,37 @@ def st_order(graph: Multigraph, s: int, t: int) -> tuple[int, ...]:
 
 def _st_order(graph: Multigraph, s: int, t: int) -> tuple[int, ...]:
     """:func:`st_order` on a graph already known to be loop-free and
-    biconnected, with s != t among its vertices."""
+    biconnected, with s != t among its vertices.
+
+    Tarjan's list insertion (1986, after Ebert 1983): search from s with
+    s-t as the first tree edge, start the list at s, t with s marked "-",
+    and take every other vertex in preorder.  It goes just before its
+    parent when its lowpoint is marked "-" and just after it otherwise;
+    the parent then gets the opposite mark.
+    """
     n = graph.n
     if n == 2:
         return (s, t)
-    edges = list(graph.edges)
-    st_edges = [j for j, (u, v) in enumerate(edges) if {u, v} == {s, t}]
-    if st_edges:
-        first_edge = st_edges[0]
-    else:
-        first_edge = len(edges)
-        edges.append((s, t))
-    inc: list[list[int]] = [[] for _ in range(n)]
-    for j, (u, v) in enumerate(edges):
-        inc[u].append(j)
-        inc[v].append(j)
-    # make the chosen s-t edge the first one explored from s
-    inc[s].remove(first_edge)
-    inc[s].insert(0, first_edge)
-
-    def other(eid, v):
-        a, b = edges[eid]
-        return b if v == a else a
-
-    disc = [0] * n
-    low = [0] * n
-    low_edge = [-1] * n  # edge realizing low[v]: back edge up, or tree edge down
-    parent_edge = [-1] * n
-    parent = [-1] * n
-    disc[s] = low[s] = 1
-    counter = 1
-    frames = [[s, 0]]
-    while frames:
-        frame = frames[-1]
-        v, idx = frame
-        advanced = False
-        while idx < len(inc[v]):
-            eid = inc[v][idx]
-            idx += 1
-            if eid == parent_edge[v]:
-                continue
-            u = other(eid, v)
-            if disc[u] == 0:
-                counter += 1
-                disc[u] = low[u] = counter
-                low_edge[u] = -1
-                parent_edge[u] = eid
-                parent[u] = v
-                frame[1] = idx
-                frames.append([u, 0])
-                advanced = True
-                break
-            if disc[u] < disc[v] and disc[u] < low[v]:
-                low[v] = disc[u]
-                low_edge[v] = eid
-        if advanced:
-            continue
-        frames.pop()
+    preorder, parent, low = _lowpoints(graph, s, t)
+    nxt = [-1] * n  # the list, doubly linked
+    prv = [-1] * n
+    nxt[s], prv[t] = t, s
+    minus = [False] * n
+    minus[s] = True
+    for v in preorder[2:]:
         p = parent[v]
-        if p != -1 and low[v] < low[p]:
-            low[p] = low[v]
-            low_edge[p] = parent_edge[v]
-
-    old_vertex = [False] * n
-    old_edge = [False] * len(edges)
-    old_vertex[s] = old_vertex[t] = True
-    old_edge[first_edge] = True
-
-    is_tree_edge = [False] * len(edges)
-    for v in range(n):
-        if parent_edge[v] != -1:
-            is_tree_edge[parent_edge[v]] = True
-
-    def pathfinder(v):
-        for eid in inc[v]:
-            if old_edge[eid]:
-                continue
-            u = other(eid, v)
-            if disc[u] < disc[v] and not is_tree_edge[eid]:
-                # back edge up to an ancestor
-                old_edge[eid] = True
-                return [v, u]
-        for eid in inc[v]:
-            if old_edge[eid]:
-                continue
-            u = other(eid, v)
-            if is_tree_edge[eid] and parent[u] == v:
-                # tree edge down; walk the lowpoint path to an old vertex
-                old_edge[eid] = True
-                path = [v, u]
-                while not old_vertex[u]:
-                    old_vertex[u] = True
-                    nxt = low_edge[u]
-                    old_edge[nxt] = True
-                    x = other(nxt, u)
-                    path.append(x)
-                    u = x
-                return path
-        for eid in inc[v]:
-            if old_edge[eid]:
-                continue
-            u = other(eid, v)
-            if disc[u] > disc[v] and not is_tree_edge[eid]:
-                # back edge arriving from a descendant; climb to an old vertex
-                old_edge[eid] = True
-                path = [v, u]
-                while not old_vertex[u]:
-                    old_vertex[u] = True
-                    nxt = parent_edge[u]
-                    old_edge[nxt] = True
-                    path.append(parent[u])
-                    u = parent[u]
-                return path
-        return None
-
-    stack = [t, s]
-    number = [0] * n
-    nxt_num = 0
-    while stack:
-        v = stack.pop()
-        path = pathfinder(v)
-        if path is None:
-            nxt_num += 1
-            number[v] = nxt_num
+        if minus[low[v]]:
+            a = prv[p]
+            nxt[a], prv[v], nxt[v], prv[p] = v, a, p, v
+            minus[p] = False
         else:
-            stack.extend(path[-2::-1])
-    order = tuple(sorted(range(n), key=lambda v: number[v]))
+            b = nxt[p]
+            nxt[p], prv[v], nxt[v], prv[b] = v, p, b, v
+            minus[p] = True
+    order = [s]
+    for _ in range(n - 1):
+        order.append(nxt[order[-1]])
+    order = tuple(order)
 
     dv = degrees_of_order(graph, order)
     ok = order[0] == s and order[-1] == t

@@ -157,7 +157,7 @@ def degeneracy(graph: Multigraph) -> int:
     """Smallest k admitting a k-bounded order (every left degree <= k)."""
     if graph.n == 0:
         return 0
-    order = weighted_smallest_last(graph, [1] * graph.m)
+    order = tuple(reversed(_peel(graph)))
     dv = degrees_of_order(graph, order)
     return max(dv.indeg, default=0)
 
@@ -177,7 +177,7 @@ def greedy_min_degree(graph: Multigraph, tie_break: str = "lowest-id", seed=None
     run in O(n + m) bucket moves (see :func:`weighted_smallest_last`).
     """
     if tie_break == "lowest-id":
-        return weighted_smallest_last(graph, [1] * graph.m)
+        return tuple(reversed(_peel(graph)))
     if tie_break == "seeded-random":
         # choice() over the id-sorted bucket draws exactly as it would
         # over the id-sorted list of all minimum-degree vertices

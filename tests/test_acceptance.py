@@ -15,12 +15,11 @@ from orientopt.exhaustive import (
     cycle_reversal_decomposition,
     enumerate_orders,
     enumerate_orientations,
-    is_acyclic,
     order_value_stats,
     vertex_certificate,
 )
 from orientopt.flow import solve_cyclic
-from orientopt.graph import degrees_of_order, degrees_of_orientation
+from orientopt.graph import degrees_of_order, degrees_of_orientation, is_acyclic
 from orientopt.instances import (
     brute_schedule_cost,
     fig4_graph,

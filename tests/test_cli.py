@@ -217,6 +217,16 @@ class TestExitCodes:
         assert code == 2
         assert "line 2" in err
 
+    def test_negative_vertex_count_is_2(self, capsys, tmp_path):
+        p = tmp_path / "negative.graph"
+        p.write_text("-1 0\n")
+        code, _, err = invoke(
+            capsys, "solve", "--input", str(p), "--objective", "square",
+            "--mode", "cyclic-flow",
+        )
+        assert code == 2
+        assert err == "error: line 1, column 1: vertex count must be non-negative\n"
+
     def test_negative_json_weight_is_2(self, capsys, tmp_path):
         p = tmp_path / "negative.json"
         p.write_text('{"n": 2, "edges": [[0, 1, -1]]}')

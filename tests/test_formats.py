@@ -98,6 +98,9 @@ class TestParseGraphText:
             ("3\n", "header needs", 1, 1),
             ("x 1\n0 1\n", "expected an integer", 1, 1),
             ("2 x\n0 1\n", "expected an integer", 1, 3),
+            # a negative vertex count is caught at the header, before any edge
+            ("-1 0\n", "vertex count must be non-negative", 1, 1),
+            ("  -3 1\n0 1\n", "vertex count must be non-negative", 1, 3),
             ("2 1 shiny\n0 1\n", "unknown header flag", 1, 5),
             ("2 2\n0 1\n", "promises 2 edges", 1, 1),
             ("2 1\n0 1\n1 0\n", "promises 1 edge", 3, 1),

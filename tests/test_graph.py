@@ -196,6 +196,11 @@ def test_is_connected():
     assert not is_connected(build_graph(4, [(0, 1), (2, 3)]))
     assert is_connected(build_graph(0, []))
     assert is_connected(build_graph(1, []))
+    # loops and parallel edges
+    g = build_graph(4, [(0, 0), (0, 1), (0, 1), (2, 2), (2, 3)], allow_loops=True)
+    assert not is_connected(g)
+    g = build_graph(4, [(0, 0), (0, 1), (0, 1), (3, 3), (1, 3), (3, 2)], allow_loops=True)
+    assert is_connected(g)
 
 
 def test_block_tree_triangle_plus_pendant():
@@ -288,6 +293,27 @@ def test_block_tree_matches_brute_grouping():
             )
 
 
+def test_block_tree_matches_brute_grouping_with_bridges_and_parallel_edges():
+    # a random spanning tree is all bridges; extra edges, a third of
+    # them parallel copies, merge some of its edges into larger blocks
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        m = rng.randint(n - 1, 20)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        while len(edges) < m:
+            if rng.random() < 0.3:
+                edges.append(rng.choice(edges))
+            else:
+                edges.append(tuple(rng.sample(range(n), 2)))
+        rng.shuffle(edges)
+        perm = rng.sample(range(n), n)
+        g = build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+        bt = block_tree(g)
+        assert sorted(b.edge_ids for b in bt.blocks) == _blocks_by_brute_force(g), g.edges
+        assert bt.cut_vertices == frozenset(v for v in range(n) if len(bt.blocks_at(v)) >= 2)
+
+
 def _check_st_postcondition(g, order, s, t):
     assert order[0] == s and order[-1] == t
     pos = {v: i for i, v in enumerate(order)}
@@ -331,6 +357,44 @@ def test_st_order_random_biconnected():
         s = rng.randrange(n)
         t = (s + rng.randint(1, n - 1)) % n
         _check_st_postcondition(g, st_order(g, s, t), s, t)
+
+
+def _cycle_with_chords(rng, n, chords):
+    """A Hamiltonian cycle plus random chords, a third of them parallel copies."""
+    perm = rng.sample(range(n), n)
+    edges = [(perm[i], perm[(i + 1) % n]) for i in range(n)]
+    for _ in range(chords):
+        if rng.random() < 0.3:
+            edges.append(rng.choice(edges))
+        else:
+            edges.append(tuple(rng.sample(range(n), 2)))
+    rng.shuffle(edges)
+    return edges
+
+
+def test_st_order_cycle_with_chords_up_to_300_vertices():
+    rng = random.Random(29)
+    for trial in range(150):
+        n = rng.randint(3, 300) if trial % 2 else rng.randint(3, 12)
+        g = build_graph(n, _cycle_with_chords(rng, n, rng.randint(0, n)))
+        s = rng.randrange(n)
+        near = {g.other_end(j, s) for j in g.incident[s]}
+        far = [v for v in range(n) if v != s and v not in near]
+        # terminals joined by an edge, and (when there are any) terminals not
+        t = rng.choice(sorted(near)) if trial % 3 == 0 or not far else rng.choice(far)
+        _check_st_postcondition(g, st_order(g, s, t), s, t)
+
+
+def test_st_order_terminals_joined_by_parallel_edges():
+    rng = random.Random(31)
+    for copies in (2, 3, 4):
+        for _ in range(20):
+            n = rng.randint(3, 40)
+            s, t = rng.sample(range(n), 2)
+            edges = _cycle_with_chords(rng, n, rng.randint(0, n)) + [(s, t)] * copies
+            g = build_graph(n, edges)
+            _check_st_postcondition(g, st_order(g, s, t), s, t)
+            _check_st_postcondition(g, st_order(g, t, s), t, s)
 
 
 def test_subgraph_relabels():
