@@ -131,10 +131,7 @@ def _run_mode(graph, objective, mode, seed, trials):
     if mode == "acyclic-exact":
         order, key = solve_acyclic_exact(graph, objective)
     elif mode == "acyclic-greedy":
-        if seed is None:
-            order = greedy_min_degree(graph)
-        else:
-            order = greedy_min_degree(graph, "seeded-random", seed=seed)
+        order = greedy_min_degree(graph, seed)
     elif mode == "smallest-last":
         order = weighted_smallest_last(graph)
     elif mode == "slope":

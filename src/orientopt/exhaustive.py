@@ -326,11 +326,11 @@ def order_value_stats(graph: Multigraph, value_of_left_degree=None):
 
 def _greedy_worst(graph: Multigraph) -> tuple[int, ...]:
     """The greedy minimum-degree run whose order has the largest square
-    sum of left degrees (the ``exhaustive-worst`` tie rule), by a memoized
-    walk over every greedy-feasible removal choice."""
+    sum of left degrees, by a memoized walk over every greedy-feasible
+    removal choice.  Refuses graphs of more than 20 vertices."""
     n = graph.n
     if n > 20:
-        raise ValueError("exhaustive-worst greedy is limited to small graphs")
+        raise ValueError("the worst greedy run is searched only on graphs of at most 20 vertices")
     nbrs = [list(graph.neighbor_counts[v].items()) for v in range(n)]
     loops = graph.loop_counts
 

@@ -70,6 +70,8 @@ def parse_graph_text(text: str) -> Multigraph:
         raise _not_an_int(lines, lineno, header[:2]) from None
     if n < 0:
         raise _at("vertex count must be non-negative", lines, lineno, 0)
+    if m < 0:
+        raise _at("edge count must be non-negative", lines, lineno, 1)
     for k, tok in enumerate(header[2:], start=2):
         if tok not in ("weighted", "loops"):
             raise _at(f"unknown header flag {tok!r}", lines, lineno, k)
@@ -197,7 +199,7 @@ def _parse_phi(doc, what: str) -> obj.PhiSpec:
         return obj.PhiSpec(kind)
     if kind == "abs_balance":
         d = doc.get("d")
-        if d is not None and (not isinstance(d, int) or d < 0):
+        if d is not None and (not isinstance(d, int) or isinstance(d, bool) or d < 0):
             raise FormatError(f"{what}: `d` must be a non-negative integer")
         return obj.abs_balance(d)
     if kind in ("exp_base", "neg_exp_base"):

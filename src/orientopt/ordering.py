@@ -19,14 +19,11 @@ from itertools import islice
 from operator import mul, sub
 from typing import Callable, Sequence
 
-from .exhaustive import _greedy_worst
 from .graph import (
     BlockTree,
     Multigraph,
     _st_order,
-    as_fraction,
     block_tree,
-    check_order,
     degrees_of_order,
     scaled_to_ints,
     subgraph,
@@ -46,27 +43,7 @@ from .objectives import (
 DP_CAP = 26
 
 
-def _int_weights(graph: Multigraph, weights) -> tuple[int, ...] | None:
-    """Edge weights as ints that compare like the given ones, or None
-    when they are all equal and positive, so that plain degrees do.
-
-    Without ``weights`` the graph's cached :attr:`Multigraph.int_weights`
-    serve.  Scaling is positive: it keeps every comparison and every tie
-    between weighted degrees.
-    """
-    if weights is None:
-        ints = graph.int_weights[0]
-    else:
-        w = [x if isinstance(x, int) else as_fraction(x) for x in weights]
-        if len(w) != graph.m:
-            raise ValueError("need one weight per edge")
-        if any(x < 0 for x in w):
-            raise ValueError("weights must be non-negative")
-        ints = scaled_to_ints(w)[0]
-    return None if len(set(ints)) <= 1 and min(ints, default=1) > 0 else ints
-
-
-def _peel(graph: Multigraph, w: Sequence[int] | None = None, choose=None) -> list[int] | None:
+def _peel(graph: Multigraph, w: Sequence[int] | None = None, choose=None) -> list[int]:
     """Smallest-last peeling: n times, remove a live vertex of minimum
     (weighted) degree; returns the removal sequence, the reverse order.
 
@@ -74,9 +51,8 @@ def _peel(graph: Multigraph, w: Sequence[int] | None = None, choose=None) -> lis
     bucket queue, one list per degree kept sorted by id, so a step costs
     one bucket move (a bisect and a list shift) per incident edge
     (Matula & Beck 1983; Batagelj & Zaversnik 2003).  ``choose(ties)``
-    gets the bucket of minimum degree and returns the vertex to remove
-    (default: ``ties[0]``, the lowest id); if that vertex is not in
-    ``ties`` the peeling stops and the result is None.
+    gets the bucket of minimum degree and returns the member of it to
+    remove (default: ``ties[0]``, the lowest id).
 
     With int weights ``w`` a lazy heap of (weighted degree, id) serves
     instead, O(m log n), and the lowest id among the minima goes first.
@@ -97,8 +73,6 @@ def _peel(graph: Multigraph, w: Sequence[int] | None = None, choose=None) -> lis
                 lo += 1
             ties = buckets[lo]
             v = ties[0] if choose is None else choose(ties)
-            if deg[v] != lo:
-                return None
             del ties[bisect_left(ties, v)]
             alive[v] = False
             removed.append(v)
@@ -139,63 +113,39 @@ def _peel(graph: Multigraph, w: Sequence[int] | None = None, choose=None) -> lis
     return removed
 
 
-def weighted_smallest_last(graph: Multigraph, weights=None) -> tuple[int, ...]:
+def weighted_smallest_last(graph: Multigraph) -> tuple[int, ...]:
     """Order minimizing the maximum weighted left degree.
 
     Repeatedly removes a vertex of minimum weighted degree in the
     remaining graph and places it last; ties go to the lowest id.  With
     unit weights the achieved maximum equals the degeneracy.
 
-    Runs on ints (weights scaled by the LCM of their denominators): in
-    O(n + m) bucket moves when all weights are equal, and in
-    O(m log n) with a lazy heap otherwise.
+    Runs on the graph's :attr:`Multigraph.int_weights` (scaling is
+    positive, so it keeps every comparison and tie between weighted
+    degrees): in O(n + m) bucket moves when all weights are equal and
+    positive, and in O(m log n) with a lazy heap otherwise.
     """
-    return tuple(reversed(_peel(graph, _int_weights(graph, weights))))
-
-
-def degeneracy(graph: Multigraph) -> int:
-    """Smallest k admitting a k-bounded order (every left degree <= k)."""
-    if graph.n == 0:
-        return 0
-    order = tuple(reversed(_peel(graph)))
-    dv = degrees_of_order(graph, order)
-    return max(dv.indeg, default=0)
+    ints = graph.int_weights[0]
+    uniform = len(set(ints)) <= 1 and min(ints, default=1) > 0
+    return tuple(reversed(_peel(graph, None if uniform else ints)))
 
 
 def harmonic(n: int) -> Fraction:
     return sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
 
 
-def greedy_min_degree(graph: Multigraph, tie_break: str = "lowest-id", seed=None) -> tuple[int, ...]:
-    """Unweighted smallest-last order with a selectable tie rule.
+def greedy_min_degree(graph: Multigraph, seed=None) -> tuple[int, ...]:
+    """Unweighted smallest-last order.
 
-    ``lowest-id`` is deterministic, ``seeded-random`` picks uniformly
-    among the minimum-degree vertices, and ``exhaustive-worst`` (meant
-    for test suites, exponential state space) returns the greedy run
-    whose order has the largest left-degree square sum; that oracle
-    lives in :mod:`orientopt.exhaustive`.  The first two
-    run in O(n + m) bucket moves (see :func:`weighted_smallest_last`).
+    Without a seed, ties go to the lowest id; with one, the vertex is
+    drawn uniformly among the minimum-degree vertices by
+    ``random.Random(seed)``.  Runs in O(n + m) bucket moves (see
+    :func:`weighted_smallest_last`).
     """
-    if tie_break == "lowest-id":
-        return tuple(reversed(_peel(graph)))
-    if tie_break == "seeded-random":
-        # choice() over the id-sorted bucket draws exactly as it would
-        # over the id-sorted list of all minimum-degree vertices
-        return tuple(reversed(_peel(graph, choose=random.Random(seed).choice)))
-    if tie_break == "exhaustive-worst":
-        return _greedy_worst(graph)
-    raise ValueError(f"unknown tie_break {tie_break!r}")
-
-
-def is_greedy_run(graph: Multigraph, order: Sequence[int]) -> bool:
-    """Could this order have been produced by greedy minimum degree?
-
-    True iff every vertex has minimum degree in the subgraph induced by
-    itself and its predecessors.
-    """
-    order = check_order(graph, order)
-    later = reversed(order)
-    return _peel(graph, choose=lambda ties: next(later)) is not None
+    # choice() over the id-sorted bucket draws exactly as it would
+    # over the id-sorted list of all minimum-degree vertices
+    choose = None if seed is None else random.Random(seed).choice
+    return tuple(reversed(_peel(graph, choose=choose)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 from orientopt.exhaustive import (
+    _greedy_worst,
     brute_optimal,
     cycle_reversal_decomposition,
     enumerate_orders,
@@ -46,18 +47,23 @@ from orientopt.objectives import (
 from orientopt.ordering import (
     combine_st_orders,
     conditional_expectation,
-    degeneracy,
     derandomized_order,
     greedy_min_degree,
     harmonic,
     imbalance_report,
-    is_greedy_run,
     solve_acyclic_exact,
     terminal_imbalance_bound,
     weighted_smallest_last,
 )
 
+from peeling_reference import ref_is_greedy_run
+
 SQUARE_SUM = PhiSum(shared=square())
+
+
+def degeneracy(g):
+    """Largest left degree of the lowest-id smallest-last order."""
+    return max(degrees_of_order(g, greedy_min_degree(g)).indeg, default=0)
 
 
 def _flow_suite():
@@ -117,7 +123,7 @@ def test_gk_family_optimum_and_adversarial_gap():
         _, key = solve_acyclic_exact(g, SQUARE_SUM)
         assert key.penalty == 0 and key.base == 7 * k - 2, (k, key)
         adversarial = gk_adversarial_order(k)
-        assert is_greedy_run(g, adversarial), k
+        assert ref_is_greedy_run(g, adversarial), k
         val = evaluate(SQUARE_SUM, g, degrees_of_order(g, adversarial)).base
         assert val == 9 * k - 4, (k, val)
         ratios.append(Fraction(9 * k - 4, 7 * k - 2))
@@ -345,8 +351,8 @@ def test_greedy_square_sum_respects_approximation_bounds():
     for g, designed_worst in _square_sum_suite():
         worst = designed_worst
         if worst is None:
-            worst = greedy_min_degree(g, tie_break="exhaustive-worst")
-        assert is_greedy_run(g, worst), g.edges
+            worst = _greedy_worst(g)
+        assert ref_is_greedy_run(g, worst), g.edges
         opt = solve_acyclic_exact(g, SQUARE_SUM)[1].base
         dmin = degeneracy(g)
         for order in (greedy_min_degree(g), worst):

@@ -227,6 +227,25 @@ class TestExitCodes:
         assert code == 2
         assert err == "error: line 1, column 1: vertex count must be non-negative\n"
 
+    @pytest.mark.parametrize("text", ["3 -2\n0 1\n", "3 -1\n"])
+    def test_negative_edge_count_is_2(self, capsys, tmp_path, text):
+        p = tmp_path / "negative.graph"
+        p.write_text(text)
+        code, _, err = invoke(
+            capsys, "solve", "--input", str(p), "--objective", "square",
+            "--mode", "cyclic-flow",
+        )
+        assert code == 2
+        assert err == "error: line 1, column 3: edge count must be non-negative\n"
+
+    def test_boolean_abs_balance_degree_is_2(self, capsys):
+        code, _, err = invoke(
+            capsys, "solve", "--input", "k3", "--mode", "cyclic-flow",
+            "--objective", '{"kind": "abs_balance", "d": false}',
+        )
+        assert code == 2
+        assert "`d` must be a non-negative integer" in err
+
     def test_negative_json_weight_is_2(self, capsys, tmp_path):
         p = tmp_path / "negative.json"
         p.write_text('{"n": 2, "edges": [[0, 1, -1]]}')

@@ -101,6 +101,9 @@ class TestParseGraphText:
             # a negative vertex count is caught at the header, before any edge
             ("-1 0\n", "vertex count must be non-negative", 1, 1),
             ("  -3 1\n0 1\n", "vertex count must be non-negative", 1, 3),
+            # and a negative edge count there too, not at an edge line
+            ("3 -2\n0 1\n", "edge count must be non-negative", 1, 3),
+            ("3 -1\n", "edge count must be non-negative", 1, 3),
             ("2 1 shiny\n0 1\n", "unknown header flag", 1, 5),
             ("2 2\n0 1\n", "promises 2 edges", 1, 1),
             ("2 1\n0 1\n1 0\n", "promises 1 edge", 3, 1),
@@ -235,6 +238,8 @@ class TestParseObjective:
             '{"kind": "exp_base"}',
             '{"kind": "exp_base", "base": 1}',
             '{"kind": "abs_balance", "d": -2}',
+            '{"kind": "abs_balance", "d": true}',
+            '{"kind": "abs_balance", "d": false}',
             '{"kind": "linear", "a": []}',
         ]
         for text in bad:

@@ -1,9 +1,13 @@
-"""Every module-level import in the library is used.
+"""Every module-level import in the library is used, and the solvers
+stay apart from the brute-force oracles.
 
 No linter runs on this project, so this test is the check: it parses
 each module of ``orientopt`` except ``__init__.py`` (which imports to
 re-export) and fails on a name that a top-level import binds and the
-module never reads.
+module never reads.  It also fails when a solver module (``flow``,
+``ordering``) imports from ``exhaustive`` or ``exhaustive`` imports a
+solver, anywhere in the module: an oracle that shares code with the
+solver it checks cannot catch that code's faults.
 """
 
 import ast
@@ -13,7 +17,8 @@ import pytest
 
 import orientopt
 
-MODULES = sorted(p for p in Path(orientopt.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(orientopt.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,3 +49,44 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The ``orientopt`` modules a source imports from, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            parts = [alias.name.split(".") for alias in node.names]
+            names.update(p[1] for p in parts if p[0] == "orientopt" and len(p) > 1)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            if node.level == 0 and module[0] != "orientopt":
+                continue
+            if node.level == 0:
+                module = module[1:]
+            if module and module[0]:
+                names.add(module[0])
+            else:  # from . import x, from orientopt import x
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_the_check_sees_every_package_import():
+    source = (
+        "import os\n"
+        "from .graph import build_graph\n"
+        "import orientopt.flow\n"
+        "def f():\n"
+        "    from . import exhaustive\n"
+        "    from orientopt.objectives import square\n"
+    )
+    assert package_imports(source) == {"graph", "flow", "exhaustive", "objectives"}
+
+
+@pytest.mark.parametrize("solver", ["flow.py", "ordering.py"])
+def test_solvers_import_nothing_from_the_oracles(solver):
+    assert "exhaustive" not in package_imports((PACKAGE / solver).read_text())
+
+
+def test_the_oracles_import_no_solver():
+    assert not package_imports((PACKAGE / "exhaustive.py").read_text()) & {"flow", "ordering"}

@@ -12,6 +12,7 @@ from orientopt.exhaustive import (
     ORDER_CAP,
     ORIENTATION_CAP,
     BruteResult,
+    _greedy_worst,
     brute_optimal,
     cycle_reversal_decomposition,
     enumerate_orders,
@@ -90,6 +91,12 @@ class TestEnumeration:
             brute_optimal(wide, PhiSum(shared=square()), "cyclic")
         with pytest.raises(ValueError):
             brute_optimal(tall, DecMin(), "acyclic")
+
+    def test_worst_greedy_run_refuses_more_than_20_vertices(self):
+        g = build_graph(21, [])
+        with pytest.raises(ValueError, match="at most 20 vertices"):
+            _greedy_worst(g)
+        assert "neighbor_counts" not in vars(g)  # refused before the search read the graph
 
     def test_loops_cannot_be_oriented(self):
         g = build_graph(1, [(0, 0)], allow_loops=True)

@@ -10,7 +10,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orientopt.exhaustive import brute_optimal, enumerate_orders
+from orientopt.exhaustive import _greedy_worst, brute_optimal, enumerate_orders
 from orientopt.formats import parse_objective
 from orientopt.graph import build_graph, degrees_of_order
 from orientopt.instances import (
@@ -40,13 +40,11 @@ from orientopt.ordering import (
     DP_CAP,
     combine_st_orders,
     conditional_expectation,
-    degeneracy,
     derandomized_order,
     exact_subset_dp,
     greedy_min_degree,
     harmonic,
     imbalance_report,
-    is_greedy_run,
     linear_optimum_value,
     linear_slope_order,
     random_order_trials,
@@ -56,9 +54,16 @@ from orientopt.ordering import (
     weighted_smallest_last,
 )
 
+from peeling_reference import ref_is_greedy_run
+
 
 def path(n):
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def degeneracy(g):
+    """Largest left degree of the lowest-id smallest-last order."""
+    return max(degrees_of_order(g, greedy_min_degree(g)).indeg, default=0)
 
 
 def rho_delta(g, order):
@@ -108,25 +113,6 @@ def ref_smallest_last(g, weights, rng=None):
                 if alive[u]:
                     wdeg[u] -= x
     return tuple(reversed(suffix))
-
-
-def ref_is_greedy_run(g, order):
-    deg = [0] * g.n
-    for a, b in g.edges:
-        deg[a] += 1
-        if b != a:
-            deg[b] += 1
-    alive = [True] * g.n
-    for v in reversed(order):
-        if deg[v] != min(deg[u] for u in range(g.n) if alive[u]):
-            return False
-        alive[v] = False
-        for a, b in g.edges:
-            if a != b and v in (a, b):
-                u = b if a == v else a
-                if alive[u]:
-                    deg[u] -= 1
-    return True
 
 
 def ref_expectation(g, prefix):
@@ -533,14 +519,6 @@ class TestSmallestLast:
             want = brute_optimal(g, MaxWeightedIndeg(), "acyclic").key
             assert got == want
 
-    def test_explicit_weights_override(self):
-        g = build_graph(2, [(0, 1)])
-        assert weighted_smallest_last(g, [5]) == weighted_smallest_last(g)
-        with pytest.raises(ValueError):
-            weighted_smallest_last(g, [1, 2])
-        with pytest.raises(ValueError):
-            weighted_smallest_last(g, [-1])
-
     def test_degeneracy_known_values(self):
         assert degeneracy(path(6)) == 1
         cycle = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -563,34 +541,30 @@ class TestGreedy:
     def test_lowest_id_is_deterministic(self):
         g = fig4_graph()
         assert greedy_min_degree(g) == greedy_min_degree(g)
-        assert is_greedy_run(g, greedy_min_degree(g))
+        assert ref_is_greedy_run(g, greedy_min_degree(g))
 
     def test_seeded_random_reproducible_and_greedy(self):
         g = fig4_graph()
-        a = greedy_min_degree(g, tie_break="seeded-random", seed=5)
-        b = greedy_min_degree(g, tie_break="seeded-random", seed=5)
-        c = greedy_min_degree(g, tie_break="seeded-random", seed=6)
+        a = greedy_min_degree(g, seed=5)
+        b = greedy_min_degree(g, seed=5)
+        c = greedy_min_degree(g, seed=6)
         assert a == b
-        assert is_greedy_run(g, a) and is_greedy_run(g, c)
-
-    def test_unknown_tie_break(self):
-        with pytest.raises(ValueError):
-            greedy_min_degree(path(3), tie_break="nope")
+        assert ref_is_greedy_run(g, a) and ref_is_greedy_run(g, c)
 
     def test_exhaustive_worst_dominates_all_greedy_runs(self):
         def sq(g, order):
             return sum(z * z for z in degrees_of_order(g, order).indeg)
 
         for g in small_random_graphs(8, 10, (2, 6), (1, 8)):
-            worst = sq(g, greedy_min_degree(g, tie_break="exhaustive-worst"))
-            runs = [o for o in enumerate_orders(g) if is_greedy_run(g, o)]
+            worst = sq(g, _greedy_worst(g))
+            runs = [o for o in enumerate_orders(g) if ref_is_greedy_run(g, o)]
             assert runs
             assert worst == max(sq(g, o) for o in runs)
 
     def test_is_greedy_run_rejects_bad_orders(self):
         g = path(3)  # degrees 1,2,1
-        assert is_greedy_run(g, (2, 1, 0))
-        assert not is_greedy_run(g, (0, 2, 1))  # middle vertex placed last
+        assert ref_is_greedy_run(g, (2, 1, 0))
+        assert not ref_is_greedy_run(g, (0, 2, 1))  # middle vertex placed last
 
 
 class TestAgainstNaiveReference:
@@ -607,19 +581,19 @@ class TestAgainstNaiveReference:
         rng = random.Random(5)
         for g in self.graphs(90) + small_random_graphs(92, 15, (1, 20), (0, 50), weighted=True):
             ones = [Fraction(1)] * g.m
-            assert weighted_smallest_last(g, ones) == ref_smallest_last(g, ones)
             carried = g.weights if g.weights is not None else ones
             assert weighted_smallest_last(g) == ref_smallest_last(g, carried)
             w = [Fraction(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(g.m)]
-            for w in (w, [Fraction(2, 3)] * g.m, [0] * g.m):
-                assert weighted_smallest_last(g, w) == ref_smallest_last(g, w), (g.edges, w)
+            for w in (ones, w, [Fraction(2, 3)] * g.m, [0] * g.m):
+                reweighted = build_graph(g.n, g.edges, w, g.allow_loops)
+                assert weighted_smallest_last(reweighted) == ref_smallest_last(g, w), (g.edges, w)
 
     def test_greedy_lowest_id_and_seeded_random(self):
         for g in self.graphs(94):
             ones = [1] * g.m
             assert greedy_min_degree(g) == ref_smallest_last(g, ones)
             for seed in range(5):
-                got = greedy_min_degree(g, tie_break="seeded-random", seed=seed)
+                got = greedy_min_degree(g, seed=seed)
                 assert got == ref_smallest_last(g, ones, random.Random(seed))
 
     def test_is_greedy_run_on_runs_and_perturbed_orders(self):
@@ -627,13 +601,12 @@ class TestAgainstNaiveReference:
         verdicts = []
         for g in self.graphs(96):
             for seed in range(3):
-                run = greedy_min_degree(g, tie_break="seeded-random", seed=seed)
-                assert is_greedy_run(g, run) and ref_is_greedy_run(g, run)
+                run = greedy_min_degree(g, seed=seed)
+                assert ref_is_greedy_run(g, run)
                 bent = list(run)
                 i, j = rng.randrange(g.n), rng.randrange(g.n)
                 bent[i], bent[j] = bent[j], bent[i]
                 verdicts.append(ref_is_greedy_run(g, bent))
-                assert is_greedy_run(g, bent) == verdicts[-1], (g.edges, bent)
         assert True in verdicts and False in verdicts
 
     def test_derandomized_matches_reference(self):
