@@ -7,17 +7,20 @@ solve and report wall times).  Reports are single-line JSON with a
 ``schema`` field; all randomness comes from ``--seed``.
 
 Exit codes: 0 success, 1 compare mismatch, 2 parse error (with a
-line/column diagnostic on stderr), 3 precondition violation, 4 internal
-error (a solver result that failed its own check).
+line/column diagnostic on stderr), 3 precondition violation (a file that
+cannot be read or written among them), 4 internal error (a solver result
+that failed its own check).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from .graph import (
@@ -77,9 +80,8 @@ def _load_graph(spec: str) -> Multigraph:
         return named_instance(spec)
     except _UnknownName:
         pass
-    path = Path(spec)
-    if path.exists():
-        return parse_graph(path.read_text())
+    if os.path.exists(spec):  # also False for names the OS cannot look up
+        return parse_graph(Path(spec).read_text())
     raise ValueError(
         f"input {spec!r} is neither a builtin instance name nor a readable file"
     )
@@ -89,9 +91,8 @@ def _load_objective(spec: str):
     try:
         return parse_objective(spec)
     except FormatError:
-        path = Path(spec)
-        if path.exists():
-            return parse_objective(path.read_text())
+        if os.path.exists(spec):
+            return parse_objective(Path(spec).read_text())
         raise
 
 
@@ -349,6 +350,12 @@ _SUBCOMMANDS = (
 )
 
 
+def _first_word(argv) -> str | None:
+    """The first bare word of ``argv``: the top level takes no option
+    values, so this word names the subcommand."""
+    return next((a for a in argv if not a.startswith("-")), None)
+
+
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The argument parser.  Given the ``argv`` to parse, only the
     subcommand it names gets its arguments; without, every one does."""
@@ -357,8 +364,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         description="Orient multigraph edges to optimize indegree objectives.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    # the top level takes no option values, so its first bare word names the subcommand
-    chosen = None if argv is None else next((a for a in argv if not a.startswith("-")), None)
+    chosen = None if argv is None else _first_word(argv)
     for name, help_text, func, add_arguments in _SUBCOMMANDS:
         p = sub.add_parser(name, help=help_text)
         if argv is None or name == chosen:
@@ -367,8 +373,23 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     return parser
 
 
+_NAMES = frozenset(name for name, *_ in _SUBCOMMANDS)
+
+
+@lru_cache(maxsize=None)
+def _parser(subcommand: str | None) -> argparse.ArgumentParser:
+    """What ``build_parser`` builds for an argv that names ``subcommand``
+    (None: no known one), built once per process.  Building costs far
+    more than parsing, and parsing leaves the parser as it was; help
+    text reads the terminal width when it is printed."""
+    return build_parser([] if subcommand is None else [subcommand])
+
+
 def run(argv=None) -> int:
-    parser = build_parser(sys.argv[1:] if argv is None else argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    word = _first_word(argv)
+    parser = _parser(word if word in _NAMES else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
@@ -380,6 +401,10 @@ def run(argv=None) -> int:
         return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 3
+    except OSError as e:  # a file that cannot be read or written
+        where = f"{e.filename}: " if e.filename else ""
+        print(f"error: {where}{e.strerror or e}", file=sys.stderr)
         return 3
     except RuntimeError as e:
         print(f"error: {e}", file=sys.stderr)

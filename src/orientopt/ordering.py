@@ -130,10 +130,6 @@ def weighted_smallest_last(graph: Multigraph) -> tuple[int, ...]:
     return tuple(reversed(_peel(graph, None if uniform else ints)))
 
 
-def harmonic(n: int) -> Fraction:
-    return sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
-
-
 def greedy_min_degree(graph: Multigraph, seed=None) -> tuple[int, ...]:
     """Unweighted smallest-last order.
 
@@ -159,22 +155,6 @@ def linear_slope_order(graph: Multigraph, slopes: Sequence) -> tuple[int, ...]:
         raise ValueError("need one slope per vertex")
     neg = [-a for a in scaled_to_ints([exact_number(s) for s in slopes])[0]]
     return tuple(sorted(range(graph.n), key=neg.__getitem__))
-
-
-def linear_optimum_value(graph: Multigraph, slopes: Sequence, intercepts=None):
-    """Closed-form optimum of a linear cost sum: every edge pays the
-    smaller endpoint slope, plus all intercepts."""
-    if graph.has_loops:
-        raise ValueError("the closed form assumes a loop-free graph")
-    a = [exact_number(s) for s in slopes]
-    if len(a) != graph.n:
-        raise ValueError("need one slope per vertex")
-    total = sum(min(a[u], a[v]) for u, v in graph.edges)
-    if intercepts is not None:
-        if len(intercepts) != graph.n:
-            raise ValueError("need one intercept per vertex")
-        total += sum(exact_number(b) for b in intercepts)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -378,23 +358,6 @@ def solve_acyclic_exact(graph: Multigraph, objective):
 
 # ---------------------------------------------------------------------------
 # Degree-product sum on subcubic graphs: compose s-t orders over blocks.
-
-
-@dataclass(frozen=True)
-class ImbalanceReport:
-    """Per-vertex floor(d/2)*ceil(d/2) - leftdeg*rightdeg and its sum."""
-
-    per_vertex: tuple[int, ...]
-    total: int
-
-
-def imbalance_report(graph: Multigraph, order: Sequence[int]) -> ImbalanceReport:
-    dv = degrees_of_order(graph, order)
-    per = tuple(
-        (d // 2) * ((d + 1) // 2) - i * o
-        for d, i, o in zip(graph.degrees, dv.indeg, dv.outdeg)
-    )
-    return ImbalanceReport(per, sum(per))
 
 
 def _subcubic_blocks(graph: Multigraph) -> BlockTree:

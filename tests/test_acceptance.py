@@ -49,13 +49,12 @@ from orientopt.ordering import (
     conditional_expectation,
     derandomized_order,
     greedy_min_degree,
-    harmonic,
-    imbalance_report,
     solve_acyclic_exact,
     terminal_imbalance_bound,
     weighted_smallest_last,
 )
 
+from paper_facts import harmonic, imbalance_report
 from peeling_reference import ref_is_greedy_run
 
 SQUARE_SUM = PhiSum(shared=square())

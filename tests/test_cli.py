@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import orientopt
+from orientopt import cli
 from orientopt.cli import _run_mode, _solve_report, build_parser, run
 from orientopt.formats import parse_graph, parse_objective, rational_to_json
 from orientopt.graph import Orientation, build_graph, degrees_of_order, degrees_of_orientation
@@ -289,6 +290,35 @@ class TestExitCodes:
         )
         assert code == 3
         assert "neither" in err
+
+    # {dir} is an existing directory, {missing} a file in a directory that is not there
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--input", "{dir}", "--objective", "square", "--mode", "cyclic-flow"),
+        ("solve", "--input", "k3", "--objective", "{dir}", "--mode", "cyclic-flow"),
+        ("compare", "--input", "{dir}", "--objective", "square", "--mode", "cyclic-flow"),
+        ("compare", "--input", "k3", "--objective", "{dir}", "--mode", "cyclic-flow"),
+        ("generate", "--family", "gk", "--out", "{missing}"),
+        ("generate", "--family", "scheduling", "--seed", "7", "--objective-out", "{missing}"),
+    ], ids=["solve-input", "solve-objective", "compare-input", "compare-objective",
+            "generate-out", "generate-objective-out"])
+    def test_unusable_path_is_3(self, capsys, tmp_path, argv):
+        paths = {"dir": str(tmp_path), "missing": str(tmp_path / "missing" / "x")}
+        bad = next(a for a in argv if a.startswith("{")).format(**paths)
+        code, out, err = invoke(capsys, *(a.format(**paths) for a in argv))
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+    def test_name_too_long_to_look_up(self, capsys):
+        # no file can have this name, so it is neither a file nor a spec
+        long = "x" * 5000
+        code, _, err = invoke(
+            capsys, "solve", "--input", long, "--objective", "square", "--mode", "cyclic-flow",
+        )
+        assert code == 3 and "neither" in err
+        code, _, err = invoke(
+            capsys, "solve", "--input", "k3", "--objective", long, "--mode", "cyclic-flow",
+        )
+        assert code == 2 and "unknown objective kind" in err
 
     def test_bad_builtin_parameter_reports_the_real_error(self, capsys):
         code, _, err = invoke(
@@ -590,3 +620,75 @@ def test_module_invocation_matches_script():
     by_script = json.loads(out.stdout)
     by_module.pop("wall_time"), by_script.pop("wall_time")
     assert by_module == by_script
+
+
+class TestParserCache:
+    """run() builds each subcommand's parser once per process."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_each_parser_is_built_at_most_once(self, capsys, monkeypatch, tmp_path):
+        built = []
+
+        def counting_build_parser(argv=None):
+            built.append(next(a for a in argv if not a.startswith("-")))
+            return build_parser(argv)
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        out = str(tmp_path / "g.txt")
+        requests = [
+            K3_SOLVE,
+            K3_ORACLE,
+            ("compare", "--input", "k3", "--objective", "square", "--mode", "acyclic-exact"),
+            ("bench", "--input", "k3", "--objective", "square", "--mode", "cyclic-flow",
+             "--repeat", "1"),
+            ("generate", "--family", "gk", "--out", out),
+        ]
+        for i in range(20):
+            code, _, err = invoke(capsys, *requests[(3 * i) % 5])
+            assert code == 0, err
+        assert sorted(built) == sorted(name for name, *_ in cli._SUBCOMMANDS)
+
+    def test_usage_errors_leave_no_trace(self, capsys):
+        for argv in [
+            ("solve", "--input", "k3", "--objective", "square", "--mode", "sideways"),
+            ("solve", "--input", "k3", "--objective", "square", "--mode", "acyclic-greedy",
+             "--seed", "x"),
+            ("solve", "--objective", "square", "--mode", "acyclic-greedy", "--seed", "3"),
+            ("solve", "--input", "k3", "--objective", "square", "--mode", "cyclic-flow",
+             "--unknown"),
+        ]:
+            assert invoke(capsys, *argv)[0] == 2
+        argv = ("solve", "--input", "fig4", "--objective", "square", "--mode", "acyclic-greedy")
+        here = report_of(capsys, *argv)
+        fresh = run_process(sys.executable, "-m", "orientopt.cli", *argv)
+        assert fresh.returncode == 0, fresh.stderr
+        there = json.loads(fresh.stdout)
+        here.pop("wall_time"), there.pop("wall_time")
+        assert list(here.items()) == list(there.items())
+
+    def test_help_wraps_to_the_width_when_printed(self, capsys, monkeypatch):
+        helps = []
+        for columns in (200, 40):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            code, out, _ = invoke(capsys, "solve", "--help")
+            assert code == 0
+            with pytest.raises(SystemExit):
+                build_parser(["solve"]).parse_args(["solve", "--help"])
+            assert out == capsys.readouterr().out
+            helps.append(out)
+        assert helps[0] != helps[1]
+        assert cli._parser.cache_info().misses == 1
+
+    def test_unknown_words_do_not_grow_the_cache(self, capsys):
+        for i in range(50):
+            code, out, err = invoke(capsys, f"nosuch{i}")
+            assert code == 2 and out == "" and "invalid choice" in err
+        assert cli._parser.cache_info().currsize == 1
+        for argv in [(), ("--help",), K3_SOLVE, ("solve", "--help"), ("nosuch",)]:
+            invoke(capsys, *argv)
+        assert cli._parser.cache_info().currsize == 2

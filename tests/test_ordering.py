@@ -43,9 +43,6 @@ from orientopt.ordering import (
     derandomized_order,
     exact_subset_dp,
     greedy_min_degree,
-    harmonic,
-    imbalance_report,
-    linear_optimum_value,
     linear_slope_order,
     random_order_trials,
     relative_order_counts,
@@ -54,6 +51,7 @@ from orientopt.ordering import (
     weighted_smallest_last,
 )
 
+from paper_facts import harmonic, imbalance_report, linear_optimum_value
 from peeling_reference import ref_is_greedy_run
 
 
