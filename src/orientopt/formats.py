@@ -348,16 +348,3 @@ def graph_to_text(graph: Multigraph) -> str:
             row.append(str(w.numerator) if w.denominator == 1 else f"{w.numerator}/{w.denominator}")
         lines.append(" ".join(row))
     return "\n".join(lines) + "\n"
-
-
-def graph_to_json(graph: Multigraph) -> dict:
-    if graph.weights is None:
-        edges = [[u, v] for u, v in graph.edges]
-    else:
-        edges = [
-            [u, v, rational_to_json(w)] for (u, v), w in zip(graph.edges, graph.weights)
-        ]
-    doc: dict = {"n": graph.n, "edges": edges}
-    if graph.allow_loops:
-        doc["allow_loops"] = True
-    return doc

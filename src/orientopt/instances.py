@@ -15,7 +15,6 @@ from .objectives import (
     PhiSum,
     binom2,
     cube,
-    exact_number,
     linear,
     square,
     table,
@@ -61,22 +60,6 @@ def gen_gk(k: int) -> Multigraph:
         u = 3 * k + i - 2
         edges += [(3 * (i - 1) - 1, u), (u, 3 * (i - 1))]
     return build_graph(4 * k - 1, edges)
-
-
-def gk_adversarial_order(k: int) -> tuple[int, ...]:
-    """Greedy-feasible order scoring 9k-4: all triangles first, then the
-    connectors.  With the vertex numbering above this is the identity."""
-    return tuple(range(4 * k - 1))
-
-
-def gk_optimal_order(k: int) -> tuple[int, ...]:
-    """Order scoring 7k-2: first triangle, then connector + triangle
-    alternating."""
-    order = [0, 1, 2]
-    for i in range(2, k + 1):
-        order.append(3 * k + i - 2)
-        order += [3 * (i - 1), 3 * (i - 1) + 1, 3 * (i - 1) + 2]
-    return tuple(order)
 
 
 def random_multigraph(
@@ -264,29 +247,6 @@ def scheduling_to_orientation(instance: SchedulingInstance):
         phis.append(LiftedPhi(instance.slot_costs[t]))
     graph = build_graph(J + instance.num_slots, edges)
     return graph, PhiSum(per_vertex=tuple(phis))
-
-
-def brute_schedule_cost(instance: SchedulingInstance):
-    """Exact minimum total cost over every feasible assignment,
-    including the cost of empty slots."""
-    choices = [sorted(I) for I in instance.feasible]
-    best = None
-    stack = [(0, [0] * instance.num_slots)]
-    while stack:
-        j, loads = stack.pop()
-        if j == len(choices):
-            cost = sum(
-                exact_number(instance.slot_costs[t](loads[t]))
-                for t in range(instance.num_slots)
-            )
-            if best is None or cost < best:
-                best = cost
-            continue
-        for t in choices[j]:
-            nl = list(loads)
-            nl[t] += 1
-            stack.append((j + 1, nl))
-    return best
 
 
 def random_scheduling_instance(

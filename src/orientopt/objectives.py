@@ -398,7 +398,3 @@ def rank_of(objective, key):
     if k == "rho_delta_sum":
         return -key
     return key
-
-
-def rank_key(objective, graph: Multigraph, dv: DegreeVector):
-    return rank_of(objective, evaluate(objective, graph, dv))

@@ -223,24 +223,34 @@ def exact_subset_dp(
     denominators, and a LiftedCost becomes penalty * M + base with M one
     more than the total spread of the bases (:func:`_int_costs`), which
     keeps every comparison and tie.  v's degree inside a mask (loops
-    included) is ``lo[v][mask & low] + hi[v][mask >> half]``, two lookups
-    in tables of its degree into each half of the vertex set.  That is
-    O(2^n * n) time and O(2^n + n * 2^(n/2)) memory.
+    included) is ``lo[v][mask & low] + hi[v][mask >> half]``, its degrees
+    into the low and the high half of the vertex set.  The masks are
+    swept in blocks of one high half-mask ``mh`` each, over every low
+    half-mask ``ml``.  Once per block, each vertex's cost row is shifted
+    by ``hi[v][mh]`` and cut to the ``lo[v][-1] + 1`` entries its degree
+    into the low half can reach; the sweep indexes it by ``lo[v][ml]``,
+    which each low half-mask stores with its vertices.  So a candidate
+    last vertex costs one lookup in f and one in its shifted row, and the
+    loop keeps only the minimum, starting above every sum of one entry
+    per vertex.  That is O(2^n * n + 2^(n/2) * m) time, the second term
+    for the shifts, and O(2^n + n * 2^(n/2) + m) memory: f, the
+    half-mask tables and one block's rows, with no per-mask table of
+    last vertices (2^26 bytes less at ``DP_CAP``).
 
     A mask S with a vertex v that has no neighbour in S but itself skips
     the minimum.  v's left degree is its loop count wherever it stands,
-    so S's best value is f(S) = f(S - v) + c_v(loops_v).  Any other u in
-    S has the same degree in S as in S - v, so u is an optimal last
-    vertex of S exactly when it is one of S - v: the optimal last
-    vertices of S are v and those of S - v, and the lowest of them, the
-    one the DP keeps, is g(S) = min(v, g(S - v)).  The argument needs no
-    convexity, so it holds for every table and for ``maximize``.  The
-    vertices of S with no neighbour in S are
+    so S's best value is f(S) = f(S - v) + c_v(loops_v); the argument
+    needs no convexity, so it holds for every table and for
+    ``maximize``.  The vertices of S with no neighbour in S are
     ``S & apart_lo[S & low] & apart_hi[S >> half]``, two lookups in
     tables of the vertices with no neighbour in each half-mask.  The
     rule fires on every one-vertex mask, on every mask of an edgeless
     graph, and on 52–76% of the masks of ``random_multigraph(n, 2n)``
     at n = 14–16 (seeds 1–3).
+
+    The order is read off f on the way down: the last vertex of S is the
+    lowest v with f(S - v) + c_v(deg_S v) = f(S), which is the lowest
+    optimal last vertex, the one a strict < over increasing ids keeps.
 
     Returns ``(order, value)``, with the value summed from the original
     costs; ties resolve to the lowest vertex id.  More than ``DP_CAP``
@@ -260,15 +270,10 @@ def exact_subset_dp(
     low = (1 << half) - 1
     lo = [_subset_sums(loops[v], [counts[v].get(u, 0) for u in range(half)]) for v in range(n)]
     hi = [_subset_sums(0, [counts[v].get(u, 0) for u in range(half, n)]) for v in range(n)]
-    # the vertices of each half-mask in increasing id, so that a mask's
-    # vertices are two list lookups instead of a bit scan
-    verts = [(v, 1 << v, costs[v], lo[v], hi[v]) for v in range(n)]
-    low_verts: list[list] = [[]]
-    for x in verts[:half]:
-        low_verts += [vs + [x] for vs in low_verts]
-    high_verts: list[list] = [[]]
-    for x in verts[half:]:
-        high_verts += [vs + [x] for vs in high_verts]
+    # each low vertex of each low half-mask, with its degree into it
+    low_verts = [
+        [(1 << v, v, lo[v][ml]) for v in range(half) if ml >> v & 1] for ml in range(low + 1)
+    ]
     # the vertices with no neighbour in each half-mask, and the cost of
     # each vertex at its loop count: what it pays with no neighbour before
     full = 1 << n
@@ -279,41 +284,52 @@ def exact_subset_dp(
         apart = apart_lo if u < half else apart_hi
         apart += [x & far for x in apart]
     alone = [costs[v][loops[v]] for v in range(n)]
+    # above every sum of one entry per vertex of a mask
+    top = sum(max(0, *row) for row in costs) + 1
+    # each vertex's cost row, degrees into the high half-masks, and the
+    # length a degree into the low half can reach
+    spans = [(costs[v], hi[v], lo[v][-1] + 1) for v in range(n)]
     f = [0] * full
-    g = bytearray(full)
-    g[0] = 255  # above every id, so that a one-vertex mask takes its vertex
-    for mask in range(1, full):
-        ml = mask & low
-        mh = mask >> half
-        iso = mask & apart_lo[ml] & apart_hi[mh]
-        if iso:
-            b = iso & -iso
-            v = b.bit_length() - 1
-            rest = mask ^ b
-            f[mask] = f[rest] + alone[v]
-            w = g[rest]
-            g[mask] = v if v < w else w
-            continue
-        best = None
-        for v, b, cv, lv, hv in low_verts[ml] + high_verts[mh]:
-            cand = f[mask ^ b] + cv[lv[ml] + hv[mh]]
-            if best is None or cand < best:
-                best = cand
-                best_v = v
-        f[mask] = best
-        g[mask] = best_v
+    for mh in range(1 << (n - half)):
+        base = mh << half
+        aph = apart_hi[mh]
+        # each vertex's cost row shifted by its degree into the high
+        # half-mask and cut to its degree into the low half, which indexes it
+        rows = [row[hv[mh]:hv[mh] + k] for row, hv, k in spans]
+        high_rows = [(1 << v, rows[v], lo[v]) for v in range(half, n) if base >> v & 1]
+        for ml in range(0 if mh else 1, low + 1):
+            mask = base | ml
+            iso = mask & apart_lo[ml] & aph
+            if iso:
+                b = iso & -iso
+                f[mask] = f[mask ^ b] + alone[b.bit_length() - 1]
+                continue
+            best = top
+            for b, v, z in low_verts[ml]:
+                c = f[mask ^ b] + rows[v][z]
+                if c < best:
+                    best = c
+            for b, row, lv in high_rows:
+                c = f[mask ^ b] + row[lv[ml]]
+                if c < best:
+                    best = c
+            f[mask] = best
     suffix = []
     value = 0
     mask = full - 1
-    for _ in range(n):
-        v = g[mask]
-        if not mask >> v & 1:
-            break
+    while mask:
+        ml = mask & low
+        mh = mask >> half
+        for v in range(n):
+            if mask >> v & 1:
+                z = lo[v][ml] + hi[v][mh]
+                if f[mask ^ 1 << v] + costs[v][z] == f[mask]:
+                    break
+        else:
+            raise RuntimeError(f"internal error: subset DP backtrack stopped at mask {mask:#x}")
         suffix.append(v)
-        value += tables[v][lo[v][mask & low] + hi[v][mask >> half]]
+        value += tables[v][z]
         mask ^= 1 << v
-    if mask:
-        raise RuntimeError(f"internal error: subset DP backtrack stopped at mask {mask:#x}")
     return tuple(reversed(suffix)), value
 
 

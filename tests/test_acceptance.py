@@ -22,10 +22,8 @@ from orientopt.exhaustive import (
 from orientopt.flow import solve_cyclic
 from orientopt.graph import degrees_of_order, degrees_of_orientation, is_acyclic
 from orientopt.instances import (
-    brute_schedule_cost,
     fig4_graph,
     gen_gk,
-    gk_adversarial_order,
     random_multigraph,
     random_scheduling_instance,
     scheduling_to_orientation,
@@ -54,7 +52,7 @@ from orientopt.ordering import (
     weighted_smallest_last,
 )
 
-from paper_facts import harmonic, imbalance_report
+from paper_facts import brute_schedule_cost, gk_adversarial_order, harmonic, imbalance_report
 from peeling_reference import ref_is_greedy_run
 
 SQUARE_SUM = PhiSum(shared=square())

@@ -11,7 +11,6 @@ from orientopt.flow import build_network, min_cost_flow, solve_cyclic, solve_mix
 from orientopt.graph import Orientation, build_graph, degrees_of_orientation
 from orientopt.instances import (
     SchedulingInstance,
-    brute_schedule_cost,
     fig4_graph,
     random_multigraph,
     random_scheduling_instance,
@@ -33,6 +32,8 @@ from orientopt.objectives import (
     table,
     zero,
 )
+
+from paper_facts import brute_schedule_cost
 
 
 def k3():

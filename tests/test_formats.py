@@ -7,7 +7,6 @@ import pytest
 
 from orientopt.formats import (
     FormatError,
-    graph_to_json,
     graph_to_text,
     key_to_json,
     objective_to_json,
@@ -35,6 +34,8 @@ from orientopt.objectives import (
     table,
     zero,
 )
+
+from paper_facts import graph_to_json
 
 
 class TestParseGraphText:

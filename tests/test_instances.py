@@ -12,11 +12,8 @@ from orientopt.instances import (
     FIG4_DECMIN_ORDER,
     FIG4_INCMAX_ORDER,
     SchedulingInstance,
-    brute_schedule_cost,
     fig4_graph,
     gen_gk,
-    gk_adversarial_order,
-    gk_optimal_order,
     named_instance,
     random_multigraph,
     random_scheduling_instance,
@@ -25,6 +22,7 @@ from orientopt.instances import (
 from orientopt.objectives import LiftedCost, linear, square, zero
 from orientopt.ordering import exact_subset_dp
 
+from paper_facts import brute_schedule_cost, gk_adversarial_order, gk_optimal_order
 from peeling_reference import ref_is_greedy_run
 
 

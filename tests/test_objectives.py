@@ -31,7 +31,6 @@ from orientopt.objectives import (
     lift,
     linear,
     neg_exp_base,
-    rank_key,
     rank_of,
     square,
     table,
@@ -39,6 +38,8 @@ from orientopt.objectives import (
     zero,
 )
 from orientopt.ordering import _dp_form
+
+from paper_facts import rank_key
 
 costs = st.builds(
     LiftedCost,

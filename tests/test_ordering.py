@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -221,9 +222,14 @@ class TestSubsetDP:
         assert value == 0
 
     def test_cap(self):
+        # refused before any vertex is priced
+        def cost(v, z):
+            raise AssertionError("priced a vertex")
+
         for n in (DP_CAP + 1, 30):
-            with pytest.raises(ValueError, match=rf"\({DP_CAP}\)"):
-                exact_subset_dp(build_graph(n, []), lambda v, z: z)
+            for edges in ([], [(v, v + 1) for v in range(n - 1)]):
+                with pytest.raises(ValueError, match=rf"over {n} vertices exceeds the cap \({DP_CAP}\)"):
+                    exact_subset_dp(build_graph(n, edges), cost)
 
     def test_empty_graph(self):
         assert exact_subset_dp(build_graph(0, []), lambda v, z: z) == ((), 0)
@@ -319,6 +325,80 @@ class TestSubsetDP:
             graphs.append(shuffled(n1 + n2, [*a.edges, *((u + n1, v + n1) for u, v in b.edges)]))
         assert max(g.n for g in graphs) == 12
         self.assert_matches_reference(graphs, rng)
+
+    def test_minimum_starts_above_every_partial_sum(self):
+        """Every cost negative, so that a mask's best sum lies above the
+        sum over all vertices: a start value that is not above every
+        partial sum leaves masks at that start.  Positive tables with
+        ``maximize`` are negated into the same case.  Every graph has
+        vertices in both halves of the vertex set and edges across them."""
+        rng = random.Random(10)
+        graphs = []
+        for n in range(2, 10):
+            for _ in range(4):
+                half = n // 2
+                edges = [(rng.randrange(half, n), rng.randrange(n)) for _ in range(2 * n)]
+                if half > 1:
+                    edges.append((0, half - 1))
+                edges += [(half, n - 1), (0, n - 1)]
+                graphs.append(build_graph(n, edges, allow_loops=True))
+        for g in graphs:
+            def rows(draw):
+                return [[draw() for _ in range(g.degrees[v] + 1)] for v in range(g.n)]
+
+            for t, maximize in (
+                (rows(lambda: rng.randint(-9, -1)), False),
+                (rows(lambda: Fraction(-rng.randint(1, 30), rng.randint(1, 6))), False),
+                (rows(lambda: LiftedCost(-rng.randint(1, 2), -rng.randint(0, 9))), False),
+                (rows(lambda: rng.randint(1, 9)), True),
+                (rows(lambda: LiftedCost(rng.randint(1, 2), rng.randint(0, 9))), True),
+            ):
+                got = exact_subset_dp(g, lambda v, z: t[v][z], maximize=maximize)
+                want = ref_subset_dp(g, lambda v, z: t[v][z], maximize=maximize)
+                assert got == want, (g.edges, t, maximize)
+
+    def test_matches_naive_reference_at_the_smallest_sizes(self):
+        """n = 0 to 3, where a half holds at most one vertex, so the first
+        block of masks starts at mask 1 and a block can hold one mask."""
+        graphs = [
+            build_graph(0, []),
+            build_graph(1, []),
+            build_graph(1, [(0, 0)], allow_loops=True),
+            build_graph(1, [(0, 0)] * 2, allow_loops=True),
+            build_graph(2, []),
+            build_graph(2, [(0, 1)]),
+            build_graph(2, [(0, 1), (1, 0)]),
+            build_graph(2, [(0, 0)], allow_loops=True),
+            build_graph(2, [(1, 1), (0, 1)], allow_loops=True),
+            build_graph(2, [(0, 0), (1, 1), (0, 1)], allow_loops=True),
+            build_graph(3, []),
+            build_graph(3, [(0, 1), (1, 2)]),
+            build_graph(3, [(0, 2)]),
+            build_graph(3, [(0, 1), (1, 2), (0, 2), (0, 2)]),
+            build_graph(3, [(2, 2), (0, 1)], allow_loops=True),
+            build_graph(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)], allow_loops=True),
+        ]
+        self.assert_matches_reference(graphs, random.Random(11))
+
+    def test_thousands_of_parallel_edges(self):
+        """A few vertices of degree in the thousands, with different
+        multiplicities across both halves: the DP matches the reference,
+        and its peak memory stays linear in the degrees, where a cost row
+        shifted to every offset would hold deg^2 / 2 entries."""
+        graphs = [
+            build_graph(2, [(0, 1)] * 3000),
+            build_graph(3, [(0, 1)] * 900 + [(1, 2)] * 700 + [(0, 2)] * 400 + [(1, 1)] * 300, allow_loops=True),
+            build_graph(4, [(0, 1)] * 500 + [(0, 2)] * 300 + [(1, 3)] * 700 + [(2, 3)] * 200 + [(0, 3)] * 400),
+        ]
+        self.assert_matches_reference(graphs, random.Random(12))
+        for g in graphs:
+            tracemalloc.start()
+            try:
+                exact_subset_dp(g, lambda v, z: z * z)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2_000_000, (g.n, g.m, peak)
 
     def test_one_penalty_unit_outweighs_a_huge_base_spread(self):
         # order (0, 1) costs LiftedCost(1, 0) and order (1, 0) costs
