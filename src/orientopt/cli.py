@@ -2,9 +2,9 @@
 
 Subcommands: ``solve`` (run a solver mode), ``oracle`` (exhaustive
 ground truth), ``compare`` (solver vs oracle, nonzero exit on key
-mismatch), ``generate`` (builtin graph families), ``bench`` (repeat a
-solve and report wall times).  Reports are single-line JSON with a
-``schema`` field; all randomness comes from ``--seed``.
+mismatch), ``generate`` (builtin graph families), ``bench`` (``solve``,
+repeated, with each run's wall time).  Reports are single-line JSON with
+a ``schema`` field; all randomness comes from ``--seed``.
 
 Exit codes: 0 success, 1 compare mismatch, 2 parse error (with a
 line/column diagnostic on stderr), 3 precondition violation (a file that
@@ -25,12 +25,10 @@ from pathlib import Path
 
 from .graph import (
     Multigraph,
-    Orientation,
     _degree_vector,
     _order_heads,
     check_order,
-    degrees_of_order,
-    degrees_of_orientation,
+    check_orientation,
 )
 from .objectives import PhiSum, LiftedCost, evaluate, needs_weighted_degrees, resolved
 from .flow import solve_cyclic
@@ -56,7 +54,6 @@ from .formats import (
 from .instances import (
     _UnknownName,
     fig4_graph,
-    gen_gk,
     named_instance,
     random_multigraph,
     random_scheduling_instance,
@@ -105,10 +102,10 @@ def _slopes_from_objective(graph, objective):
     return [phi.spec.params[0] for phi in phis]
 
 
-def _heads_key(graph, objective, heads, dv=None):
-    """The key of the orientation that ``heads`` give; ``dv``, if given,
-    holds its plain degrees.  A weighted ``max_weighted_indeg`` key is
-    one Fraction of the largest int weighted indegree (in units of
+def _heads_key(graph, objective, heads, dv):
+    """The key of the orientation that ``heads`` give, whose plain
+    degrees ``dv`` holds.  A weighted ``max_weighted_indeg`` key is one
+    Fraction of the largest int weighted indegree (in units of
     :attr:`Multigraph.int_weights`), so it needs no Fraction per vertex."""
     if needs_weighted_degrees(objective) and graph.weights is not None:
         w, scale = graph.int_weights
@@ -117,15 +114,14 @@ def _heads_key(graph, objective, heads, dv=None):
             indeg[h] += x
         return Fraction(max(indeg), scale) if indeg else 0
     # without weights, the plain degrees equal the weighted ones
-    if dv is None:
-        dv = _degree_vector(graph, heads, False)
     return evaluate(objective, graph, dv)
 
 
 def _run_mode(graph, objective, mode, seed, trials):
-    """Dispatch one solver mode; returns (order | None, orientation | None,
-    key, extra report fields)."""
+    """Dispatch one solver mode; returns (order, None) or (None,
+    orientation), then the solver's own key | None and extra report fields."""
     extra: dict = {}
+    key = None
     if mode == "cyclic-flow":
         sol = solve_cyclic(graph, objective)
         return None, sol.orientation, sol.key, extra
@@ -147,27 +143,25 @@ def _run_mode(graph, objective, mode, seed, trials):
         order = derandomized_order(graph)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    order = check_order(graph, order)
-    heads = _order_heads(graph, order)
-    if mode != "acyclic-exact":  # the exact solver returns its key
-        key = _heads_key(graph, objective, heads)
-    orientation = None if graph.has_loops else Orientation(heads)
-    return order, orientation, key, extra
+    return order, None, key, extra
 
 
 def _solve_report(graph, objective, mode, seed, trials):
+    """Run one mode, check its answer and return (report, key).  The key is
+    evaluated once, from the answer's heads, and a solver's own key must
+    equal it; loops leave the orientation undefined."""
     start = time.perf_counter()
-    order, orientation, key, extra = _run_mode(graph, objective, mode, seed, trials)
+    order, orientation, own_key, extra = _run_mode(graph, objective, mode, seed, trials)
     elapsed = time.perf_counter() - start
-    # round-trip: the reported key must re-evaluate from the reported
-    # orientation (or order, when loops keep orientations undefined)
-    if orientation is not None:
-        plain = degrees_of_orientation(graph, orientation)
+    if order is None:
+        check_orientation(graph, orientation)
         heads = orientation.heads
     else:
-        plain = degrees_of_order(graph, order)
+        order = check_order(graph, order)
         heads = _order_heads(graph, order)
-    if _heads_key(graph, objective, heads, plain) != key:
+    plain = _degree_vector(graph, heads, False)
+    key = _heads_key(graph, objective, heads, plain)
+    if own_key is not None and own_key != key:
         raise RuntimeError("internal error: reported key does not re-evaluate")
     report = {
         "schema": 1,
@@ -177,7 +171,7 @@ def _solve_report(graph, objective, mode, seed, trials):
         "n": graph.n,
         "m": graph.m,
         "order": list(order) if order is not None else None,
-        "orientation": list(orientation.heads) if orientation is not None else None,
+        "orientation": None if graph.has_loops else list(heads),
         "indeg": list(plain.indeg),
         "outdeg": list(plain.outdeg),
         "key": key_to_json(key),
@@ -249,19 +243,15 @@ def _cmd_bench(args) -> int:
         raise ValueError("need at least one repetition")
     graph = _load_graph(args.input)
     objective = _load_objective(args.objective)
-    times = []
-    key = None
-    for _ in range(args.repeat):
-        start = time.perf_counter()
-        _, _, key, _ = _run_mode(graph, objective, args.mode, args.seed, args.trials)
-        times.append(round(time.perf_counter() - start, 6))
+    runs = [_solve_report(graph, objective, args.mode, args.seed, args.trials)
+            for _ in range(args.repeat)]
     report = {
         "schema": 1,
         "subcommand": "bench",
         "mode": args.mode,
         "repeat": args.repeat,
-        "key": key_to_json(key),
-        "wall_times": times,
+        "key": key_to_json(runs[-1][1]),
+        "wall_times": [rep["wall_time"] for rep, _ in runs],
     }
     print(json.dumps(report))
     return 0
@@ -271,7 +261,7 @@ def _cmd_generate(args) -> int:
     if args.family == "fig4":
         graph = fig4_graph()
     elif args.family == "gk":
-        graph = gen_gk(args.k)
+        graph = named_instance(f"gk:{args.k}")
     elif args.family == "random":
         graph = random_multigraph(
             args.n,

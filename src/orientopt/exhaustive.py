@@ -38,7 +38,6 @@ from typing import Iterator
 from .graph import (
     Multigraph,
     Orientation,
-    check_orientation,
     degrees_of_order,
     degrees_of_orientation,
     topological_order,
@@ -361,7 +360,7 @@ def _greedy_worst(graph: Multigraph) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Corner certificates for the two orientation regimes.
+# Corner certificate of an acyclic orientation.
 
 
 def vertex_certificate(graph: Multigraph, orientation: Orientation):
@@ -393,74 +392,3 @@ def vertex_certificate(graph: Multigraph, orientation: Orientation):
     zeros = [[0] * len(t) for t in sums]
     _walk_orientations(graph, ([1] * graph.m, zeros, sums, None, 1, None), visit)
     return tuple(slopes), least[1] == {target}
-
-
-def shortest_directed_cycle(graph: Multigraph, orientation: Orientation):
-    """Arc ids of a shortest directed cycle, or None if acyclic."""
-    check_orientation(graph, orientation)
-    n = graph.n
-    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for j, h in enumerate(orientation.heads):
-        t = graph.other_end(j, h)
-        out[t].append((h, j))
-    best: list[int] | None = None
-    for s in range(n):
-        # BFS over arcs from s; first time we re-enter s closes a cycle
-        dist = [-1] * n
-        par_v = [-1] * n
-        par_e = [-1] * n
-        dist[s] = 0
-        queue = [s]
-        closing = None
-        while queue and closing is None:
-            nxt = []
-            for v in queue:
-                for h, j in out[v]:
-                    if h == s:
-                        closing = (v, j)
-                        break
-                    if dist[h] == -1:
-                        dist[h] = dist[v] + 1
-                        par_v[h] = v
-                        par_e[h] = j
-                        nxt.append(h)
-                if closing:
-                    break
-            queue = nxt
-        if closing is None:
-            continue
-        v, j = closing
-        cyc = [j]
-        while v != s:
-            cyc.append(par_e[v])
-            v = par_v[v]
-        cyc.reverse()
-        if best is None or len(cyc) < len(best):
-            best = cyc
-    return best
-
-
-def cycle_reversal_decomposition(graph: Multigraph, orientation: Orientation):
-    """Express a cyclic orientation's indegree vector as the exact average
-    of k vectors, by reversing each arc of one directed k-cycle in turn.
-
-    Returns the k orientations; raises on acyclic input.
-    """
-    cyc = shortest_directed_cycle(graph, orientation)
-    if cyc is None:
-        raise ValueError("orientation is acyclic; no cycle to decompose")
-    heads = orientation.heads
-    out = []
-    for j in cyc:
-        flipped = list(heads)
-        flipped[j] = graph.other_end(j, heads[j])
-        out.append(Orientation(tuple(flipped)))
-    k = len(out)
-    base = degrees_of_orientation(graph, orientation).indeg
-    sums = [0] * graph.n
-    for o in out:
-        for v, z in enumerate(degrees_of_orientation(graph, o).indeg):
-            sums[v] += z
-    if sums != [k * z for z in base]:
-        raise RuntimeError("internal error: reversal vectors do not average back")
-    return tuple(out)

@@ -88,10 +88,6 @@ class Multigraph:
         return tuple(sum(map(w.__getitem__, ids)) for ids in self.incident)
 
     @cached_property
-    def weighted_degrees(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(d, self.int_weights[1]) for d in self.int_weighted_degrees)
-
-    @cached_property
     def loop_counts(self) -> tuple[int, ...]:
         cnt = [0] * self.n
         for u, v in self.edges:
@@ -346,9 +342,6 @@ class BlockTree:
 
     def is_end_component(self, i: int) -> bool:
         return len(self.block_cuts[i]) == 1
-
-    def blocks_at(self, v: int) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.blocks) if v in b.vertices)
 
 
 def block_tree(graph: Multigraph) -> BlockTree:

@@ -155,24 +155,6 @@ def table(values: Sequence) -> PhiSpec:
     return PhiSpec("table", vals)
 
 
-def validate_convex(spec: PhiSpec, d_max: int) -> tuple[int, ...]:
-    """Check discrete convexity of ``spec`` on ``0..d_max``.
-
-    Returns the interior points where convexity is strict
-    (phi(z+1) + phi(z-1) > 2 phi(z)); raises if it fails anywhere.
-    """
-    if spec.d_max is not None and spec.d_max < d_max:
-        raise ValueError(f"table cost is only defined up to indegree {spec.d_max}, need {d_max}")
-    strict = []
-    for z in range(1, d_max):
-        gap = spec(z + 1) + spec(z - 1) - 2 * spec(z)
-        if gap < 0:
-            raise ValueError(f"cost is not convex at indegree {z}")
-        if gap > 0:
-            strict.append(z)
-    return tuple(strict)
-
-
 @dataclass(frozen=True)
 class LiftedPhi:
     """Cost spec with optional degree bounds, producing LiftedCost values.
@@ -368,8 +350,7 @@ def evaluate(objective, graph: Multigraph, dv: DegreeVector):
     """Natural key of a degree vector under an objective.
 
     For ``max_weighted_indeg`` pass a weighted degree vector.  Smaller
-    is better for some kinds and larger for others; use
-    :func:`rank_of` for a uniform minimize-me key.
+    is better for some kinds and larger for others.
     """
     k = objective.kind
     indeg = dv.indeg
@@ -386,15 +367,3 @@ def evaluate(objective, graph: Multigraph, dv: DegreeVector):
     if k == "forbidden_subpaths":
         return sum(z * (z - 1) // 2 for z in indeg)
     raise ValueError(f"unknown objective kind {k!r}")
-
-
-def rank_of(objective, key):
-    """Map a natural key to a totally ordered minimize-me key."""
-    k = objective.kind
-    if k == "phi_sum":
-        return (key.penalty, key.base)
-    if k in ("inc_max", "dec_max"):
-        return tuple(-x for x in key)
-    if k == "rho_delta_sum":
-        return -key
-    return key

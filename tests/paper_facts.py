@@ -2,17 +2,27 @@
 check solvers against: the harmonic bound on greedy square sums, the
 optimum of a linear cost sum, the degree-product imbalance of an order,
 the two orders of the G_k tightness family, a brute-force scheduling
-optimum, a minimize-me rank of an order's key, and a graph's JSON
-document."""
+optimum, a minimize-me rank of an order's key, a graph's JSON document,
+a cost's discrete convexity, a graph's Fraction weighted degrees, the
+blocks at a vertex, and the cycle-reversal certificate of a cyclic
+orientation."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from orientopt.formats import rational_to_json
-from orientopt.graph import DegreeVector, Multigraph, degrees_of_order
+from orientopt.graph import (
+    BlockTree,
+    DegreeVector,
+    Multigraph,
+    Orientation,
+    check_orientation,
+    degrees_of_order,
+    degrees_of_orientation,
+)
 from orientopt.instances import SchedulingInstance
-from orientopt.objectives import evaluate, exact_number, rank_of
+from orientopt.objectives import PhiSpec, evaluate, exact_number
 
 
 def harmonic(n: int) -> Fraction:
@@ -92,6 +102,18 @@ def brute_schedule_cost(instance: SchedulingInstance):
     return best
 
 
+def rank_of(objective, key):
+    """Map a natural key to a totally ordered minimize-me key."""
+    k = objective.kind
+    if k == "phi_sum":
+        return (key.penalty, key.base)
+    if k in ("inc_max", "dec_max"):
+        return tuple(-x for x in key)
+    if k == "rho_delta_sum":
+        return -key
+    return key
+
+
 def rank_key(objective, graph: Multigraph, dv: DegreeVector):
     return rank_of(objective, evaluate(objective, graph, dv))
 
@@ -107,3 +129,100 @@ def graph_to_json(graph: Multigraph) -> dict:
     if graph.allow_loops:
         doc["allow_loops"] = True
     return doc
+
+
+def validate_convex(spec: PhiSpec, d_max: int) -> tuple[int, ...]:
+    """Check discrete convexity of ``spec`` on ``0..d_max``.
+
+    Returns the interior points where convexity is strict
+    (phi(z+1) + phi(z-1) > 2 phi(z)); raises if it fails anywhere.
+    """
+    if spec.d_max is not None and spec.d_max < d_max:
+        raise ValueError(f"table cost is only defined up to indegree {spec.d_max}, need {d_max}")
+    strict = []
+    for z in range(1, d_max):
+        gap = spec(z + 1) + spec(z - 1) - 2 * spec(z)
+        if gap < 0:
+            raise ValueError(f"cost is not convex at indegree {z}")
+        if gap > 0:
+            strict.append(z)
+    return tuple(strict)
+
+
+def weighted_degrees(graph: Multigraph) -> tuple[Fraction, ...]:
+    return tuple(Fraction(d, graph.int_weights[1]) for d in graph.int_weighted_degrees)
+
+
+def blocks_at(tree: BlockTree, v: int) -> tuple[int, ...]:
+    return tuple(i for i, b in enumerate(tree.blocks) if v in b.vertices)
+
+
+def shortest_directed_cycle(graph: Multigraph, orientation: Orientation):
+    """Arc ids of a shortest directed cycle, or None if acyclic."""
+    check_orientation(graph, orientation)
+    n = graph.n
+    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for j, h in enumerate(orientation.heads):
+        t = graph.other_end(j, h)
+        out[t].append((h, j))
+    best: list[int] | None = None
+    for s in range(n):
+        # BFS over arcs from s; first time we re-enter s closes a cycle
+        dist = [-1] * n
+        par_v = [-1] * n
+        par_e = [-1] * n
+        dist[s] = 0
+        queue = [s]
+        closing = None
+        while queue and closing is None:
+            nxt = []
+            for v in queue:
+                for h, j in out[v]:
+                    if h == s:
+                        closing = (v, j)
+                        break
+                    if dist[h] == -1:
+                        dist[h] = dist[v] + 1
+                        par_v[h] = v
+                        par_e[h] = j
+                        nxt.append(h)
+                if closing:
+                    break
+            queue = nxt
+        if closing is None:
+            continue
+        v, j = closing
+        cyc = [j]
+        while v != s:
+            cyc.append(par_e[v])
+            v = par_v[v]
+        cyc.reverse()
+        if best is None or len(cyc) < len(best):
+            best = cyc
+    return best
+
+
+def cycle_reversal_decomposition(graph: Multigraph, orientation: Orientation):
+    """Express a cyclic orientation's indegree vector as the exact average
+    of k vectors, by reversing each arc of one directed k-cycle in turn.
+
+    Returns the k orientations; raises on acyclic input.
+    """
+    cyc = shortest_directed_cycle(graph, orientation)
+    if cyc is None:
+        raise ValueError("orientation is acyclic; no cycle to decompose")
+    heads = orientation.heads
+    out = []
+    for j in cyc:
+        flipped = list(heads)
+        flipped[j] = graph.other_end(j, heads[j])
+        out.append(Orientation(tuple(flipped)))
+    k = len(out)
+    base = degrees_of_orientation(graph, orientation).indeg
+    sums = [0] * graph.n
+    for o in out:
+        for v, z in enumerate(degrees_of_orientation(graph, o).indeg):
+            sums[v] += z
+    if sums != [k * z for z in base]:
+        raise RuntimeError("internal error: reversal vectors do not average back")
+    return tuple(out)

@@ -5,17 +5,18 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import orientopt
 from orientopt import cli
-from orientopt.cli import _run_mode, _solve_report, build_parser, run
-from orientopt.formats import parse_graph, parse_objective, rational_to_json
+from orientopt.cli import MODES, _solve_report, build_parser, run
+from orientopt.formats import key_to_json, parse_graph, parse_objective, rational_to_json
 from orientopt.graph import Orientation, build_graph, degrees_of_order, degrees_of_orientation
 from orientopt.instances import random_multigraph
-from orientopt.objectives import PhiSum, evaluate
+from orientopt.objectives import LiftedCost, PhiSum, evaluate
 
 
 def invoke(capsys, *argv):
@@ -146,10 +147,10 @@ class TestSolve:
             if seed == 5:
                 g = build_graph(g.n, g.edges, [j % 3 for j in range(g.m)], allow_loops=True)
             for mode in ("smallest-last", "acyclic-greedy") + ("random",) * (not g.has_loops):
-                order, _, key, _ = _run_mode(g, obj, mode, 1, 5)
-                want = evaluate(obj, g, degrees_of_order(g, order, weighted=True))
+                report, key = _solve_report(g, obj, mode, 1, 5)
+                want = evaluate(obj, g, degrees_of_order(g, report["order"], weighted=True))
                 assert repr(key) == repr(want), (seed, mode)
-                assert repr(_solve_report(g, obj, mode, 1, 5)[1]) == repr(want)
+                assert report["key"] == key_to_json(want)
 
     def test_greedy_seed_switches_tie_rule(self, capsys):
         base = report_of(
@@ -205,6 +206,28 @@ class TestOneResolve:
         monkeypatch.setattr(PhiSum, "resolve", counted)
         report_of(capsys, *argv)
         assert len(calls) <= 1
+
+
+class TestOneKey:
+    """A report's key is evaluated once, from the answer's heads."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_evaluate_per_report(self, capsys, monkeypatch, mode):
+        spec = {"kind": "phi_sum",
+                "per_vertex": [{"kind": "linear", "a": f"{v % 3}/2", "b": v} for v in range(6)]}
+        calls = []
+
+        def counting_evaluate(*args):
+            calls.append(args[0])
+            return evaluate(*args)
+
+        monkeypatch.setattr(cli, "evaluate", counting_evaluate)
+        rep = report_of(
+            capsys, "solve", "--input", "cycle:6", "--objective", json.dumps(spec),
+            "--mode", mode,
+        )
+        assert len(calls) == 1
+        assert rep["key"]["penalty"] == 0
 
 
 class TestExitCodes:
@@ -354,6 +377,46 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: internal error: solver broke\n"
 
+    @pytest.mark.parametrize("subcommand", ["solve", "compare", "bench"])
+    @pytest.mark.parametrize("mode", ["acyclic-exact", "cyclic-flow"])
+    def test_solver_key_that_does_not_re_evaluate_is_4(
+        self, capsys, monkeypatch, subcommand, mode
+    ):
+        exact, flow = cli.solve_acyclic_exact, cli.solve_cyclic
+
+        def off_by_one(key):
+            return LiftedCost(key.penalty, key.base + 1)
+
+        def exact_off_by_one(graph, objective):
+            order, key = exact(graph, objective)
+            return order, off_by_one(key)
+
+        def flow_off_by_one(graph, objective):
+            sol = flow(graph, objective)
+            return replace(sol, key=off_by_one(sol.key))
+
+        monkeypatch.setattr(cli, "solve_acyclic_exact", exact_off_by_one)
+        monkeypatch.setattr(cli, "solve_cyclic", flow_off_by_one)
+        code, out, err = invoke(
+            capsys, subcommand, "--input", "k3", "--objective", "square", "--mode", mode,
+        )
+        assert (code, out) == (4, "")
+        assert err == "error: internal error: reported key does not re-evaluate\n"
+
+    def test_cyclic_orientation_is_checked(self, capsys, monkeypatch):
+        flow = cli.solve_cyclic
+
+        def off_the_edge(graph, objective):
+            sol = flow(graph, objective)
+            return replace(sol, orientation=Orientation((2,) + sol.orientation.heads[1:]))
+
+        monkeypatch.setattr(cli, "solve_cyclic", off_the_edge)
+        code, out, err = invoke(
+            capsys, "solve", "--input", "k3", "--objective", "square", "--mode", "cyclic-flow",
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: head of edge 0 is not one of its endpoints\n"
+
     def test_oracle_cap_is_3(self, capsys):
         # gk:3 has 11 vertices, beyond the 10! order cap
         code, _, _ = invoke(
@@ -474,6 +537,22 @@ class TestBench:
         assert len(rep["wall_times"]) == 4
         assert rep["key"] == {"penalty": 0, "base": 3}
 
+    def test_wall_times_are_the_reports_wall_times(self, capsys, monkeypatch):
+        times = []
+
+        def solve_report(*args):
+            report, key = _solve_report(*args)
+            times.append(report["wall_time"])
+            return report, key
+
+        monkeypatch.setattr(cli, "_solve_report", solve_report)
+        rep = report_of(
+            capsys, "bench", "--input", "fig4", "--objective", "dec_min",
+            "--mode", "acyclic-exact", "--repeat", "3",
+        )
+        assert rep["wall_times"] == times and len(times) == 3
+        assert rep["key"] == [3, 3, 3, 3, 2, 2, 1, 1, 0]
+
     def test_zero_repetitions_rejected(self, capsys):
         code, _, _ = invoke(
             capsys, "bench", "--input", "k3", "--objective", "square",
@@ -488,6 +567,11 @@ class TestGenerate:
         assert code == 0
         g = parse_graph(out)
         assert (g.n, g.m) == (11, 13)
+
+    def test_gk_above_the_instance_cap_is_3(self, capsys):
+        code, out, err = invoke(capsys, "generate", "--family", "gk", "--k", "222223")
+        assert (code, out) == (3, "")
+        assert "at most gk:222222," in err
 
     def test_random_respects_flags(self, capsys, tmp_path):
         p = tmp_path / "g.graph"

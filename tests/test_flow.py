@@ -27,13 +27,12 @@ from orientopt.objectives import (
     cube,
     evaluate,
     lift,
-    rank_of,
     square,
     table,
     zero,
 )
 
-from paper_facts import brute_schedule_cost
+from paper_facts import brute_schedule_cost, rank_of
 
 
 def k3():

@@ -31,15 +31,13 @@ from orientopt.objectives import (
     lift,
     linear,
     neg_exp_base,
-    rank_of,
     square,
     table,
-    validate_convex,
     zero,
 )
 from orientopt.ordering import _dp_form
 
-from paper_facts import rank_key
+from paper_facts import rank_key, rank_of, validate_convex
 
 costs = st.builds(
     LiftedCost,

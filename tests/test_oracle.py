@@ -14,11 +14,9 @@ from orientopt.exhaustive import (
     BruteResult,
     _greedy_worst,
     brute_optimal,
-    cycle_reversal_decomposition,
     enumerate_orders,
     enumerate_orientations,
     order_value_stats,
-    shortest_directed_cycle,
     vertex_certificate,
 )
 from orientopt.graph import (
@@ -42,11 +40,12 @@ from orientopt.objectives import (
     evaluate,
     lift,
     linear,
-    rank_of,
     square,
     zero,
 )
 from orientopt.ordering import conditional_expectation, solve_acyclic_exact
+
+from paper_facts import cycle_reversal_decomposition, rank_of, shortest_directed_cycle
 
 
 EVERY_KIND = (
