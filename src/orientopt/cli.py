@@ -153,12 +153,15 @@ def _solve_report(graph, objective, mode, seed, trials):
     start = time.perf_counter()
     order, orientation, own_key, extra = _run_mode(graph, objective, mode, seed, trials)
     elapsed = time.perf_counter() - start
-    if order is None:
-        check_orientation(graph, orientation)
-        heads = orientation.heads
-    else:
-        order = check_order(graph, order)
-        heads = _order_heads(graph, order)
+    try:  # only the solver's answer reaches these checks
+        if order is None:
+            check_orientation(graph, orientation)
+            heads = orientation.heads
+        else:
+            order = check_order(graph, order)
+            heads = _order_heads(graph, order)
+    except ValueError as e:
+        raise RuntimeError(f"internal error: {e}") from e
     plain = _degree_vector(graph, heads, False)
     key = _heads_key(graph, objective, heads, plain)
     if own_key is not None and own_key != key:
@@ -221,9 +224,9 @@ def _cmd_oracle(args) -> int:
 def _cmd_compare(args) -> int:
     graph = _load_graph(args.input)
     objective = _load_objective(args.objective)
-    _, solver_key = _solve_report(graph, objective, args.mode, args.seed, args.trials)
     oracle_mode = "cyclic" if args.mode == "cyclic-flow" else "acyclic"
-    oracle = brute_optimal(graph, objective, oracle_mode)
+    oracle = brute_optimal(graph, objective, oracle_mode)  # its caps refuse before a solve
+    _, solver_key = _solve_report(graph, objective, args.mode, args.seed, args.trials)
     match = solver_key == oracle.key
     report = {
         "schema": 1,
@@ -340,48 +343,30 @@ _SUBCOMMANDS = (
 )
 
 
-def _first_word(argv) -> str | None:
-    """The first bare word of ``argv``: the top level takes no option
-    values, so this word names the subcommand."""
-    return next((a for a in argv if not a.startswith("-")), None)
-
-
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The argument parser.  Given the ``argv`` to parse, only the
-    subcommand it names gets its arguments; without, every one does."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, every subcommand with its arguments."""
     parser = argparse.ArgumentParser(
         prog="orientopt",
         description="Orient multigraph edges to optimize indegree objectives.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    chosen = None if argv is None else _first_word(argv)
     for name, help_text, func, add_arguments in _SUBCOMMANDS:
         p = sub.add_parser(name, help=help_text)
-        if argv is None or name == chosen:
-            add_arguments(p)
+        add_arguments(p)
         p.set_defaults(func=func)
     return parser
 
 
-_NAMES = frozenset(name for name, *_ in _SUBCOMMANDS)
-
-
 @lru_cache(maxsize=None)
-def _parser(subcommand: str | None) -> argparse.ArgumentParser:
-    """What ``build_parser`` builds for an argv that names ``subcommand``
-    (None: no known one), built once per process.  Building costs far
-    more than parsing, and parsing leaves the parser as it was; help
-    text reads the terminal width when it is printed."""
-    return build_parser([] if subcommand is None else [subcommand])
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on ``run``'s first call (never at import) and
+    reused: parsing leaves it as it was, and help reads the width when printed."""
+    return build_parser()
 
 
 def run(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    word = _first_word(argv)
-    parser = _parser(word if word in _NAMES else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)  # None: argparse reads sys.argv[1:]
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -414,8 +414,17 @@ class TestExitCodes:
         code, out, err = invoke(
             capsys, "solve", "--input", "k3", "--objective", "square", "--mode", "cyclic-flow",
         )
-        assert (code, out) == (3, "")
-        assert err == "error: head of edge 0 is not one of its endpoints\n"
+        assert (code, out) == (4, "")
+        assert err == "error: internal error: head of edge 0 is not one of its endpoints\n"
+
+    def test_solver_order_is_checked(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "greedy_min_degree", lambda graph, seed: (0, 0, 1))
+        code, out, err = invoke(
+            capsys, "solve", "--input", "k3", "--objective", "square",
+            "--mode", "acyclic-greedy",
+        )
+        assert (code, out) == (4, "")
+        assert err == "error: internal error: order is not a permutation of the vertices\n"
 
     def test_oracle_cap_is_3(self, capsys):
         # gk:3 has 11 vertices, beyond the 10! order cap
@@ -466,7 +475,7 @@ class TestArgumentParsing:
 
     @pytest.mark.parametrize("case", PARSER_RECORDING["cases"], ids=parser_case_id)
     def test_subcommand_parser_matches_full_parser(self, capsys, case):
-        # run() gives only the named subcommand its arguments
+        # run()'s cached parser answers as a freshly built one does
         got = invoke(capsys, *case["argv"])
         with pytest.raises(SystemExit) as e:
             build_parser().parse_args(case["argv"])
@@ -525,6 +534,24 @@ class TestCompare:
         assert rep["match"] is False
         assert rep["solver_key"] == 17
         assert rep["oracle_key"] == 28
+
+    @pytest.mark.parametrize("instance, mode, solver, message", [
+        # gk:3 has 11 vertices, complete:7 has 21 edges: both beyond the caps
+        ("gk:3", "smallest-last", "weighted_smallest_last", "11! orders"),
+        ("complete:7", "cyclic-flow", "solve_cyclic", "2**21 orientations"),
+    ])
+    def test_oracle_refuses_before_the_solver_runs(
+        self, capsys, monkeypatch, instance, mode, solver, message,
+    ):
+        calls = []
+        solve = getattr(cli, solver)
+        monkeypatch.setattr(cli, solver, lambda *args: calls.append(args) or solve(*args))
+        code, out, err = invoke(
+            capsys, "compare", "--input", instance, "--objective", "max_weighted_indeg",
+            "--mode", mode,
+        )
+        assert (code, out, err) == (3, "", f"error: refusing to enumerate {message}\n")
+        assert calls == []
 
 
 class TestBench:
@@ -707,7 +734,7 @@ def test_module_invocation_matches_script():
 
 
 class TestParserCache:
-    """run() builds each subcommand's parser once per process."""
+    """run() builds the parser once per process, on its first call."""
 
     @pytest.fixture(autouse=True)
     def empty_cache(self):
@@ -718,9 +745,9 @@ class TestParserCache:
     def test_each_parser_is_built_at_most_once(self, capsys, monkeypatch, tmp_path):
         built = []
 
-        def counting_build_parser(argv=None):
-            built.append(next(a for a in argv if not a.startswith("-")))
-            return build_parser(argv)
+        def counting_build_parser():
+            built.append(True)
+            return build_parser()
 
         monkeypatch.setattr(cli, "build_parser", counting_build_parser)
         out = str(tmp_path / "g.txt")
@@ -735,7 +762,7 @@ class TestParserCache:
         for i in range(20):
             code, _, err = invoke(capsys, *requests[(3 * i) % 5])
             assert code == 0, err
-        assert sorted(built) == sorted(name for name, *_ in cli._SUBCOMMANDS)
+        assert built == [True]
 
     def test_usage_errors_leave_no_trace(self, capsys):
         for argv in [
@@ -762,7 +789,7 @@ class TestParserCache:
             code, out, _ = invoke(capsys, "solve", "--help")
             assert code == 0
             with pytest.raises(SystemExit):
-                build_parser(["solve"]).parse_args(["solve", "--help"])
+                build_parser().parse_args(["solve", "--help"])
             assert out == capsys.readouterr().out
             helps.append(out)
         assert helps[0] != helps[1]
@@ -775,4 +802,9 @@ class TestParserCache:
         assert cli._parser.cache_info().currsize == 1
         for argv in [(), ("--help",), K3_SOLVE, ("solve", "--help"), ("nosuch",)]:
             invoke(capsys, *argv)
-        assert cli._parser.cache_info().currsize == 2
+        assert cli._parser.cache_info().currsize == 1
+
+    def test_importing_the_cli_builds_no_parser(self):
+        fresh = run_process(sys.executable, "-c", "import orientopt.cli as c; "
+                            "print(c._parser.cache_info().currsize)")
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, "0\n", "")

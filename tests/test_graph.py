@@ -275,6 +275,25 @@ def _blocks_by_brute_force(g: Multigraph):
     return sorted(tuple(sorted(grp)) for grp in groups)
 
 
+def _cut_vertices_by_brute_force(g: Multigraph):
+    """The vertices whose removal leaves the rest disconnected, each found
+    by a breadth-first search over the graph without it."""
+    cuts = set()
+    for cut in range(g.n):
+        rest = [v for v in range(g.n) if v != cut]
+        queue = rest[:1]
+        seen = set(queue)
+        for u in queue:  # the queue grows behind the loop: breadth first
+            for j in g.incident[u]:
+                w = g.other_end(j, u)
+                if w != cut and w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        if len(seen) < len(rest):
+            cuts.add(cut)
+    return frozenset(cuts)
+
+
 def test_block_tree_matches_brute_grouping():
     rng = random.Random(11)
     done = 0
@@ -289,10 +308,10 @@ def test_block_tree_matches_brute_grouping():
         bt = block_tree(g)
         got = sorted(tuple(sorted(b.edge_ids)) for b in bt.blocks)
         assert got == _blocks_by_brute_force(g)
-        for v in range(n):
-            assert blocks_at(bt, v) == tuple(
-                i for i, b in enumerate(bt.blocks) if v in b.vertices
-            )
+        for b in bt.blocks:
+            ends = {x for j in b.edge_ids for x in g.edges[j]}
+            assert sorted(b.vertices) == sorted(ends)
+        assert bt.cut_vertices == _cut_vertices_by_brute_force(g)
 
 
 def test_block_tree_matches_brute_grouping_with_bridges_and_parallel_edges():

@@ -191,11 +191,15 @@ def ref_subset_dp(g, cost_of, maximize=False):
     f = [0] * (1 << g.n)
     last = [0] * (1 << g.n)
     for mask in range(1, 1 << g.n):
+        inside = [0] * g.n
+        for u, w in g.edges:
+            if mask >> u & 1 and mask >> w & 1:
+                inside[u] += 1
+                inside[w] += u != w  # a loop counts once
         best = None
         for v in range(g.n):
             if mask >> v & 1:
-                inside = [e for e in g.edges if v in e and all(mask >> x & 1 for x in e)]
-                cand = f[mask ^ (1 << v)] + tables[v][len(inside)]
+                cand = f[mask ^ (1 << v)] + tables[v][inside[v]]
                 if best is None or cand < best:
                     best, last[mask] = cand, v
         f[mask] = best
