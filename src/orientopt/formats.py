@@ -143,7 +143,8 @@ def parse_graph_json(text: str) -> Multigraph:
             raise FormatError(f"edge {i} is a loop but `allow_loops` is false")
         edges.append((u, v))
         if len(e) == 3:
-            w = _json_rational(e[2], f"edge {i} weight")
+            # weights stay Fractions, as the text format gives them
+            w = as_fraction(_json_rational(e[2], f"edge {i} weight"))
             if w < 0:
                 raise FormatError(f"edge {i} has negative weight {w}")
             weights.append(w)
@@ -174,8 +175,11 @@ def _rational(token: str) -> Fraction:
     return Fraction(token)
 
 
-def _json_rational(value, what: str) -> Fraction:
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+def _json_rational(value, what: str) -> int | Fraction:
+    """A JSON number or ``"p/q"`` string, exactly: ints stay ints."""
+    if type(value) is int:
+        return value
+    if isinstance(value, (float, str)):
         try:
             return _rational(value) if isinstance(value, str) else as_fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -239,6 +243,8 @@ def parse_objective(text: str):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FormatError("objective spec must have a `kind`")
     kind = doc["kind"]
+    if not isinstance(kind, str):
+        raise FormatError(f"objective `kind` must be a string, not {kind!r}")
     if kind in _KEY_OBJECTIVES:
         return _KEY_OBJECTIVES[kind]()
     if kind in _PHI_KINDS:
@@ -279,6 +285,8 @@ def parse_objective(text: str):
 
 def rational_to_json(x):
     """Exact value for a report: int when integral, else ``"p/q"``."""
+    if type(x) is int:
+        return x
     x = x if isinstance(x, Fraction) else Fraction(x)
     if x.denominator == 1:
         return int(x)

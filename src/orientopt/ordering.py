@@ -481,6 +481,29 @@ class TrialsResult:
     mean: Fraction
 
 
+def _shuffled_orders(rng: random.Random, n: int, trials: int):
+    """Yield ``trials`` pairs ``(perm, pos)``: ``perm`` is what
+    ``rng.shuffle(list(range(n)))`` gives, from the same ``getrandbits(k)``
+    draws with ``k = (i + 1).bit_length()``, and ``pos`` its inverse,
+    written as each position is settled (the vertex left at 0 has 0).
+    ``k`` changes only at powers of two, so its ranges of ``i`` are built once.
+    """
+    getrandbits = rng.getrandbits
+    spans = [(k, range(min(n - 1, (1 << k) - 2), (1 << (k - 1)) - 2, -1))
+             for k in range(n.bit_length(), 1, -1)]
+    for _ in range(trials):
+        perm = list(range(n))
+        pos = [0] * n
+        for k, span in spans:
+            for i in span:
+                j = getrandbits(k)
+                while j > i:
+                    j = getrandbits(k)
+                perm[i], perm[j] = perm[j], perm[i]
+                pos[perm[i]] = i
+        yield perm, pos
+
+
 def random_order_trials(graph: Multigraph, seed, trials: int) -> TrialsResult:
     """Sample uniform random orders; keep the best degree-product sum.
 
@@ -492,17 +515,11 @@ def random_order_trials(graph: Multigraph, seed, trials: int) -> TrialsResult:
         raise ValueError("need at least one trial")
     if graph.has_loops:
         raise ValueError("loops are not supported here")
-    rng = random.Random(seed)
     n, edges, degrees = graph.n, graph.edges, graph.degrees
     total = 0
     best_val = None
     best_order: tuple[int, ...] = ()
-    for _ in range(trials):
-        perm = list(range(n))
-        rng.shuffle(perm)
-        pos = [0] * n
-        for i, v in enumerate(perm):
-            pos[v] = i
+    for perm, pos in _shuffled_orders(random.Random(seed), n, trials):
         indeg = [0] * n  # each edge counts at its later endpoint
         for u, v in edges:
             if pos[u] < pos[v]:

@@ -298,6 +298,19 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("cmd, mode", [
+        ("solve", "cyclic-flow"), ("compare", "cyclic-flow"), ("bench", "cyclic-flow"),
+        ("oracle", "cyclic"),
+    ])
+    @pytest.mark.parametrize("kind", ['["a"]', '{"x": 1}'])
+    def test_objective_kind_that_is_no_string_is_2(self, capsys, cmd, mode, kind):
+        code, out, err = invoke(
+            capsys, cmd, "--input", "k3", "--objective", '{"kind": %s}' % kind, "--mode", mode,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 1, column 1: objective `kind` must be a string")
+        assert err.count("\n") == 1
+
     def test_precondition_violation_is_3(self, capsys):
         # combine-st needs max degree 3; fig4 has a degree-6 hub
         code, _, err = invoke(

@@ -154,6 +154,7 @@ class TestParseGraphJson:
             '{"n": 2, "edges": [[0, 0, "1/2"], [0, 1, 2]], "allow_loops": true}'
         )
         assert g.weights == (Fraction(1, 2), Fraction(2))
+        assert {type(w) for w in g.weights} == {Fraction}  # as the text format gives
         assert g.loop_counts == (1, 0)
 
     def test_rejections(self):
@@ -221,6 +222,12 @@ class TestParseObjective:
         got = parse_objective('{"kind": "exp_base", "base": 3}')
         assert got.shared.params == (3,)
 
+    def test_json_ints_stay_ints(self):
+        shared = parse_objective('{"kind": "table", "values": [0, 1, 5]}').shared
+        assert [type(x) for x in shared.params] == [int, int, int]
+        a, b = parse_objective('{"kind": "linear", "a": "3/2", "b": 4}').shared.params
+        assert (type(a), type(b)) == (Fraction, int)
+
     def test_rejections(self):
         bad = [
             "mystery",
@@ -242,6 +249,8 @@ class TestParseObjective:
             '{"kind": "abs_balance", "d": true}',
             '{"kind": "abs_balance", "d": false}',
             '{"kind": "linear", "a": []}',
+            '{"kind": ["a"]}',
+            '{"kind": {"x": 1}}',
         ]
         for text in bad:
             with pytest.raises(FormatError):

@@ -7,7 +7,9 @@ re-export) and fails on a name that a top-level import binds and the
 module never reads.  It also fails when a solver module (``flow``,
 ``ordering``) imports from ``exhaustive`` or ``exhaustive`` imports a
 solver, anywhere in the module: an oracle that shares code with the
-solver it checks cannot catch that code's faults.
+solver it checks cannot catch that code's faults.  An exactness lint
+fails on a float literal or a ``float(`` call anywhere in the package:
+values stay ints and Fractions.
 """
 
 import ast
@@ -90,3 +92,32 @@ def test_solvers_import_nothing_from_the_oracles(solver):
 
 def test_the_oracles_import_no_solver():
     assert not package_imports((PACKAGE / "exhaustive.py").read_text()) & {"flow", "ordering"}
+
+
+def inexact_numbers(source: str) -> list[str]:
+    """Float literals and ``float(`` calls, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append((node.lineno, node.col_offset, repr(node.value)))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            found.append((node.lineno, node.col_offset, "float("))
+    return [f"line {line}: {what}" for line, _, what in sorted(found)]
+
+
+def test_the_check_sees_floats():
+    source = (
+        "import time\n"
+        "x = 1 / 2 + 3\n"
+        "t = time.perf_counter()\n"
+        "if isinstance(x, float):\n"
+        "    y = float(x) + 0.5\n"
+        "z = -1e3\n"
+    )
+    assert inexact_numbers(source) == ["line 5: float(", "line 5: 0.5", "line 6: 1000.0"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_float_enters_the_package(path):
+    assert inexact_numbers(path.read_text()) == []

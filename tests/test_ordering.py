@@ -45,6 +45,7 @@ from orientopt.ordering import (
     exact_subset_dp,
     greedy_min_degree,
     linear_slope_order,
+    _shuffled_orders,
     random_order_trials,
     relative_order_counts,
     solve_acyclic_exact,
@@ -830,7 +831,50 @@ class TestCombineStOrders:
             assert rho_delta(g, order) == ideal - report.total
 
 
+def ref_random_order_trials(g, seed, trials):
+    """The trials as ``rng.shuffle`` draws them, one list pass to invert
+    each permutation; keeps the best degree-product sum and the mean."""
+    rng = random.Random(seed)
+    total, best_val, best_order = 0, None, ()
+    for _ in range(trials):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        pos = [0] * g.n
+        for i, v in enumerate(perm):
+            pos[v] = i
+        indeg = [0] * g.n
+        for u, v in g.edges:
+            indeg[v if pos[u] < pos[v] else u] += 1
+        val = sum(i * (d - i) for i, d in zip(indeg, g.degrees))
+        total += val
+        if best_val is None or val > best_val:
+            best_val, best_order = val, tuple(perm)
+    return best_order, best_val, Fraction(total, trials)
+
+
 class TestRandomTrials:
+    # every n in 0..70 (so 1, 2 and 63-65 around the powers of two), then 127-129
+    @pytest.mark.parametrize("n", [*range(71), 127, 128, 129])
+    def test_matches_shuffle_reference(self, n):
+        rng = random.Random(n)
+        for _ in range(5):
+            m = rng.randint(0, 3 * n) if n > 1 else 0
+            g = random_multigraph(n, m, seed=rng.randrange(10**6))
+            seed, trials = rng.randrange(-5, 10**9), rng.randint(1, 12)
+            r = random_order_trials(g, seed, trials)
+            assert (r.order, r.value, r.mean) == ref_random_order_trials(g, seed, trials)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 255, 256, 1024, 1500])
+    def test_draws_are_those_of_shuffle(self, n):
+        for seed in (0, 1, 2026):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for perm, pos in _shuffled_orders(ours, n, 3):
+                want = list(range(n))
+                theirs.shuffle(want)
+                assert perm == want
+                assert [pos[v] for v in perm] == list(range(n))
+            assert ours.getstate() == theirs.getstate()
+
     def test_deterministic_per_seed(self):
         g = fig4_graph()
         a = random_order_trials(g, seed=0, trials=50)
