@@ -29,13 +29,12 @@ the witness and the number of optima stay exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache
 from itertools import permutations
 from math import lcm
 from typing import Iterator
 
 from .graph import (
+    Frozen,
     Multigraph,
     Orientation,
     degrees_of_order,
@@ -65,11 +64,17 @@ def enumerate_orders(graph: Multigraph) -> Iterator[tuple[int, ...]]:
     return permutations(range(graph.n))
 
 
-@dataclass(frozen=True)
-class BruteResult:
-    key: object  # natural objective key
-    witness: object  # Orientation or order tuple
-    count: int | None  # number of optima; None unless counting was requested
+class BruteResult(Frozen):
+    """The natural objective key of the optimum, a witness attaining it
+    (an Orientation or an order tuple) and the number of optima, which is
+    None unless counting was requested."""
+
+    __slots__ = _fields = ("key", "witness", "count")
+
+    def __init__(self, key, witness, count: int | None):
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "count", count)
 
 
 def _ranker(graph: Multigraph, objective):
@@ -293,70 +298,6 @@ def brute_optimal(graph: Multigraph, objective, mode: str, count_optima: bool = 
     dv = degrees_of(graph, witness, needs_weighted_degrees(objective))
     count = best[2] if count_optima else None
     return BruteResult(evaluate(objective, graph, dv), witness, count)
-
-
-def order_value_stats(graph: Multigraph, value_of_left_degree=None):
-    """Sum, count and max of an additive order value over all n! orders.
-
-    Default value is sum of left degree times right degree.  Used for
-    exact expectations: mean = total / n!.
-    """
-    if graph.n > ORDER_CAP:
-        raise ValueError(f"refusing to enumerate {graph.n}! orders")
-    if graph.has_loops:
-        raise ValueError("degree-split statistics expect a loop-free graph")
-    degs = graph.degrees
-    value = value_of_left_degree or (lambda v, z: z * (degs[v] - z))
-    values = [[value(v, z) for z in range(d + 1)] for v, d in enumerate(degs)]
-    acc = [0, 0, None]  # total, leaves, best
-
-    def visit(head, left, order):
-        tb = head[1]
-        acc[0] += tb
-        acc[1] += 1
-        if acc[2] is None or tb > acc[2]:
-            acc[2] = tb
-        return 1, 0  # every penalty is 0, so this bar lets every order through
-
-    zeros = [[0] * (d + 1) for d in degs]
-    _walk_orders(graph, ([1] * graph.m, zeros, values, None, 1, None), visit)
-    return acc[0], acc[1], acc[2]
-
-
-def _greedy_worst(graph: Multigraph) -> tuple[int, ...]:
-    """The greedy minimum-degree run whose order has the largest square
-    sum of left degrees, by a memoized walk over every greedy-feasible
-    removal choice.  Refuses graphs of more than 20 vertices."""
-    n = graph.n
-    if n > 20:
-        raise ValueError("the worst greedy run is searched only on graphs of at most 20 vertices")
-    nbrs = [list(graph.neighbor_counts[v].items()) for v in range(n)]
-    loops = graph.loop_counts
-
-    @cache
-    def worst(mask: int) -> tuple[int, int]:
-        """Largest square sum over the vertices of mask, and which of them
-        to place last: its left degree is then its degree within mask."""
-        if mask == 0:
-            return 0, -1
-        inside = [v for v in range(n) if mask >> v & 1]
-        deg = {v: loops[v] + sum(c for u, c in nbrs[v] if mask >> u & 1) for v in inside}
-        lo = min(deg.values())
-        best, pick = None, -1
-        for v in inside:
-            if deg[v] == lo:
-                val = worst(mask ^ (1 << v))[0] + lo * lo
-                if best is None or val > best:
-                    best, pick = val, v
-        return best, pick
-
-    mask = (1 << n) - 1
-    suffix = []
-    while mask:
-        _, v = worst(mask)
-        suffix.append(v)
-        mask ^= 1 << v
-    return tuple(reversed(suffix))
 
 
 # ---------------------------------------------------------------------------

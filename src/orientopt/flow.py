@@ -33,9 +33,7 @@ without a numeric big-M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graph import Multigraph, Orientation, degrees_of_orientation
+from .graph import Frozen, Multigraph, Orientation, degrees_of_orientation
 from .objectives import DecMin, IncMax, LiftedCost, PhiSum, evaluate, resolved, square
 
 
@@ -164,11 +162,16 @@ def min_cost_flow(graph: Multigraph, marg, heads, free) -> list:
             load[path[-1]] -= 1
 
 
-@dataclass(frozen=True)
-class CyclicSolution:
-    orientation: Orientation
-    key: object  # natural objective key
-    feasible: bool
+class CyclicSolution(Frozen):
+    """An orientation, its natural objective key and whether it meets
+    every degree bound."""
+
+    __slots__ = _fields = ("orientation", "key", "feasible")
+
+    def __init__(self, orientation: Orientation, key, feasible: bool):
+        object.__setattr__(self, "orientation", orientation)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "feasible", feasible)
 
 
 def _solution(graph: Multigraph, objective, o: Orientation) -> CyclicSolution:

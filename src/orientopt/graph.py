@@ -11,7 +11,6 @@ A vertex order is a plain tuple containing each vertex exactly once.  An
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -44,18 +43,61 @@ def scaled_to_ints(weights) -> tuple[tuple[int, ...], int]:
     return tuple(x.numerator * (scale // x.denominator) for x in weights), scale
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its fields in constructor order in ``_fields`` and
+    sets each one once in its ``__init__`` with ``object.__setattr__``.
+    Equality (with the same class only), the hash, the
+    ``Name(field=value, ...)`` repr and pickling all follow the fields;
+    assigning or deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Multigraph(Frozen):
     """Undirected multigraph, immutable after construction.
 
     Build instances through :func:`build_graph`, which validates
-    endpoints, weights and the loop policy.
+    endpoints, weights and the loop policy.  Instances keep a
+    ``__dict__``: the cached properties below and
+    :func:`orientopt.objectives.resolved` store their results there.
     """
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    weights: tuple[Fraction, ...] | None = None
-    allow_loops: bool = False
+    _fields = ("n", "edges", "weights", "allow_loops")
+
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...],
+                 weights: tuple[Fraction, ...] | None = None, allow_loops: bool = False):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "allow_loops", allow_loops)
 
     @property
     def m(self) -> int:
@@ -154,19 +196,23 @@ def build_graph(n: int, edges: Iterable, weights=None, allow_loops: bool = False
     return Multigraph(n, tuple(edge_list), wt, allow_loops)
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(Frozen):
     """Head endpoint per edge id."""
 
-    heads: tuple[int, ...]
+    __slots__ = _fields = ("heads",)
+
+    def __init__(self, heads: tuple[int, ...]):
+        object.__setattr__(self, "heads", heads)
 
 
-@dataclass(frozen=True)
-class DegreeVector:
+class DegreeVector(Frozen):
     """Indegree/outdegree (or left/right degree) per vertex."""
 
-    indeg: tuple
-    outdeg: tuple
+    __slots__ = _fields = ("indeg", "outdeg")
+
+    def __init__(self, indeg: tuple, outdeg: tuple):
+        object.__setattr__(self, "indeg", indeg)
+        object.__setattr__(self, "outdeg", outdeg)
 
 
 def check_order(graph: Multigraph, order: Sequence[int]) -> tuple[int, ...]:
@@ -321,14 +367,15 @@ def _lowpoints(graph: Multigraph, root: int, first: int = -1):
 # Blocks (biconnected components) and the block-cut tree.
 
 
-@dataclass(frozen=True)
-class Block:
-    vertices: tuple[int, ...]
-    edge_ids: tuple[int, ...]
+class Block(Frozen):
+    __slots__ = _fields = ("vertices", "edge_ids")
+
+    def __init__(self, vertices: tuple[int, ...], edge_ids: tuple[int, ...]):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edge_ids", edge_ids)
 
 
-@dataclass(frozen=True)
-class BlockTree:
+class BlockTree(Frozen):
     """Biconnected components of a connected graph plus its cut vertices.
 
     ``block_cuts[i]`` lists the cut vertices lying in block ``i``; a block
@@ -336,9 +383,13 @@ class BlockTree:
     graph yields a single block with none.
     """
 
-    blocks: tuple[Block, ...]
-    cut_vertices: frozenset[int]
-    block_cuts: tuple[tuple[int, ...], ...] = field(default=())
+    __slots__ = _fields = ("blocks", "cut_vertices", "block_cuts")
+
+    def __init__(self, blocks: tuple[Block, ...], cut_vertices: frozenset[int],
+                 block_cuts: tuple[tuple[int, ...], ...] = ()):
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "cut_vertices", cut_vertices)
+        object.__setattr__(self, "block_cuts", block_cuts)
 
     def is_end_component(self, i: int) -> bool:
         return len(self.block_cuts[i]) == 1

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 
-from .graph import Multigraph, build_graph, is_connected
+from .graph import Frozen, Multigraph, build_graph, is_connected
 from .objectives import (
     LiftedPhi,
     PhiSpec,
@@ -93,6 +92,11 @@ def random_multigraph(
     if connected and n > 0 and m < n - 1:
         raise ValueError("too few edges to connect the graph")
     rng = random.Random(seed)
+    # rng.randrange(n), inlined: the getrandbits(bits) draws it makes, with
+    # bits = n.bit_length(), redrawn while at least n; randint(1, c) is
+    # 1 + such a draw below c.  So every seed keeps its graph.
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
     for _ in range(300):
         if simple:
             # sample indices into combinations(range(n), 2) rather than a
@@ -104,8 +108,12 @@ def random_multigraph(
             tries = 0
             while len(edges) < m and tries < 100 * (m + 1):
                 tries += 1
-                u = rng.randrange(n)
-                v = rng.randrange(n)
+                u = getrandbits(bits)
+                while u >= n:
+                    u = getrandbits(bits)
+                v = getrandbits(bits)
+                while v >= n:
+                    v = getrandbits(bits)
                 if u == v and not allow_loops:
                     continue
                 du = 2 if u == v else 1
@@ -125,9 +133,16 @@ def random_multigraph(
                 continue
         weights = None
         if weighted:
-            weights = [
-                Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(m)
-            ]
+            # Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            weights = []
+            for _ in range(m):
+                a = getrandbits(4)
+                while a >= 9:
+                    a = getrandbits(4)
+                b = getrandbits(3)
+                while b >= 4:
+                    b = getrandbits(3)
+                weights.append(Fraction(a + 1, b + 1))
         g = build_graph(n, edges, weights, allow_loops=allow_loops)
         if connected and not is_connected(g):
             continue
@@ -202,23 +217,24 @@ def named_instance(name: str) -> Multigraph:
 # Scheduling: unit jobs, feasible timeslot sets, convex per-slot load costs.
 
 
-@dataclass(frozen=True)
-class SchedulingInstance:
+class SchedulingInstance(Frozen):
     """Unit-sized jobs, each restricted to a set of feasible timeslots,
     with a discrete convex cost per slot as a function of its load."""
 
-    num_slots: int
-    feasible: tuple[frozenset[int], ...]
-    slot_costs: tuple[PhiSpec, ...]
+    __slots__ = _fields = ("num_slots", "feasible", "slot_costs")
 
-    def __post_init__(self):
-        if len(self.slot_costs) != self.num_slots:
+    def __init__(self, num_slots: int, feasible: tuple[frozenset[int], ...],
+                 slot_costs: tuple[PhiSpec, ...]):
+        if len(slot_costs) != num_slots:
             raise ValueError("need one cost function per timeslot")
-        for j, I in enumerate(self.feasible):
+        for j, I in enumerate(feasible):
             if not I:
                 raise ValueError(f"job {j} has no feasible timeslot")
-            if not all(0 <= t < self.num_slots for t in I):
+            if not all(0 <= t < num_slots for t in I):
                 raise ValueError(f"job {j} names an unknown timeslot")
+        object.__setattr__(self, "num_slots", num_slots)
+        object.__setattr__(self, "feasible", feasible)
+        object.__setattr__(self, "slot_costs", slot_costs)
 
     @property
     def num_jobs(self) -> int:

@@ -15,12 +15,12 @@ A request resolves a ``phi_sum`` objective once, see :func:`resolved`.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from itertools import repeat
 from typing import Sequence
 
-from .graph import DegreeVector, Multigraph, as_fraction
+from .graph import DegreeVector, Frozen, Multigraph, as_fraction
 
 
 def exact_number(value):
@@ -28,8 +28,8 @@ def exact_number(value):
     return value if isinstance(value, int) else as_fraction(value)
 
 
-@dataclass(frozen=True, order=True)
-class LiftedCost:
+@total_ordering
+class LiftedCost(Frozen):
     """Cost with a bound-violation part and a finite part.
 
     ``penalty`` counts units outside the degree bounds; ``base`` is the
@@ -37,8 +37,16 @@ class LiftedCost:
     behave like ``penalty * M + base`` for an arbitrarily large M.
     """
 
-    penalty: int
-    base: object  # int | Fraction
+    __slots__ = _fields = ("penalty", "base")
+
+    def __init__(self, penalty: int, base):  # base: int | Fraction
+        object.__setattr__(self, "penalty", penalty)
+        object.__setattr__(self, "base", base)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.penalty, self.base) < (other.penalty, other.base)
+        return NotImplemented
 
     def __add__(self, other):
         if isinstance(other, LiftedCost):
@@ -67,12 +75,14 @@ class LiftedCost:
         return cls(0, 0)
 
 
-@dataclass(frozen=True)
-class PhiSpec:
+class PhiSpec(Frozen):
     """A per-vertex cost function on indegrees, evaluated exactly."""
 
-    kind: str
-    params: tuple = ()
+    __slots__ = _fields = ("kind", "params")
+
+    def __init__(self, kind: str, params: tuple = ()):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
 
     def __call__(self, z: int):
         k = self.kind
@@ -155,8 +165,7 @@ def table(values: Sequence) -> PhiSpec:
     return PhiSpec("table", vals)
 
 
-@dataclass(frozen=True)
-class LiftedPhi:
+class LiftedPhi(Frozen):
     """Cost spec with optional degree bounds, producing LiftedCost values.
 
     Inside ``[f, g]`` the cost is the spec itself with zero penalty;
@@ -164,15 +173,17 @@ class LiftedPhi:
     penalty unit.
     """
 
-    spec: PhiSpec
-    f: int | None = None
-    g: int | None = None
+    __slots__ = _fields = ("spec", "f", "g")
 
-    def __post_init__(self):
-        if self.f is not None and self.f < 0:
-            raise ValueError("lower degree bound must be non-negative")
-        if self.f is not None and self.g is not None and self.f > self.g:
-            raise ValueError(f"empty degree interval: f={self.f} > g={self.g}")
+    def __init__(self, spec: PhiSpec, f: int | None = None, g: int | None = None):
+        if f is not None:
+            if f < 0:
+                raise ValueError("lower degree bound must be non-negative")
+            if g is not None and f > g:
+                raise ValueError(f"empty degree interval: f={f} > g={g}")
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
 
     def parts(self, z: int) -> tuple:
         """``(penalty, base)`` of :meth:`cost`, as plain numbers."""
@@ -197,16 +208,19 @@ def lift(spec: PhiSpec, f: int | None = None, g: int | None = None) -> LiftedPhi
 # Objectives.
 
 
-@dataclass(frozen=True)
-class PhiSum:
+class PhiSum(Frozen):
     """Minimize the sum of per-vertex (optionally bounded) costs."""
 
-    shared: PhiSpec | None = None
-    per_vertex: tuple[LiftedPhi, ...] | None = None
-    f: int | None = None
-    g: int | None = None
-
+    __slots__ = _fields = ("shared", "per_vertex", "f", "g")
     kind = "phi_sum"
+
+    def __init__(self, shared: PhiSpec | None = None,
+                 per_vertex: tuple[LiftedPhi, ...] | None = None,
+                 f: int | None = None, g: int | None = None):
+        object.__setattr__(self, "shared", shared)
+        object.__setattr__(self, "per_vertex", per_vertex)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
 
     def resolve(self, graph: Multigraph) -> tuple[LiftedPhi, ...]:
         def bound_at(bound, v):
@@ -252,55 +266,55 @@ def resolved(objective: PhiSum, graph: Multigraph) -> tuple[LiftedPhi, ...]:
     return memo[1]
 
 
-@dataclass(frozen=True)
-class DecMin:
+class DecMin(Frozen):
     """Lexicographically minimize the non-increasing sorted indegrees."""
 
+    __slots__ = ()
     kind = "dec_min"
 
 
-@dataclass(frozen=True)
-class IncMax:
+class IncMax(Frozen):
     """Lexicographically maximize the non-decreasing sorted indegrees."""
 
+    __slots__ = ()
     kind = "inc_max"
 
 
-@dataclass(frozen=True)
-class IncMin:
+class IncMin(Frozen):
     """Lexicographically minimize the non-decreasing sorted indegrees."""
 
+    __slots__ = ()
     kind = "inc_min"
 
 
-@dataclass(frozen=True)
-class DecMax:
+class DecMax(Frozen):
     """Lexicographically maximize the non-increasing sorted indegrees."""
 
+    __slots__ = ()
     kind = "dec_max"
 
 
-@dataclass(frozen=True)
-class RhoDeltaSum:
+class RhoDeltaSum(Frozen):
     """Maximize the sum of indegree times outdegree."""
 
+    __slots__ = ()
     kind = "rho_delta_sum"
 
 
-@dataclass(frozen=True)
-class MaxWeightedIndeg:
+class MaxWeightedIndeg(Frozen):
     """Minimize the maximum weighted indegree."""
 
+    __slots__ = ()
     kind = "max_weighted_indeg"
 
 
-@dataclass(frozen=True)
-class ForbiddenSubpaths:
+class ForbiddenSubpaths(Frozen):
     """Minimize the number of two-arc directed paths, sum of C(indeg, 2).
 
     At fixed edge count this induces the same preorder as the square sum.
     """
 
+    __slots__ = ()
     kind = "forbidden_subpaths"
 
 

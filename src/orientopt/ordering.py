@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import islice
@@ -21,6 +20,7 @@ from typing import Callable, Sequence
 
 from .graph import (
     BlockTree,
+    Frozen,
     Multigraph,
     _st_order,
     block_tree,
@@ -474,11 +474,13 @@ def terminal_imbalance_bound(graph: Multigraph) -> int:
 # Random orders and the derandomized greedy for the degree-product sum.
 
 
-@dataclass(frozen=True)
-class TrialsResult:
-    order: tuple[int, ...]
-    value: int
-    mean: Fraction
+class TrialsResult(Frozen):
+    __slots__ = _fields = ("order", "value", "mean")
+
+    def __init__(self, order: tuple[int, ...], value: int, mean: Fraction):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "mean", mean)
 
 
 def _shuffled_orders(rng: random.Random, n: int, trials: int):

@@ -4,13 +4,16 @@ optimum of a linear cost sum, the degree-product imbalance of an order,
 the two orders of the G_k tightness family, a brute-force scheduling
 optimum, a minimize-me rank of an order's key, a graph's JSON document,
 a cost's discrete convexity, a graph's Fraction weighted degrees, the
-blocks at a vertex, and the cycle-reversal certificate of a cyclic
-orientation."""
+blocks at a vertex, the cycle-reversal certificate of a cyclic
+orientation, an additive order value's sum, count and max over every
+order, and the worst greedy minimum-degree run."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
+from orientopt.exhaustive import ORDER_CAP, _walk_orders
 from orientopt.formats import rational_to_json
 from orientopt.graph import (
     BlockTree,
@@ -226,3 +229,67 @@ def cycle_reversal_decomposition(graph: Multigraph, orientation: Orientation):
     if sums != [k * z for z in base]:
         raise RuntimeError("internal error: reversal vectors do not average back")
     return tuple(out)
+
+
+def order_value_stats(graph: Multigraph, value_of_left_degree=None):
+    """Sum, count and max of an additive order value over all n! orders.
+
+    Default value is sum of left degree times right degree.  Used for
+    exact expectations: mean = total / n!.
+    """
+    if graph.n > ORDER_CAP:
+        raise ValueError(f"refusing to enumerate {graph.n}! orders")
+    if graph.has_loops:
+        raise ValueError("degree-split statistics expect a loop-free graph")
+    degs = graph.degrees
+    value = value_of_left_degree or (lambda v, z: z * (degs[v] - z))
+    values = [[value(v, z) for z in range(d + 1)] for v, d in enumerate(degs)]
+    acc = [0, 0, None]  # total, leaves, best
+
+    def visit(head, left, order):
+        tb = head[1]
+        acc[0] += tb
+        acc[1] += 1
+        if acc[2] is None or tb > acc[2]:
+            acc[2] = tb
+        return 1, 0  # every penalty is 0, so this bar lets every order through
+
+    zeros = [[0] * (d + 1) for d in degs]
+    _walk_orders(graph, ([1] * graph.m, zeros, values, None, 1, None), visit)
+    return acc[0], acc[1], acc[2]
+
+
+def _greedy_worst(graph: Multigraph) -> tuple[int, ...]:
+    """The greedy minimum-degree run whose order has the largest square
+    sum of left degrees, by a memoized walk over every greedy-feasible
+    removal choice.  Refuses graphs of more than 20 vertices."""
+    n = graph.n
+    if n > 20:
+        raise ValueError("the worst greedy run is searched only on graphs of at most 20 vertices")
+    nbrs = [list(graph.neighbor_counts[v].items()) for v in range(n)]
+    loops = graph.loop_counts
+
+    @cache
+    def worst(mask: int) -> tuple[int, int]:
+        """Largest square sum over the vertices of mask, and which of them
+        to place last: its left degree is then its degree within mask."""
+        if mask == 0:
+            return 0, -1
+        inside = [v for v in range(n) if mask >> v & 1]
+        deg = {v: loops[v] + sum(c for u, c in nbrs[v] if mask >> u & 1) for v in inside}
+        lo = min(deg.values())
+        best, pick = None, -1
+        for v in inside:
+            if deg[v] == lo:
+                val = worst(mask ^ (1 << v))[0] + lo * lo
+                if best is None or val > best:
+                    best, pick = val, v
+        return best, pick
+
+    mask = (1 << n) - 1
+    suffix = []
+    while mask:
+        _, v = worst(mask)
+        suffix.append(v)
+        mask ^= 1 << v
+    return tuple(reversed(suffix))

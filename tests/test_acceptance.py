@@ -11,11 +11,9 @@ import time
 from fractions import Fraction
 
 from orientopt.exhaustive import (
-    _greedy_worst,
     brute_optimal,
     enumerate_orders,
     enumerate_orientations,
-    order_value_stats,
     vertex_certificate,
 )
 from orientopt.flow import solve_cyclic
@@ -52,11 +50,13 @@ from orientopt.ordering import (
 )
 
 from paper_facts import (
+    _greedy_worst,
     brute_schedule_cost,
     cycle_reversal_decomposition,
     gk_adversarial_order,
     harmonic,
     imbalance_report,
+    order_value_stats,
 )
 from peeling_reference import ref_is_greedy_run
 

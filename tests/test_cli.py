@@ -5,7 +5,6 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,6 +12,7 @@ import pytest
 import orientopt
 from orientopt import cli
 from orientopt.cli import MODES, _solve_report, build_parser, run
+from orientopt.flow import CyclicSolution
 from orientopt.formats import key_to_json, parse_graph, parse_objective, rational_to_json
 from orientopt.graph import Orientation, build_graph, degrees_of_order, degrees_of_orientation
 from orientopt.instances import random_multigraph
@@ -406,7 +406,7 @@ class TestExitCodes:
 
         def flow_off_by_one(graph, objective):
             sol = flow(graph, objective)
-            return replace(sol, key=off_by_one(sol.key))
+            return CyclicSolution(sol.orientation, off_by_one(sol.key), sol.feasible)
 
         monkeypatch.setattr(cli, "solve_acyclic_exact", exact_off_by_one)
         monkeypatch.setattr(cli, "solve_cyclic", flow_off_by_one)
@@ -421,7 +421,8 @@ class TestExitCodes:
 
         def off_the_edge(graph, objective):
             sol = flow(graph, objective)
-            return replace(sol, orientation=Orientation((2,) + sol.orientation.heads[1:]))
+            heads = (2,) + sol.orientation.heads[1:]
+            return CyclicSolution(Orientation(heads), sol.key, sol.feasible)
 
         monkeypatch.setattr(cli, "solve_cyclic", off_the_edge)
         code, out, err = invoke(

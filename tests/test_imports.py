@@ -9,10 +9,13 @@ module never reads.  It also fails when a solver module (``flow``,
 solver, anywhere in the module: an oracle that shares code with the
 solver it checks cannot catch that code's faults.  An exactness lint
 fails on a float literal or a ``float(`` call anywhere in the package:
-values stay ints and Fractions.
+values stay ints and Fractions.  An import guard keeps ``dataclasses``
+and ``inspect`` out of the CLI's start-up, which every run pays for.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -121,3 +124,12 @@ def test_the_check_sees_floats():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_float_enters_the_package(path):
     assert inexact_numbers(path.read_text()) == []
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # -S skips site, so only what orientopt.cli imports is loaded
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import orientopt.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout == "[]\n"

@@ -2,6 +2,7 @@
 
 import random
 import time
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -28,6 +29,45 @@ from peeling_reference import ref_is_greedy_run
 
 def square_sum(g, order):
     return sum(z * z for z in degrees_of_order(g, order).indeg)
+
+
+def reference_random_multigraph(n, m, seed, max_degree=None, connected=False,
+                                allow_loops=False, weighted=False):
+    """``random_multigraph`` without ``simple``, as it drew with
+    ``randrange`` and ``randint``, on parameters that pass its checks."""
+    rng = random.Random(seed)
+    for _ in range(300):
+        edges = []
+        deg = [0] * n
+        tries = 0
+        while len(edges) < m and tries < 100 * (m + 1):
+            tries += 1
+            u = rng.randrange(n)
+            v = rng.randrange(n)
+            if u == v and not allow_loops:
+                continue
+            du = 2 if u == v else 1
+            if max_degree is not None and (
+                deg[u] + du > max_degree
+                or (u != v and deg[v] + 1 > max_degree)
+            ):
+                continue
+            edges.append((min(u, v), max(u, v)))
+            deg[u] += du
+            if u != v:
+                deg[v] += 1
+        if len(edges) < m:
+            continue
+        weights = None
+        if weighted:
+            weights = [
+                Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(m)
+            ]
+        g = build_graph(n, edges, weights, allow_loops=allow_loops)
+        if connected and not is_connected(g):
+            continue
+        return g
+    raise ValueError("could not sample a graph with these constraints")
 
 
 class TestFig4:
@@ -175,6 +215,46 @@ class TestRandomMultigraph:
         g = random_multigraph(10**5, 10, seed=1, simple=True)
         assert time.perf_counter() - t0 < 1.0
         assert (g.n, g.m) == (10**5, 10) and g.is_simple
+
+    def test_draws_match_the_randrange_reference(self, monkeypatch):
+        # same graph or same error, and the generator's Random left in the
+        # same state, over 480 parameter sets
+        made = []
+
+        class Recorded(random.Random):
+            def __init__(self, seed):
+                super().__init__(seed)
+                made.append(self)
+
+        def outcome(generate, n, m, seed, **kw):
+            try:
+                g = generate(n, m, seed, **kw)
+                got = (g.n, g.edges, g.weights, g.allow_loops)
+            except ValueError as e:
+                got = str(e)
+            return got, made[-1].getstate()
+
+        monkeypatch.setattr(random, "Random", Recorded)
+        rng = random.Random(7)
+        errors = 0
+        for case in range(480):
+            n = rng.choice((1, 2, 3, 5, 8, rng.randint(1, 300)))
+            loops = case % 2 == 1
+            md = rng.randint(2, 8) if case % 4 == 0 else None
+            m = 0 if n == 1 and not loops else rng.randint(0, 3 * n if md is None else n * md // 2)
+            # connected large graphs are drawn dense enough to succeed, except
+            # a sparse small one now and then, which makes the generator give up
+            connected = case % 5 < 2 and m >= (n - 1 if n <= 8 else 2 * n)
+            if case % 40 == 39:
+                n, connected = rng.randint(10, 30), True
+                m = n - 1 if md is None else min(n - 1, n * md // 2)
+            kw = dict(allow_loops=loops, weighted=case % 3 == 0, max_degree=md,
+                      connected=connected)
+            seed = rng.randrange(10**6)
+            want = outcome(reference_random_multigraph, n, m, seed, **kw)
+            assert outcome(random_multigraph, n, m, seed, **kw) == want, (n, m, seed, kw)
+            errors += isinstance(want[0], str)
+        assert errors >= 5
 
     def test_max_degree_is_enforced(self):
         g = random_multigraph(6, 9, seed=1, max_degree=3)

@@ -12,11 +12,9 @@ from orientopt.exhaustive import (
     ORDER_CAP,
     ORIENTATION_CAP,
     BruteResult,
-    _greedy_worst,
     brute_optimal,
     enumerate_orders,
     enumerate_orientations,
-    order_value_stats,
     vertex_certificate,
 )
 from orientopt.graph import (
@@ -45,7 +43,13 @@ from orientopt.objectives import (
 )
 from orientopt.ordering import conditional_expectation, solve_acyclic_exact
 
-from paper_facts import cycle_reversal_decomposition, rank_of, shortest_directed_cycle
+from paper_facts import (
+    _greedy_worst,
+    cycle_reversal_decomposition,
+    order_value_stats,
+    rank_of,
+    shortest_directed_cycle,
+)
 
 
 EVERY_KIND = (

@@ -11,7 +11,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orientopt.exhaustive import _greedy_worst, brute_optimal, enumerate_orders
+from orientopt.exhaustive import brute_optimal, enumerate_orders
 from orientopt.formats import parse_objective
 from orientopt.graph import build_graph, degrees_of_order
 from orientopt.instances import (
@@ -53,7 +53,7 @@ from orientopt.ordering import (
     weighted_smallest_last,
 )
 
-from paper_facts import harmonic, imbalance_report, linear_optimum_value
+from paper_facts import _greedy_worst, harmonic, imbalance_report, linear_optimum_value
 from peeling_reference import ref_is_greedy_run
 
 
