@@ -30,7 +30,7 @@ from .graph import (
     check_order,
     check_orientation,
 )
-from .objectives import PhiSum, LiftedCost, evaluate, needs_weighted_degrees, resolved
+from .objectives import PhiSum, LiftedCost, evaluate, resolved
 from .flow import solve_cyclic
 from .ordering import (
     combine_st_orders,
@@ -107,7 +107,7 @@ def _heads_key(graph, objective, heads, dv):
     degrees ``dv`` holds.  A weighted ``max_weighted_indeg`` key is one
     Fraction of the largest int weighted indegree (in units of
     :attr:`Multigraph.int_weights`), so it needs no Fraction per vertex."""
-    if needs_weighted_degrees(objective) and graph.weights is not None:
+    if objective.kind == "max_weighted_indeg" and graph.weights is not None:
         w, scale = graph.int_weights
         indeg = [0] * graph.n
         for h, x in zip(heads, w):

@@ -41,7 +41,7 @@ from .graph import (
     degrees_of_orientation,
     topological_order,
 )
-from .objectives import LiftedPhi, abs_balance, evaluate, needs_weighted_degrees
+from .objectives import LiftedPhi, abs_balance, evaluate
 
 ORIENTATION_CAP = 20  # at most 2**20 orientations
 ORDER_CAP = 10  # at most 10! orders
@@ -91,12 +91,10 @@ def _ranker(graph: Multigraph, objective):
         n = graph.n
         specs = objective.per_vertex if objective.per_vertex is not None else [objective.shared] * n
         fs, gs = ([b] * n if b is None or isinstance(b, int) else b for b in (objective.f, objective.g))
-        if None in specs or not len(specs) == len(fs) == len(gs) == n:
+        if not len(specs) == len(fs) == len(gs) == n:
             raise ValueError("need a cost spec and degree bounds for every vertex")
         pen, base = [], []
         for spec, f, g, d in zip(specs, fs, gs, degs):
-            if isinstance(spec, LiftedPhi) and (objective.f, objective.g) != (None, None):
-                raise ValueError("shared degree bounds clash with per-vertex lifted costs")
             spec = spec if isinstance(spec, LiftedPhi) else LiftedPhi(spec, f, g)  # checks f, g
             spec, f, g = spec.spec, spec.f, spec.g
             if spec.kind == "abs_balance" and spec.params[0] is None:
@@ -295,7 +293,7 @@ def brute_optimal(graph: Multigraph, objective, mode: str, count_optima: bool = 
 
     walk(graph, r, visit)
     witness = witness_of(best[1])
-    dv = degrees_of(graph, witness, needs_weighted_degrees(objective))
+    dv = degrees_of(graph, witness, objective.kind == "max_weighted_indeg")
     count = best[2] if count_optima else None
     return BruteResult(evaluate(objective, graph, dv), witness, count)
 

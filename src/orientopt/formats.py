@@ -33,8 +33,6 @@ class FormatError(ValueError):
         self.column = column
 
 
-_PHI_KINDS = ("square", "cube", "binom2", "abs_balance", "exp_base",
-              "neg_exp_base", "linear", "zero", "table")
 _KEY_OBJECTIVES = {o.kind: o for o in (obj.DecMin, obj.IncMax, obj.IncMin, obj.DecMax,
                                         obj.RhoDeltaSum, obj.MaxWeightedIndeg,
                                         obj.ForbiddenSubpaths)}
@@ -192,33 +190,31 @@ def _json_rational(value, what: str) -> int | Fraction:
 
 
 def _parse_phi(doc, what: str) -> obj.PhiSpec:
+    """A JSON cost, turned into numbers for its constructor, which checks it."""
     if isinstance(doc, str):
         doc = {"kind": doc}
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FormatError(f"{what} must name a cost kind")
     kind = doc["kind"]
-    if kind not in _PHI_KINDS:
-        raise FormatError(f"{what}: unknown cost kind {kind!r}")
-    if kind in ("square", "cube", "binom2", "zero"):  # no parameters
-        return obj.PhiSpec(kind)
-    if kind == "abs_balance":
-        d = doc.get("d")
-        if d is not None and (not isinstance(d, int) or isinstance(d, bool) or d < 0):
-            raise FormatError(f"{what}: `d` must be a non-negative integer")
-        return obj.abs_balance(d)
-    if kind in ("exp_base", "neg_exp_base"):
-        b = doc.get("base")
-        if not isinstance(b, int) or b < 2:
-            raise FormatError(f"{what}: `base` must be an integer >= 2")
-        return obj.exp_base(b) if kind == "exp_base" else obj.neg_exp_base(b)
-    if kind == "linear":
-        a = _json_rational(doc.get("a", 0), f"{what}: `a`")
-        b = _json_rational(doc.get("b", 0), f"{what}: `b`")
-        return obj.linear(a, b)
-    values = doc.get("values")
-    if not isinstance(values, list) or not values:
-        raise FormatError(f"{what}: `table` needs a non-empty `values` list")
-    return obj.table([_json_rational(x, f"{what}: values[{i}]") for i, x in enumerate(values)])
+    try:
+        if kind == "linear":
+            a = _json_rational(doc.get("a", 0), f"{what}: `a`")
+            b = _json_rational(doc.get("b", 0), f"{what}: `b`")
+            return obj.linear(a, b)
+        if kind == "abs_balance":
+            return obj.abs_balance(doc.get("d"))
+        if kind in ("exp_base", "neg_exp_base"):
+            return (obj.exp_base if kind == "exp_base" else obj.neg_exp_base)(doc.get("base"))
+        if kind == "table":
+            values = doc.get("values")
+            if not isinstance(values, list):
+                raise FormatError(f"{what}: `table` needs a non-empty `values` list")
+            return obj.table([_json_rational(x, f"{what}: values[{i}]") for i, x in enumerate(values)])
+        return obj.PhiSpec(kind)  # square, cube, binom2, zero, or refused
+    except FormatError:
+        raise
+    except ValueError as e:
+        raise FormatError(f"{what}: {e}") from None
 
 
 def _parse_bound(value, what: str):
@@ -247,7 +243,7 @@ def parse_objective(text: str):
         raise FormatError(f"objective `kind` must be a string, not {kind!r}")
     if kind in _KEY_OBJECTIVES:
         return _KEY_OBJECTIVES[kind]()
-    if kind in _PHI_KINDS:
+    if kind in obj.PHI_KINDS:
         # a bare cost shape means: minimize its sum over all vertices
         return obj.PhiSum(shared=_parse_phi(doc, "objective"))
     if kind != "phi_sum":

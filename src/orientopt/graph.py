@@ -174,8 +174,8 @@ def build_graph(n: int, edges: Iterable, weights=None, allow_loops: bool = False
     or string; see :func:`as_fraction`).  Loops are rejected unless
     ``allow_loops`` is set.
     """
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
+    if n.__class__ is not int or n < 0:
+        raise ValueError(f"vertex count must be a non-negative integer, not {n!r}")
     edge_list: list[tuple[int, int]] = []
     for pos, e in enumerate(edges):
         u, v = e

@@ -70,17 +70,25 @@ class LiftedCost(Frozen):
     def feasible(self) -> bool:
         return self.penalty == 0
 
-    @classmethod
-    def zero(cls) -> "LiftedCost":
-        return cls(0, 0)
+
+PHI_KINDS = frozenset(("square", "cube", "binom2", "abs_balance", "exp_base",
+                       "neg_exp_base", "linear", "zero", "table"))
 
 
 class PhiSpec(Frozen):
-    """A per-vertex cost function on indegrees, evaluated exactly."""
+    """A per-vertex cost function on indegrees, evaluated exactly.  Its
+    parameters are ints, None or Fractions (see :func:`exact_number`)."""
 
     __slots__ = _fields = ("kind", "params")
 
-    def __init__(self, kind: str, params: tuple = ()):
+    def __init__(self, kind: str, params=()):
+        if kind.__class__ is not str or kind not in PHI_KINDS:
+            raise ValueError(f"unknown cost kind {kind!r}")
+        params = tuple(params)
+        for x in params:
+            if not (x is None or x.__class__ is int or x.__class__ is Fraction):
+                params = tuple([y if y is None else exact_number(y) for y in params])
+                break
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", params)
 
@@ -106,16 +114,10 @@ class PhiSpec(Frozen):
             return a * z + b
         if k == "zero":
             return 0
-        if k == "table":
-            values = self.params
-            if not 0 <= z < len(values):
-                raise ValueError(f"table cost has no entry for indegree {z}")
-            return values[z]
-        raise ValueError(f"unknown cost kind {k!r}")
-
-    @property
-    def d_max(self):
-        return len(self.params) - 1 if self.kind == "table" else None
+        values = self.params  # a table
+        if not 0 <= z < len(values):
+            raise ValueError(f"table cost has no entry for indegree {z}")
+        return values[z]
 
 
 def square() -> PhiSpec:
@@ -133,25 +135,27 @@ def binom2() -> PhiSpec:
 def abs_balance(d: int | None = None) -> PhiSpec:
     """|2z - d|; with d left None the vertex degree is filled in later,
     making the sum count total orientation imbalance."""
-    if d is not None and d < 0:
-        raise ValueError("degree parameter must be non-negative")
+    if d is not None and (d.__class__ is not int or d < 0):
+        raise ValueError("`d` must be a non-negative integer")
     return PhiSpec("abs_balance", (d,))
 
 
+def _base_params(b) -> tuple[int]:
+    if b.__class__ is not int or b < 2:
+        raise ValueError("`base` must be an integer >= 2")
+    return (b,)
+
+
 def exp_base(b: int) -> PhiSpec:
-    if b < 2:
-        raise ValueError("exponential base must be at least 2")
-    return PhiSpec("exp_base", (b,))
+    return PhiSpec("exp_base", _base_params(b))
 
 
 def neg_exp_base(b: int) -> PhiSpec:
-    if b < 2:
-        raise ValueError("exponential base must be at least 2")
-    return PhiSpec("neg_exp_base", (b,))
+    return PhiSpec("neg_exp_base", _base_params(b))
 
 
 def linear(a, b=0) -> PhiSpec:
-    return PhiSpec("linear", (exact_number(a), exact_number(b)))
+    return PhiSpec("linear", (a, b))
 
 
 def zero() -> PhiSpec:
@@ -159,10 +163,10 @@ def zero() -> PhiSpec:
 
 
 def table(values: Sequence) -> PhiSpec:
-    vals = tuple(exact_number(v) for v in values)
-    if not vals:
-        raise ValueError("table cost needs at least the value at indegree 0")
-    return PhiSpec("table", vals)
+    spec = PhiSpec("table", values)
+    if not spec.params:
+        raise ValueError("`table` needs a non-empty `values` list")
+    return spec
 
 
 class LiftedPhi(Frozen):
@@ -176,6 +180,10 @@ class LiftedPhi(Frozen):
     __slots__ = _fields = ("spec", "f", "g")
 
     def __init__(self, spec: PhiSpec, f: int | None = None, g: int | None = None):
+        if spec.__class__ is not PhiSpec:
+            raise ValueError(f"a lifted cost needs a PhiSpec, not {spec!r}")
+        if not (f is None or f.__class__ is int) or not (g is None or g.__class__ is int):
+            raise ValueError(f"a degree bound must be None or an integer, not f={f!r}, g={g!r}")
         if f is not None:
             if f < 0:
                 raise ValueError("lower degree bound must be non-negative")
@@ -194,14 +202,10 @@ class LiftedPhi(Frozen):
         if self.g is not None and z > self.g:
             penalty += z - self.g
             z = self.g
-        return penalty, exact_number(self.spec(z))
+        return penalty, self.spec(z)
 
     def cost(self, z: int) -> LiftedCost:
         return LiftedCost(*self.parts(z))
-
-
-def lift(spec: PhiSpec, f: int | None = None, g: int | None = None) -> LiftedPhi:
-    return LiftedPhi(spec, f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +213,25 @@ def lift(spec: PhiSpec, f: int | None = None, g: int | None = None) -> LiftedPhi
 
 
 class PhiSum(Frozen):
-    """Minimize the sum of per-vertex (optionally bounded) costs."""
+    """Minimize the sum of per-vertex (optionally bounded) costs: one
+    ``shared`` cost or one per vertex, each a PhiSpec or a LiftedPhi."""
 
     __slots__ = _fields = ("shared", "per_vertex", "f", "g")
     kind = "phi_sum"
 
-    def __init__(self, shared: PhiSpec | None = None,
-                 per_vertex: tuple[LiftedPhi, ...] | None = None,
-                 f: int | None = None, g: int | None = None):
+    def __init__(self, shared: PhiSpec | LiftedPhi | None = None,
+                 per_vertex: Sequence[PhiSpec | LiftedPhi] | None = None,
+                 f=None, g=None):
+        if (shared is None) == (per_vertex is None):
+            raise ValueError("need exactly one of a shared and a per-vertex cost")
+        classes = {shared.__class__} if per_vertex is None else {e.__class__ for e in per_vertex}
+        if not classes <= {PhiSpec, LiftedPhi}:
+            raise ValueError("each cost must be a PhiSpec or a LiftedPhi")
+        if not all(b is None or b.__class__ is int or isinstance(b, (tuple, list))
+                   and all(x is None or x.__class__ is int for x in b) for b in (f, g)):
+            raise ValueError("a degree bound must be None, an integer or one per vertex")
+        if LiftedPhi in classes and (f is not None or g is not None):
+            raise ValueError("shared degree bounds clash with per-vertex lifted costs")
         object.__setattr__(self, "shared", shared)
         object.__setattr__(self, "per_vertex", per_vertex)
         object.__setattr__(self, "f", f)
@@ -231,23 +246,17 @@ class PhiSum(Frozen):
             return bound[v]
 
         if self.per_vertex is not None:
-            specs = list(self.per_vertex)
+            specs = self.per_vertex
             if len(specs) != graph.n:
                 raise ValueError("need one cost spec per vertex")
         else:
-            if self.shared is None:
-                raise ValueError("objective has neither a shared nor per-vertex cost")
             same = isinstance(self.shared, PhiSpec) and self.shared != abs_balance()
             if graph.n and same and all(b is None or isinstance(b, int) for b in (self.f, self.g)):
                 return (LiftedPhi(self.shared, self.f, self.g),) * graph.n  # one, shared
-            specs = [self.shared] * graph.n
+            specs = (self.shared,) * graph.n
         out = []
         for v, entry in enumerate(specs):
-            if isinstance(entry, LiftedPhi):
-                if self.f is not None or self.g is not None:
-                    raise ValueError(
-                        "shared degree bounds clash with per-vertex lifted costs"
-                    )
+            if isinstance(entry, LiftedPhi):  # no shared bounds, see __init__
                 out.append(entry)
                 continue
             if entry.kind == "abs_balance" and entry.params[0] is None:
@@ -318,13 +327,10 @@ class ForbiddenSubpaths(Frozen):
     kind = "forbidden_subpaths"
 
 
-Objective = object  # any of the classes above
-
-
 def _sum_parts(phis: Sequence[LiftedPhi], indeg) -> LiftedCost:
     """Sum of ``phi.parts(z)`` over the vertices, exactly.  A cost shared by
     every vertex runs once per distinct indegree; an unbounded linear one
-    with exact coefficients adds a * z and b, not a * z + b.  Fraction terms
+    adds a * z and b, not a * z + b.  Fraction terms
     add numerators per denominator, so the base is a Fraction iff a term is."""
     times = repeat(1)
     if len(indeg) == len(phis) > 0 and all(phi is phis[0] for phi in phis):
@@ -345,19 +351,14 @@ def _sum_parts(phis: Sequence[LiftedPhi], indeg) -> LiftedCost:
         spec = phi.spec
         if spec.kind == "linear" and phi.f is None and phi.g is None:
             a, b = spec.params
-            if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-                add(a, z * c)
-                add(b, c)
-                continue
+            add(a, z * c)
+            add(b, c)
+            continue
         p, x = phi.parts(z)
         penalty += p * c
         add(x, c)
     base = whole + sum(Fraction(x, d) for d, x in sums.items()) if sums else whole
     return LiftedCost(penalty, base)
-
-
-def needs_weighted_degrees(objective) -> bool:
-    return isinstance(objective, MaxWeightedIndeg)
 
 
 def evaluate(objective, graph: Multigraph, dv: DegreeVector):

@@ -140,8 +140,8 @@ def validate_convex(spec: PhiSpec, d_max: int) -> tuple[int, ...]:
     Returns the interior points where convexity is strict
     (phi(z+1) + phi(z-1) > 2 phi(z)); raises if it fails anywhere.
     """
-    if spec.d_max is not None and spec.d_max < d_max:
-        raise ValueError(f"table cost is only defined up to indegree {spec.d_max}, need {d_max}")
+    if spec.kind == "table" and len(spec.params) - 1 < d_max:
+        raise ValueError(f"table cost is only defined up to indegree {len(spec.params) - 1}, need {d_max}")
     strict = []
     for z in range(1, d_max):
         gap = spec(z + 1) + spec(z - 1) - 2 * spec(z)

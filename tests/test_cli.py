@@ -497,6 +497,20 @@ class TestArgumentParsing:
         assert got == (e.value.code, captured.out, captured.err)
 
 
+# exit codes and messages of malformed objective specs, each run as
+# `solve --input k3 --objective <spec> --mode cyclic-flow`
+OBJECTIVE_ERRORS = json.loads(
+    Path(__file__).with_name("cli_objective_errors_golden.json").read_text()
+)["cases"]
+
+
+@pytest.mark.parametrize("case", OBJECTIVE_ERRORS, ids=lambda case: case["objective"])
+def test_objective_errors_match_recording(capsys, case):
+    got = invoke(capsys, "solve", "--input", "k3", "--objective", case["objective"],
+                 "--mode", "cyclic-flow")
+    assert got == (case["code"], "", case["stderr"])
+
+
 class TestOracle:
     def test_cyclic_with_counting(self, capsys):
         rep = report_of(

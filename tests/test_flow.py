@@ -20,13 +20,13 @@ from orientopt.objectives import (
     DecMin,
     IncMax,
     LiftedCost,
+    LiftedPhi,
     PhiSum,
     RhoDeltaSum,
     abs_balance,
     binom2,
     cube,
     evaluate,
-    lift,
     square,
     table,
     zero,
@@ -52,7 +52,7 @@ def test_lifted_zero_arc_costs_step_down_then_up():
     # f=g=1 on a degree-2 vertex: first unit of indegree pays off a penalty,
     # the second one buys a new penalty
     g = build_graph(2, [(0, 1), (0, 1)])
-    phis = PhiSum(per_vertex=(lift(zero(), 1, 1), lift(zero(), 0, None))).resolve(g)
+    phis = PhiSum(per_vertex=(LiftedPhi(zero(), 1, 1), LiftedPhi(zero(), 0, None))).resolve(g)
     assert build_network(g, phis, [None, None])[0] == [(-1, 0), (1, 0)]
 
 
@@ -64,7 +64,7 @@ def test_network_rejects_loops_and_bad_spec_count():
     # a fixed loop is never oriented by the solver
     assert build_network(g, phis, [0, None]) == [[(0, 3)], [(0, 1)]]
     with pytest.raises(ValueError, match="one cost spec per vertex"):
-        build_network(k3(), (lift(square()),), [None] * 3)
+        build_network(k3(), (LiftedPhi(square()),), [None] * 3)
 
 
 def test_nonconvex_table_is_rejected():
@@ -136,8 +136,8 @@ def test_feasible_bounds_have_zero_penalty():
     edge = build_graph(2, [(0, 1)])
     for unit in (1, Fraction(1, 7)):
         big = 10**9 * unit
-        upper = PhiSum(per_vertex=(lift(table([0, 0]), None, 0), lift(table([0, big]))))
-        lower = PhiSum(per_vertex=(lift(table([0, 0]), 1, None), lift(table([big, 0]))))
+        upper = PhiSum(per_vertex=(LiftedPhi(table([0, 0]), None, 0), LiftedPhi(table([0, big]))))
+        lower = PhiSum(per_vertex=(LiftedPhi(table([0, 0]), 1, None), LiftedPhi(table([big, 0]))))
         for obj, head in ((upper, 1), (lower, 0)):
             sol = solve_cyclic(edge, obj)
             assert sol.orientation.heads == (head,)
@@ -164,7 +164,7 @@ def bounded_tables(rng, g, f, gg, unit):
         values = [rng.randint(-(10**9), 10**9)]
         for s in slopes:
             values.append(values[-1] + s)
-        phis.append(lift(table([unit * x for x in values]), f[v], gg[v]))
+        phis.append(LiftedPhi(table([unit * x for x in values]), f[v], gg[v]))
     return PhiSum(per_vertex=tuple(phis))
 
 

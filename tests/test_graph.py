@@ -36,6 +36,14 @@ def test_build_rejects_bad_endpoints():
         build_graph(2, [(-1, 0)])
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, True, False, -1, "2", None])
+def test_build_rejects_a_vertex_count_that_is_no_natural_number(n):
+    with pytest.raises(ValueError, match="vertex count must be a non-negative integer"):
+        build_graph(n, [])
+    with pytest.raises(ValueError, match="vertex count must be a non-negative integer"):
+        build_graph(n, [(0, 0)], allow_loops=True)
+
+
 def test_loops_need_opt_in():
     with pytest.raises(ValueError):
         build_graph(2, [(1, 1)])

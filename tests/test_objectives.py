@@ -28,7 +28,6 @@ from orientopt.objectives import (
     cube,
     evaluate,
     exp_base,
-    lift,
     linear,
     neg_exp_base,
     square,
@@ -57,7 +56,6 @@ class TestLiftedCost:
         assert a + b == LiftedCost(4, Fraction(5, 2))
         assert a - b == LiftedCost(-2, Fraction(3, 2))
         assert -a == LiftedCost(-1, -2)
-        assert sum([a, b], LiftedCost.zero()) == a + b
 
     def test_feasible(self):
         assert LiftedCost(0, 99).feasible
@@ -101,7 +99,7 @@ class TestSpecs:
 
     def test_table_bounds(self):
         t = table([5, 2, 2, 4])
-        assert t.d_max == 3
+        assert len(t.params) - 1 == 3
         assert t(0) == 5
         with pytest.raises(ValueError):
             t(4)
@@ -113,6 +111,42 @@ class TestSpecs:
             abs_balance()(1)
         with pytest.raises(ValueError):
             abs_balance(-1)
+
+    def test_float_parameters_are_read_as_decimals(self):
+        assert PhiSpec("exp_base", (2.5,))(40) == Fraction(5, 2) ** 40
+        assert PhiSpec("linear", (0.1, 0.2))(3) == Fraction(1, 2)
+        assert PhiSpec("table", [0.5, "3/4", 2]).params == (Fraction(1, 2), Fraction(3, 4), 2)
+
+    @pytest.mark.parametrize("d", [1.5, 2.0, True, False, -1, "2"])
+    def test_abs_balance_refuses_all_but_non_negative_ints(self, d):
+        with pytest.raises(ValueError, match="^`d` must be a non-negative integer$"):
+            abs_balance(d)
+
+    @pytest.mark.parametrize("make", [exp_base, neg_exp_base])
+    @pytest.mark.parametrize("b", [2.5, 2.0, True, 1, None, Fraction(3)])
+    def test_exponential_bases_must_be_ints_from_two(self, make, b):
+        with pytest.raises(ValueError, match="^`base` must be an integer >= 2$"):
+            make(b)
+
+    def test_empty_table_is_refused(self):
+        for values in ([], (), iter([])):
+            with pytest.raises(ValueError, match="^`table` needs a non-empty `values` list$"):
+                table(values)
+
+    @pytest.mark.parametrize("build", [
+        lambda: LiftedPhi(square(), 0.5),
+        lambda: LiftedPhi(square(), None, True),
+        lambda: LiftedPhi("square"),
+        lambda: PhiSum(shared=square(), f=0.5),
+        lambda: PhiSum(shared=square(), g=(1, 2.0)),
+        lambda: PhiSum(per_vertex=("square",) * 3),
+        lambda: PhiSum(shared=square(), per_vertex=(square(),)),
+        lambda: PhiSpec("bogus"),
+        lambda: PhiSpec(["square"]),
+    ])
+    def test_invalid_costs_are_refused_at_construction(self, build):
+        with pytest.raises(ValueError):
+            build()
 
 
 class TestValidateConvex:
@@ -136,23 +170,23 @@ class TestValidateConvex:
 
 class TestLift:
     def test_in_range_is_plain(self):
-        assert lift(zero(), 2, 2).cost(2) == LiftedCost(0, 0)
+        assert LiftedPhi(zero(), 2, 2).cost(2) == LiftedCost(0, 0)
 
     def test_below_lower_bound(self):
-        assert lift(zero(), 2, 2).cost(0) == LiftedCost(2, 0)
+        assert LiftedPhi(zero(), 2, 2).cost(0) == LiftedCost(2, 0)
 
     def test_above_upper_bound_clamps_base(self):
-        assert lift(square(), 1, 3).cost(5) == LiftedCost(2, 9)
+        assert LiftedPhi(square(), 1, 3).cost(5) == LiftedCost(2, 9)
 
     def test_empty_interval(self):
         with pytest.raises(ValueError):
-            lift(zero(), 3, 1)
+            LiftedPhi(zero(), 3, 1)
         with pytest.raises(ValueError):
             LiftedPhi(zero(), f=-1)
 
     @given(st.integers(0, 8))
     def test_full_interval_is_identity(self, z):
-        phi = lift(square(), 0, 8)
+        phi = LiftedPhi(square(), 0, 8)
         assert phi.cost(z) == LiftedCost(0, z * z)
 
 
@@ -222,8 +256,7 @@ def ref_phi_sum(objective, graph, indeg):
             penalty, z = penalty + phi.f - z, phi.f
         if phi.g is not None and z > phi.g:
             penalty, z = penalty + z - phi.g, phi.g
-        x = phi.spec(z)
-        base += x if isinstance(x, (int, Fraction)) else Fraction(str(x))
+        base += phi.spec(z)
     return LiftedCost(penalty, base)
 
 
@@ -278,12 +311,29 @@ class TestEvaluateAgainstPlainSum:
                 spec = rng.choice(pool)
                 if rng.random() < 0.3 and spec != abs_balance():  # lifted costs resolve as given
                     f = rng.randint(0, 2)
-                    spec = lift(spec, f, f + rng.randint(0, 2))
+                    spec = LiftedPhi(spec, f, f + rng.randint(0, 2))
                 per.append(spec)
             objective = PhiSum(per_vertex=tuple(per))
             if not any(isinstance(p, LiftedPhi) for p in per) and rng.random() < 0.5:
                 objective = PhiSum(per_vertex=tuple(per), g=rng.randint(0, 3))
             self.check(objective, g, rng)
+
+    def test_values_are_ints_and_fractions_only(self):
+        rng = random.Random(3)
+        for seed in range(8):
+            g = random_multigraph(rng.randint(2, 8), rng.randint(0, 14), seed)
+            for spec in random_specs(rng, g):
+                if spec == abs_balance():
+                    spec = abs_balance(rng.randint(0, 4))
+                phi = LiftedPhi(spec, 1, 2)
+                for z in range(max(g.degrees, default=0) + 1):
+                    assert type(spec(z)) in (int, Fraction), (spec, z)
+                    penalty, base = phi.parts(z)
+                    assert type(penalty) is int and type(base) in (int, Fraction), (spec, z)
+                dv = degrees_of_order(g, range(g.n))
+                for objective in (PhiSum(shared=spec), PhiSum(shared=spec, f=1, g=2)):
+                    key = evaluate(objective, g, dv)
+                    assert type(key.penalty) is int and type(key.base) in (int, Fraction), spec
 
     def test_integral_fraction_sums_stay_fractions(self):
         g = build_graph(2, [(0, 1)])
@@ -312,13 +362,12 @@ class TestPhiSumResolve:
     def test_wrong_per_vertex_length(self):
         g = build_graph(2, [(0, 1)])
         with pytest.raises(ValueError):
-            PhiSum(per_vertex=(lift(zero()),)).resolve(g)
+            PhiSum(per_vertex=(LiftedPhi(zero()),)).resolve(g)
 
     def test_lifted_entries_clash_with_shared_bounds(self):
         g = build_graph(2, [(0, 1)])
-        obj = PhiSum(per_vertex=(lift(zero(), 0, 1), lift(zero(), 0, 1)), f=0)
         with pytest.raises(ValueError):
-            obj.resolve(g)
+            PhiSum(per_vertex=(LiftedPhi(zero(), 0, 1), LiftedPhi(zero(), 0, 1)), f=0)
 
     def test_plain_specs_in_per_vertex_get_lifted(self):
         g = build_graph(2, [(0, 1)])
@@ -328,7 +377,7 @@ class TestPhiSumResolve:
 
     def test_neither_shared_nor_per_vertex(self):
         with pytest.raises(ValueError):
-            PhiSum().resolve(build_graph(1, []))
+            PhiSum()
 
 
 def _cmp(a, b) -> int:

@@ -32,11 +32,11 @@ from orientopt.objectives import (
     IncMax,
     IncMin,
     LiftedCost,
+    LiftedPhi,
     MaxWeightedIndeg,
     PhiSum,
     RhoDeltaSum,
     evaluate,
-    lift,
     linear,
     square,
     zero,
@@ -128,14 +128,14 @@ class TestBruteOptimal:
         with pytest.raises(ValueError):
             brute_optimal(k3(), DecMin(), "sideways")
 
-    @pytest.mark.parametrize("objective", [
-        PhiSum(),
-        PhiSum(per_vertex=(square(),) * 2),
-        PhiSum(shared=square(), g=(1, 1)),
-        PhiSum(shared=square(), f=(2, 2, 2), g=(1, 1, 1)),
-        PhiSum(shared=square(), f=(-1, 0, 0)),
-        PhiSum(per_vertex=(lift(square(), 0, 2),) * 3, f=1),
-    ])
+    @pytest.mark.parametrize("objective", [  # built in the test: some fail at construction
+        lambda: PhiSum(),
+        lambda: PhiSum(per_vertex=(square(),) * 2),
+        lambda: PhiSum(shared=square(), g=(1, 1)),
+        lambda: PhiSum(shared=square(), f=(2, 2, 2), g=(1, 1, 1)),
+        lambda: PhiSum(shared=square(), f=(-1, 0, 0)),
+        lambda: PhiSum(per_vertex=(LiftedPhi(square(), 0, 2),) * 3, f=1),
+    ], ids=[f"objective{i}" for i in range(6)])
     def test_malformed_phi_sum_is_refused_before_the_walk(self, objective, monkeypatch):
         import orientopt.exhaustive as ex
 
@@ -146,7 +146,7 @@ class TestBruteOptimal:
         monkeypatch.setattr(ex, "_walk_orders", walked)
         for mode in ("cyclic", "acyclic"):
             with pytest.raises(ValueError):
-                brute_optimal(k3(), objective, mode)
+                brute_optimal(k3(), objective(), mode)
 
     def test_gray_code_walk_agrees_with_plain_scan(self):
         # the Gray-code walk must agree with a naive evaluate-everything

@@ -27,12 +27,12 @@ from orientopt.objectives import (
     IncMax,
     IncMin,
     LiftedCost,
+    LiftedPhi,
     MaxWeightedIndeg,
     PhiSum,
     RhoDeltaSum,
     cube,
     evaluate,
-    lift,
     square,
     table,
     zero,
@@ -269,7 +269,7 @@ class TestSubsetDP:
 
     def test_lifted_cost_values_work(self):
         g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-        phi = lift(zero(), 1, 1)
+        phi = LiftedPhi(zero(), 1, 1)
         order, value = exact_subset_dp(g, lambda v, z: phi.cost(z))
         # acyclic K3 always has a source (indeg 0) and a sink (indeg 2)
         assert value == LiftedCost(2, 0)
