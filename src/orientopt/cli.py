@@ -26,6 +26,7 @@ from pathlib import Path
 from .graph import (
     Multigraph,
     _degree_vector,
+    _int_indegrees,
     _order_heads,
     check_order,
     check_orientation,
@@ -108,11 +109,8 @@ def _heads_key(graph, objective, heads, dv):
     Fraction of the largest int weighted indegree (in units of
     :attr:`Multigraph.int_weights`), so it needs no Fraction per vertex."""
     if objective.kind == "max_weighted_indeg" and graph.weights is not None:
-        w, scale = graph.int_weights
-        indeg = [0] * graph.n
-        for h, x in zip(heads, w):
-            indeg[h] += x
-        return Fraction(max(indeg), scale) if indeg else 0
+        indeg = _int_indegrees(graph, heads, weighted=True)
+        return Fraction(max(indeg), graph.int_weights[1]) if indeg else 0
     # without weights, the plain degrees equal the weighted ones
     return evaluate(objective, graph, dv)
 

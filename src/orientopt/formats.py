@@ -37,6 +37,12 @@ _KEY_OBJECTIVES = {o.kind: o for o in (obj.DecMin, obj.IncMax, obj.IncMin, obj.D
                                         obj.RhoDeltaSum, obj.MaxWeightedIndeg,
                                         obj.ForbiddenSubpaths)}
 
+# the fields each kind of JSON object may have
+_KEY_FIELDS = frozenset(("kind",))
+_PHI_SUM_FIELDS = frozenset(("kind", "shared", "per_vertex", "f", "g"))
+_ENTRY_FIELDS = {kind: frozenset(("kind", "f", "g") + names)
+                 for kind, names in obj.PHI_PARAMS.items()}
+
 
 def _at(message: str, lines: list[str], lineno: int, k: int) -> FormatError:
     """A FormatError at the k-th token of a line; columns are found on errors only."""
@@ -189,28 +195,49 @@ def _json_rational(value, what: str) -> int | Fraction:
 # Objective specs.
 
 
-def _parse_phi(doc, what: str) -> obj.PhiSpec:
-    """A JSON cost, turned into numbers for its constructor, which checks it."""
+def _undefined_field(doc: dict, fields: frozenset, what: str) -> FormatError:
+    """The FormatError naming the first field of ``doc`` not in ``fields``."""
+    field = next(name for name in doc if name not in fields)
+    return FormatError(f"{what}: `{doc['kind']}` has no field {field!r}")
+
+
+def _parse_entry(doc, what: str):
+    """A JSON cost entry, turned into numbers for its constructor, which
+    checks it.  Inline ``f``/``g`` bounds lift it into a LiftedPhi, for its
+    own vertex or, shared, for every vertex."""
     if isinstance(doc, str):
         doc = {"kind": doc}
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FormatError(f"{what} must name a cost kind")
     kind = doc["kind"]
+    fields = _ENTRY_FIELDS.get(kind) if kind.__class__ is str else None
+    if fields is None:
+        raise FormatError(f"{what}: unknown cost kind {kind!r}")
+    if not doc.keys() <= fields:
+        raise _undefined_field(doc, fields, what)
     try:
         if kind == "linear":
             a = _json_rational(doc.get("a", 0), f"{what}: `a`")
             b = _json_rational(doc.get("b", 0), f"{what}: `b`")
-            return obj.linear(a, b)
-        if kind == "abs_balance":
-            return obj.abs_balance(doc.get("d"))
-        if kind in ("exp_base", "neg_exp_base"):
-            return (obj.exp_base if kind == "exp_base" else obj.neg_exp_base)(doc.get("base"))
-        if kind == "table":
+            spec = obj.linear(a, b)
+        elif kind == "abs_balance":
+            spec = obj.abs_balance(doc.get("d"))
+        elif kind in ("exp_base", "neg_exp_base"):
+            spec = (obj.exp_base if kind == "exp_base" else obj.neg_exp_base)(doc.get("base"))
+        elif kind == "table":
             values = doc.get("values")
             if not isinstance(values, list):
                 raise FormatError(f"{what}: `table` needs a non-empty `values` list")
-            return obj.table([_json_rational(x, f"{what}: values[{i}]") for i, x in enumerate(values)])
-        return obj.PhiSpec(kind)  # square, cube, binom2, zero, or refused
+            spec = obj.table([_json_rational(x, f"{what}: values[{i}]") for i, x in enumerate(values)])
+        else:
+            spec = obj.PhiSpec(kind)  # square, cube, binom2, zero
+        if "f" not in doc and "g" not in doc:
+            return spec
+        f = _parse_bound(doc.get("f"), f"{what}.f")
+        g = _parse_bound(doc.get("g"), f"{what}.g")
+        if isinstance(f, tuple) or isinstance(g, tuple):
+            raise FormatError(f"{what} bounds must be plain integers")
+        return obj.LiftedPhi(spec, f, g)
     except FormatError:
         raise
     except ValueError as e:
@@ -242,37 +269,28 @@ def parse_objective(text: str):
     if not isinstance(kind, str):
         raise FormatError(f"objective `kind` must be a string, not {kind!r}")
     if kind in _KEY_OBJECTIVES:
+        if not doc.keys() <= _KEY_FIELDS:
+            raise _undefined_field(doc, _KEY_FIELDS, "objective")
         return _KEY_OBJECTIVES[kind]()
     if kind in obj.PHI_KINDS:
         # a bare cost shape means: minimize its sum over all vertices
-        return obj.PhiSum(shared=_parse_phi(doc, "objective"))
+        return obj.PhiSum(shared=_parse_entry(doc, "objective"))
     if kind != "phi_sum":
         raise FormatError(f"unknown objective kind {kind!r}")
+    if not doc.keys() <= _PHI_SUM_FIELDS:
+        raise _undefined_field(doc, _PHI_SUM_FIELDS, "objective")
     shared = doc.get("shared")
     per_vertex = doc.get("per_vertex")
     if (shared is None) == (per_vertex is None):
         raise FormatError("phi_sum needs exactly one of `shared` / `per_vertex`")
     f = _parse_bound(doc.get("f"), "`f`")
     g = _parse_bound(doc.get("g"), "`g`")
-    if per_vertex is not None:
-        if not isinstance(per_vertex, list):
-            raise FormatError("`per_vertex` must be a list of cost specs")
-        specs = []
-        for i, p in enumerate(per_vertex):
-            spec = _parse_phi(p, f"per_vertex[{i}]")
-            if isinstance(p, dict) and ("f" in p or "g" in p):
-                # bounds written inline on one entry lift just that vertex
-                pf = _parse_bound(p.get("f"), f"per_vertex[{i}].f")
-                pg = _parse_bound(p.get("g"), f"per_vertex[{i}].g")
-                if isinstance(pf, tuple) or isinstance(pg, tuple):
-                    raise FormatError(f"per_vertex[{i}] bounds must be plain integers")
-                try:
-                    spec = obj.LiftedPhi(spec, pf, pg)
-                except ValueError as e:
-                    raise FormatError(f"per_vertex[{i}]: {e}") from None
-            specs.append(spec)
-        return obj.PhiSum(per_vertex=tuple(specs), f=f, g=g)
-    return obj.PhiSum(shared=_parse_phi(shared, "`shared`"), f=f, g=g)
+    if per_vertex is None:
+        return obj.PhiSum(shared=_parse_entry(shared, "`shared`"), f=f, g=g)
+    if not isinstance(per_vertex, list):
+        raise FormatError("`per_vertex` must be a list of cost specs")
+    return obj.PhiSum(per_vertex=tuple([_parse_entry(p, f"per_vertex[{i}]")
+                                        for i, p in enumerate(per_vertex)]), f=f, g=g)
 
 
 # ---------------------------------------------------------------------------
@@ -313,25 +331,26 @@ def phi_to_json(spec) -> dict:
     return doc
 
 
+def _entry_to_json(entry) -> dict:
+    """A cost entry, with the inline bounds of a LiftedPhi."""
+    if entry.__class__ is not obj.LiftedPhi:
+        return phi_to_json(entry)
+    doc = phi_to_json(entry.spec)
+    if entry.f is not None:
+        doc["f"] = entry.f
+    if entry.g is not None:
+        doc["g"] = entry.g
+    return doc
+
+
 def objective_to_json(objective) -> dict:
     if not isinstance(objective, obj.PhiSum):
         return {"kind": objective.kind}
     doc: dict = {"kind": "phi_sum"}
     if objective.per_vertex is not None:
-        per = []
-        for entry in objective.per_vertex:
-            if isinstance(entry, obj.LiftedPhi):
-                e = phi_to_json(entry.spec)
-                if entry.f is not None:
-                    e["f"] = entry.f
-                if entry.g is not None:
-                    e["g"] = entry.g
-                per.append(e)
-            else:
-                per.append(phi_to_json(entry))
-        doc["per_vertex"] = per
+        doc["per_vertex"] = [_entry_to_json(entry) for entry in objective.per_vertex]
     else:
-        doc["shared"] = phi_to_json(objective.shared)
+        doc["shared"] = _entry_to_json(objective.shared)
     for name, bound in (("f", objective.f), ("g", objective.g)):
         if bound is not None:
             doc[name] = list(bound) if not isinstance(bound, int) else bound

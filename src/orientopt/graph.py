@@ -179,6 +179,8 @@ def build_graph(n: int, edges: Iterable, weights=None, allow_loops: bool = False
     edge_list: list[tuple[int, int]] = []
     for pos, e in enumerate(edges):
         u, v = e
+        if u.__class__ is not int or v.__class__ is not int:
+            raise ValueError(f"edge {pos} endpoints must be integers, not ({u!r}, {v!r})")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge {pos} endpoint out of range: ({u}, {v})")
         if u == v and not allow_loops:
@@ -236,16 +238,23 @@ def check_orientation(graph: Multigraph, orientation: Orientation) -> None:
             raise ValueError(f"head of edge {j} is not one of its endpoints")
 
 
+def _int_indegrees(graph: Multigraph, heads, weighted: bool) -> list[int]:
+    """Per vertex, the number of edges whose head it is; with ``weighted``,
+    the sum of their :attr:`Multigraph.int_weights` instead."""
+    indeg = [0] * graph.n
+    for h, x in zip(heads, graph.int_weights[0] if weighted else (1,) * graph.m):
+        indeg[h] += x
+    return indeg
+
+
 def _degree_vector(graph: Multigraph, heads, weighted: bool) -> DegreeVector:
     """In/out degrees given the vertex each edge counts in for; weighted
     ones sum :attr:`Multigraph.int_weights` and divide once per vertex."""
-    w, scale = graph.int_weights if weighted else ((1,) * graph.m, 1)
-    indeg = [0] * graph.n
-    for h, x in zip(heads, w):
-        indeg[h] += x
+    indeg = _int_indegrees(graph, heads, weighted)
     total = graph.int_weighted_degrees if weighted else graph.degrees
     outdeg = tuple(t - x for t, x in zip(total, indeg))
     if weighted:
+        scale = graph.int_weights[1]
         return DegreeVector(*(tuple(Fraction(x, scale) for x in xs) for xs in (indeg, outdeg)))
     return DegreeVector(tuple(indeg), outdeg)
 

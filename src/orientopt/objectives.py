@@ -71,20 +71,32 @@ class LiftedCost(Frozen):
         return self.penalty == 0
 
 
-PHI_KINDS = frozenset(("square", "cube", "binom2", "abs_balance", "exp_base",
-                       "neg_exp_base", "linear", "zero", "table"))
+# each cost kind's parameters, by their names in a JSON spec; a table
+# takes its values as its parameters, one or more
+PHI_PARAMS = {"square": (), "cube": (), "binom2": (), "zero": (), "abs_balance": ("d",),
+              "exp_base": ("base",), "neg_exp_base": ("base",), "linear": ("a", "b"),
+              "table": ("values",)}
+PHI_KINDS = frozenset(PHI_PARAMS)
 
 
 class PhiSpec(Frozen):
     """A per-vertex cost function on indegrees, evaluated exactly.  Its
-    parameters are ints, None or Fractions (see :func:`exact_number`)."""
+    parameters are ints, None or Fractions (see :func:`exact_number`), as
+    many as :data:`PHI_PARAMS` names; their ranges are checked by the
+    named constructors below."""
 
     __slots__ = _fields = ("kind", "params")
 
     def __init__(self, kind: str, params=()):
-        if kind.__class__ is not str or kind not in PHI_KINDS:
+        names = PHI_PARAMS.get(kind) if kind.__class__ is str else None
+        if names is None:
             raise ValueError(f"unknown cost kind {kind!r}")
         params = tuple(params)
+        if kind == "table":
+            if not params:
+                raise ValueError("`table` needs a non-empty `values` list")
+        elif len(params) != len(names):
+            raise ValueError(f"`{kind}` takes {len(names)} parameter(s), not {len(params)}")
         for x in params:
             if not (x is None or x.__class__ is int or x.__class__ is Fraction):
                 params = tuple([y if y is None else exact_number(y) for y in params])
@@ -163,10 +175,7 @@ def zero() -> PhiSpec:
 
 
 def table(values: Sequence) -> PhiSpec:
-    spec = PhiSpec("table", values)
-    if not spec.params:
-        raise ValueError("`table` needs a non-empty `values` list")
-    return spec
+    return PhiSpec("table", values)
 
 
 class LiftedPhi(Frozen):
@@ -231,7 +240,7 @@ class PhiSum(Frozen):
                    and all(x is None or x.__class__ is int for x in b) for b in (f, g)):
             raise ValueError("a degree bound must be None, an integer or one per vertex")
         if LiftedPhi in classes and (f is not None or g is not None):
-            raise ValueError("shared degree bounds clash with per-vertex lifted costs")
+            raise ValueError("shared degree bounds clash with lifted costs")
         object.__setattr__(self, "shared", shared)
         object.__setattr__(self, "per_vertex", per_vertex)
         object.__setattr__(self, "f", f)

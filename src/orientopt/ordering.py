@@ -43,26 +43,27 @@ from .objectives import (
 DP_CAP = 26
 
 
-def _peel(graph: Multigraph, w: Sequence[int] | None = None, choose=None) -> list[int]:
+def _peel(graph: Multigraph, weighted: bool = False, choose=None) -> list[int]:
     """Smallest-last peeling: n times, remove a live vertex of minimum
     (weighted) degree; returns the removal sequence, the reverse order.
 
-    With ``w=None`` every edge counts one and the live vertices sit in a
+    Without ``weighted`` every edge counts one and the live vertices sit in a
     bucket queue, one list per degree kept sorted by id, so a step costs
     one bucket move (a bisect and a list shift) per incident edge
     (Matula & Beck 1983; Batagelj & Zaversnik 2003).  ``choose(ties)``
     gets the bucket of minimum degree and returns the member of it to
     remove (default: ``ties[0]``, the lowest id).
 
-    With int weights ``w`` a lazy heap of (weighted degree, id) serves
-    instead, O(m log n), and the lowest id among the minima goes first.
+    With ``weighted``, edges count their :attr:`Multigraph.int_weights`
+    and a lazy heap of (weighted degree, id) serves instead, O(m log n),
+    and the lowest id among the minima goes first.
     """
     n = graph.n
     edges = graph.edges
     incident = graph.incident
     alive = [True] * n
     removed: list[int] = []
-    if w is None:
+    if not weighted:
         deg = list(graph.degrees)
         buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
         for v in range(n):
@@ -88,11 +89,8 @@ def _peel(graph: Multigraph, w: Sequence[int] | None = None, choose=None) -> lis
                     if d <= lo:
                         lo = d - 1
         return removed
-    key = [0] * n
-    for j, (a, b) in enumerate(edges):
-        key[a] += w[j]
-        if b != a:
-            key[b] += w[j]
+    w = graph.int_weights[0]
+    key = list(graph.int_weighted_degrees)
     heap = [(k, v) for v, k in enumerate(key)]
     heapify(heap)
     while heap:
@@ -127,7 +125,7 @@ def weighted_smallest_last(graph: Multigraph) -> tuple[int, ...]:
     """
     ints = graph.int_weights[0]
     uniform = len(set(ints)) <= 1 and min(ints, default=1) > 0
-    return tuple(reversed(_peel(graph, None if uniform else ints)))
+    return tuple(reversed(_peel(graph, weighted=not uniform)))
 
 
 def greedy_min_degree(graph: Multigraph, seed=None) -> tuple[int, ...]:

@@ -511,6 +511,44 @@ def test_objective_errors_match_recording(capsys, case):
     assert got == (case["code"], "", case["stderr"])
 
 
+# one bounded square sum written three ways: bounds inline on a bare cost
+# shape, inline on the shared cost, and beside the shared cost
+BOUNDED_SQUARE_SPECS = [
+    '{"kind": "square", "f": 2, "g": 2}',
+    '{"kind": "phi_sum", "shared": {"kind": "square", "f": 2, "g": 2}}',
+    '{"kind": "phi_sum", "shared": "square", "f": 2, "g": 2}',
+]
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--mode", "cyclic-flow"), ("solve", "--mode", "acyclic-exact"),
+    ("oracle", "--mode", "cyclic"), ("oracle", "--mode", "acyclic"),
+], ids=" ".join)
+@pytest.mark.parametrize("spec", BOUNDED_SQUARE_SPECS)
+def test_bounds_hold_wherever_a_spec_writes_them(capsys, spec, argv):
+    # on k3 every vertex has indegree 1 (cyclic) or 0, 1, 2 (acyclic):
+    # three units below f = 2 either way, and base 3 * 2**2
+    rep = report_of(capsys, argv[0], "--input", "k3", "--objective", spec, *argv[1:])
+    assert rep["key"] == {"penalty": 3, "base": 12}
+    g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+    echoed = parse_objective(json.dumps(rep["objective"]))
+    assert echoed.resolve(g) == parse_objective(spec).resolve(g)
+
+
+@pytest.mark.parametrize("spec, field", [
+    ('{"kind": "dec_min", "f": 1}', "objective: `dec_min` has no field 'f'"),
+    ('{"kind": "linear", "A": 1}', "objective: `linear` has no field 'A'"),
+    ('{"kind": "phi_sum", "shared": "square", "h": 1}', "objective: `phi_sum` has no field 'h'"),
+    ('{"kind": "phi_sum", "shared": {"kind": "square", "base": 3}}',
+     "`shared`: `square` has no field 'base'"),
+    ('{"kind": "phi_sum", "per_vertex": ["zero", {"kind": "exp_base", "bse": 3}, "zero"]}',
+     "per_vertex[1]: `exp_base` has no field 'bse'"),
+])
+def test_undefined_fields_are_refused_by_name(capsys, spec, field):
+    got = invoke(capsys, "solve", "--input", "k3", "--objective", spec, "--mode", "cyclic-flow")
+    assert got == (2, "", f"error: line 1, column 1: {field}\n")
+
+
 class TestOracle:
     def test_cyclic_with_counting(self, capsys):
         rep = report_of(
@@ -638,6 +676,16 @@ class TestGenerate:
         g = parse_graph(p.read_text())
         assert (g.n, g.m) == (6, 7)
         assert g.weights is not None
+
+    def test_random_simple_with_a_degree_cap(self, capsys):
+        for seed in range(6):
+            code, out, _ = invoke(
+                capsys, "generate", "--family", "random", "--n", "9", "--m", "8",
+                "--seed", str(seed), "--simple", "--max-degree", "2",
+            )
+            assert code == 0
+            g = parse_graph(out)
+            assert (g.n, g.m) == (9, 8) and g.is_simple and g.max_degree <= 2
 
     def test_generate_then_solve(self, capsys, tmp_path):
         p = tmp_path / "g.graph"

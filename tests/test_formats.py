@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from orientopt.formats import (
     FormatError,
@@ -29,13 +30,38 @@ from orientopt.objectives import (
     MaxWeightedIndeg,
     PhiSum,
     abs_balance,
+    binom2,
+    cube,
+    exp_base,
     linear,
+    neg_exp_base,
     square,
     table,
     zero,
 )
 
 from paper_facts import graph_to_json
+
+
+RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+COSTS = st.one_of(  # every cost kind
+    st.sampled_from([square(), cube(), binom2(), zero()]),
+    st.builds(abs_balance, st.none() | st.integers(0, 6)),
+    st.builds(exp_base, st.integers(2, 5)),
+    st.builds(neg_exp_base, st.integers(2, 5)),
+    st.builds(linear, RATIONALS, RATIONALS),
+    st.builds(table, st.lists(RATIONALS, min_size=1, max_size=4)),
+)
+
+
+@st.composite
+def cost_entries(draw):
+    """A cost, or one lifted by at least one int bound."""
+    phi = draw(COSTS)
+    f = draw(st.none() | st.integers(0, 3))
+    g = draw(st.none() | st.integers(f or 0, 5))
+    lift = (f, g) != (None, None) and draw(st.booleans())
+    return LiftedPhi(phi, f, g) if lift else phi
 
 
 class TestParseGraphText:
@@ -300,6 +326,22 @@ class TestSerialization:
         for objective in objectives:
             text = json.dumps(objective_to_json(objective))
             assert parse_objective(text) == objective, text
+
+    @given(st.data())
+    def test_phi_sums_round_trip(self, data):
+        # shared or per-vertex entries, each a cost of any kind or one
+        # lifted by int bounds; top-level bounds only beside unlifted ones
+        n = data.draw(st.integers(1, 4))
+        if data.draw(st.booleans()):
+            shared, per_vertex = data.draw(cost_entries()), None
+            lifted = isinstance(shared, LiftedPhi)
+        else:
+            shared, per_vertex = None, tuple(data.draw(st.lists(cost_entries(), min_size=n, max_size=n)))
+            lifted = any(isinstance(e, LiftedPhi) for e in per_vertex)
+        bound = st.just(None) if lifted else st.none() | st.integers(0, 3) | st.tuples(
+            *[st.integers(0, 3)] * n)
+        objective = PhiSum(shared, per_vertex, f=data.draw(bound), g=data.draw(bound))
+        assert parse_objective(json.dumps(objective_to_json(objective))) == objective
 
     def test_scheduling_objective_round_trip(self):
         # the generated assignment objectives mix lifted zeros and plain

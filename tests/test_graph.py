@@ -44,6 +44,12 @@ def test_build_rejects_a_vertex_count_that_is_no_natural_number(n):
         build_graph(n, [(0, 0)], allow_loops=True)
 
 
+@pytest.mark.parametrize("edge", [(0, 1.0), (1.0, 0), (True, 1), (0, False), (0, "1"), (None, 1)])
+def test_build_rejects_endpoints_that_are_no_ints(edge):
+    with pytest.raises(ValueError, match=r"^edge 1 endpoints must be integers"):
+        build_graph(2, [(0, 1), edge])
+
+
 def test_loops_need_opt_in():
     with pytest.raises(ValueError):
         build_graph(2, [(1, 1)])

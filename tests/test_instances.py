@@ -260,6 +260,15 @@ class TestRandomMultigraph:
         g = random_multigraph(6, 9, seed=1, max_degree=3)
         assert g.max_degree <= 3
 
+    def test_simple_graphs_keep_the_degree_cap(self):
+        # sparse enough to succeed, dense enough that some draws break the
+        # cap and are drawn again
+        for seed in range(12):
+            for n, m, k in ((8, 10, 3), (9, 8, 2), (6, 6, 2)):
+                g = random_multigraph(n, m, seed=seed, simple=True, max_degree=k)
+                assert (g.n, g.m) == (n, m) and g.is_simple
+                assert g.max_degree <= k, (seed, n, m, k)
+
     def test_connected_flag(self):
         g = random_multigraph(7, 8, seed=2, connected=True)
         assert is_connected(g)

@@ -133,6 +133,14 @@ class TestSpecs:
             with pytest.raises(ValueError, match="^`table` needs a non-empty `values` list$"):
                 table(values)
 
+    @pytest.mark.parametrize("kind, params", [
+        ("linear", (1,)), ("linear", (1, 2, 3)), ("exp_base", ()), ("neg_exp_base", (2, 3)),
+        ("abs_balance", ()), ("square", (3,)), ("zero", (0,)), ("cube", (None,)), ("table", ()),
+    ])
+    def test_parameter_count_is_checked_at_construction(self, kind, params):
+        with pytest.raises(ValueError, match=f"^`{kind}` (takes|needs a non-empty)"):
+            PhiSpec(kind, params)
+
     @pytest.mark.parametrize("build", [
         lambda: LiftedPhi(square(), 0.5),
         lambda: LiftedPhi(square(), None, True),
