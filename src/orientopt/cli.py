@@ -53,6 +53,7 @@ from .formats import (
     rational_to_json,
 )
 from .instances import (
+    SIZE_BUDGET,
     _UnknownName,
     fig4_graph,
     named_instance,
@@ -79,7 +80,11 @@ def _load_graph(spec: str) -> Multigraph:
     except _UnknownName:
         pass
     if os.path.exists(spec):  # also False for names the OS cannot look up
-        return parse_graph(Path(spec).read_text())
+        graph = parse_graph(Path(spec).read_text())
+        if graph.n > SIZE_BUDGET:  # every per-vertex table is that long
+            raise ValueError(f"{spec} declares {graph.n} vertices, above the"
+                             f" budget of {SIZE_BUDGET} vertices plus edges")
+        return graph
     raise ValueError(
         f"input {spec!r} is neither a builtin instance name nor a readable file"
     )
@@ -264,6 +269,9 @@ def _cmd_generate(args) -> int:
     elif args.family == "gk":
         graph = named_instance(f"gk:{args.k}")
     elif args.family == "random":
+        if args.n + args.m > SIZE_BUDGET:
+            raise ValueError(f"--n plus --m is {args.n + args.m}, above the"
+                             f" budget of {SIZE_BUDGET} vertices plus edges")
         graph = random_multigraph(
             args.n,
             args.m,

@@ -44,7 +44,9 @@ def build_network(graph: Multigraph, phis, heads) -> list[list[tuple]]:
     edge.  Row v lists phi_v(z + 1) - phi_v(z) as a ``(penalty, base)``
     pair for z from v's fixed indegree up to that plus its free degree,
     exclusive: the indegrees the free edges can reach.  Each row must be
-    non-decreasing, which is convexity on those indegrees.
+    non-decreasing, which is convexity on those indegrees.  Vertices with
+    the same cost object, fixed indegree and free degree share one row
+    list, which callers only read.
     """
     if len(phis) != graph.n:
         raise ValueError("need one cost spec per vertex")
@@ -59,18 +61,22 @@ def build_network(graph: Multigraph, phis, heads) -> list[list[tuple]]:
             free[u] += 1
             free[v] += 1
     rows = []
+    memo = {}  # keyed by id(phi): phis keeps every phi alive
     for phi, lo, k in zip(phis, start, free):
-        prev = phi.parts(lo)
-        row = []
-        for z in range(lo + 1, lo + k + 1):
-            cur = phi.parts(z)
-            step = (cur[0] - prev[0], cur[1] - prev[1])
-            if row and step < row[-1]:
-                raise ValueError(
-                    f"cost is not convex at indegree {z - 1}; the flow solver needs convexity"
-                )
-            row.append(step)
-            prev = cur
+        key = (id(phi), lo, k)
+        row = memo.get(key)
+        if row is None:
+            row = memo[key] = []
+            prev = phi.parts(lo)
+            for z in range(lo + 1, lo + k + 1):
+                cur = phi.parts(z)
+                step = (cur[0] - prev[0], cur[1] - prev[1])
+                if row and step < row[-1]:
+                    raise ValueError(
+                        f"cost is not convex at indegree {z - 1}; the flow solver needs convexity"
+                    )
+                row.append(step)
+                prev = cur
         rows.append(row)
     return rows
 

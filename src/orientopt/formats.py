@@ -20,7 +20,7 @@ import json
 import re
 from fractions import Fraction
 
-from .graph import Multigraph, as_fraction
+from .graph import Multigraph, build_graph, exact_number
 from . import objectives as obj
 
 
@@ -38,6 +38,7 @@ _KEY_OBJECTIVES = {o.kind: o for o in (obj.DecMin, obj.IncMax, obj.IncMin, obj.D
                                         obj.ForbiddenSubpaths)}
 
 # the fields each kind of JSON object may have
+_GRAPH_FIELDS = frozenset(("n", "edges", "allow_loops"))
 _KEY_FIELDS = frozenset(("kind",))
 _PHI_SUM_FIELDS = frozenset(("kind", "shared", "per_vertex", "f", "g"))
 _ENTRY_FIELDS = {kind: frozenset(("kind", "f", "g") + names)
@@ -104,7 +105,7 @@ def parse_graph_text(text: str) -> Multigraph:
         edges.append((u, v))
         if weighted:
             try:
-                w = _rational(toks[2])
+                w = exact_number(toks[2])
             except (ValueError, ZeroDivisionError):
                 raise _at(f"bad number {toks[2]!r}", lines, lineno, 2) from None
             if w < 0:
@@ -114,15 +115,16 @@ def parse_graph_text(text: str) -> Multigraph:
 
 
 def parse_graph_json(text: str) -> Multigraph:
+    """Check the document's JSON shape; :func:`build_graph` checks the graph."""
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise FormatError("expected a JSON object")
     for field in ("n", "edges"):
         if field not in doc:
             raise FormatError(f"missing field {field!r}")
-    n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise FormatError("`n` must be a non-negative integer")
+    if not doc.keys() <= _GRAPH_FIELDS:
+        field = next(name for name in doc if name not in _GRAPH_FIELDS)
+        raise FormatError(f"a JSON graph has no field {field!r}")
     allow_loops = doc.get("allow_loops", False)
     if not isinstance(allow_loops, bool):
         raise FormatError("`allow_loops` must be a boolean")
@@ -138,21 +140,13 @@ def parse_graph_json(text: str) -> Multigraph:
             arity = len(e)
         elif len(e) != arity:
             raise FormatError("either all edges carry weights or none do")
-        u, v = e[0], e[1]
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (u, v)):
-            raise FormatError(f"edge {i} endpoints must be integers")
-        if not (0 <= u < n and 0 <= v < n):
-            raise FormatError(f"edge {i} endpoint out of range for n={n}")
-        if u == v and not allow_loops:
-            raise FormatError(f"edge {i} is a loop but `allow_loops` is false")
-        edges.append((u, v))
-        if len(e) == 3:
-            # weights stay Fractions, as the text format gives them
-            w = as_fraction(_json_rational(e[2], f"edge {i} weight"))
-            if w < 0:
-                raise FormatError(f"edge {i} has negative weight {w}")
-            weights.append(w)
-    return Multigraph(n, tuple(edges), tuple(weights) if arity == 3 else None, allow_loops)
+        edges.append(e[:2])
+        if arity == 3:
+            weights.append(_json_rational(e[2], f"edge {i} weight"))
+    try:
+        return build_graph(doc["n"], edges, weights if arity == 3 else None, allow_loops)
+    except ValueError as e:
+        raise FormatError(str(e)) from None
 
 
 def parse_graph(text: str) -> Multigraph:
@@ -170,25 +164,14 @@ def _load_json(text: str):
         raise FormatError(e.msg, e.lineno, e.colno) from None
 
 
-def _rational(token: str) -> Fraction:
-    """``Fraction(token)``, reading ``p/q`` with int(): it takes what Fraction
-    takes around the "/", but for whitespace before it."""
-    num, _, den = token.partition("/")
-    if den.isdecimal() and not num[-1:].isspace():
-        return Fraction(int(num), int(den))
-    return Fraction(token)
-
-
-def _json_rational(value, what: str) -> int | Fraction:
-    """A JSON number or ``"p/q"`` string, exactly: ints stay ints."""
-    if type(value) is int:
-        return value
-    if isinstance(value, (float, str)):
-        try:
-            return _rational(value) if isinstance(value, str) else as_fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise FormatError(f"{what} must be a number or 'p/q' string")
+def _json_rational(value, what: str, field: str = ""):
+    """A JSON number or ``"p/q"`` string, read by :func:`exact_number`: ints
+    stay ints.  ``what`` and ``field`` name the value, joined on failure only."""
+    try:
+        return exact_number(value)
+    except (ValueError, ZeroDivisionError):
+        label = f"{what}: {field}" if field else what
+        raise FormatError(f"{label} must be a number or 'p/q' string") from None
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +200,8 @@ def _parse_entry(doc, what: str):
         raise _undefined_field(doc, fields, what)
     try:
         if kind == "linear":
-            a = _json_rational(doc.get("a", 0), f"{what}: `a`")
-            b = _json_rational(doc.get("b", 0), f"{what}: `b`")
+            a = _json_rational(doc.get("a", 0), what, "`a`")
+            b = _json_rational(doc.get("b", 0), what, "`b`")
             spec = obj.linear(a, b)
         elif kind == "abs_balance":
             spec = obj.abs_balance(doc.get("d"))
@@ -228,7 +211,7 @@ def _parse_entry(doc, what: str):
             values = doc.get("values")
             if not isinstance(values, list):
                 raise FormatError(f"{what}: `table` needs a non-empty `values` list")
-            spec = obj.table([_json_rational(x, f"{what}: values[{i}]") for i, x in enumerate(values)])
+            spec = obj.table([_json_rational(x, what, f"values[{i}]") for i, x in enumerate(values)])
         else:
             spec = obj.PhiSpec(kind)  # square, cube, binom2, zero
         if "f" not in doc and "g" not in doc:

@@ -18,22 +18,31 @@ from math import lcm
 from typing import Iterable, Sequence
 
 
-def as_fraction(value) -> Fraction:
-    """Convert a weight to an exact Fraction.
-
-    Floats go through their shortest decimal repr, so ``0.1`` becomes
-    ``1/10`` rather than the nearest binary float.  Strings accept both
-    ``"3/2"`` and ``"1.5"``.
-    """
-    if isinstance(value, Fraction):
+def exact_number(value):
+    """An outside number, exactly: an int stays an int and a Fraction is
+    kept; a float becomes the Fraction of its shortest decimal repr, so
+    ``0.1`` is ``1/10``; a string is read as ``Fraction(value)`` reads it,
+    with ``"p/q"`` read by int() on each side.  A bool, any other type or
+    a string that Fraction refuses raises ValueError (ZeroDivisionError
+    for a zero denominator)."""
+    cls = value.__class__
+    if cls is str:  # first: file tokens and spec values are strings
+        # int() takes what Fraction takes around the "/", but for
+        # whitespace before it
+        num, _, den = value.partition("/")
+        if den.isdecimal() and not num[-1:].isspace():
+            return Fraction(int(num), int(den))
+        return Fraction(value)
+    if cls is int or cls is Fraction:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact weight")
+    if cls is float:
+        return Fraction(repr(value))
+    raise ValueError(f"cannot interpret {value!r} as an exact number")
+
+
+def as_fraction(value) -> Fraction:
+    """:func:`exact_number` as a Fraction."""
+    return Fraction(x) if (x := exact_number(value)).__class__ is int else x
 
 
 def scaled_to_ints(weights) -> tuple[tuple[int, ...], int]:
@@ -170,9 +179,9 @@ def build_graph(n: int, edges: Iterable, weights=None, allow_loops: bool = False
     """Validating constructor for :class:`Multigraph`.
 
     ``edges`` is an iterable of endpoint pairs.  ``weights``, if given,
-    must supply one non-negative rational per edge (int, Fraction, float
-    or string; see :func:`as_fraction`).  Loops are rejected unless
-    ``allow_loops`` is set.
+    must supply one non-negative rational per edge (an int, Fraction,
+    float or string, read by :func:`exact_number`).  Loops are rejected
+    unless ``allow_loops`` is set.
     """
     if n.__class__ is not int or n < 0:
         raise ValueError(f"vertex count must be a non-negative integer, not {n!r}")

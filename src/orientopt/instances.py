@@ -165,10 +165,15 @@ def _degree_list(n, edges):
     return deg
 
 
-# Largest parameter of each sized builtin family: about 2 * 10**6 vertices
-# plus edges.  Built with Python 3.11 on a 2-core x86 VM, complete:2000 took
-# 0.53 s and peaked at 308 MB, path:10**6 0.29 s and 223 MB, cycle:10**6
-# 0.32 s and 223 MB, and gk:222222 0.39 s and 233 MB.
+#: Vertices plus edges of the largest graph the command line builds or
+#: reads: the sized builtin families' caps below, a graph file's vertex
+#: count and ``generate --family random``'s n + m.
+SIZE_BUDGET = 2 * 10**6
+
+# Largest parameter of each sized builtin family, within about SIZE_BUDGET
+# vertices plus edges.  Built with Python 3.11 on a 2-core x86 VM,
+# complete:2000 took 0.53 s and peaked at 308 MB, path:10**6 0.29 s and
+# 223 MB, cycle:10**6 0.32 s and 223 MB, and gk:222222 0.39 s and 233 MB.
 _CAPS = {"gk": 222_222, "path": 10**6, "cycle": 10**6, "complete": 2000}
 
 

@@ -20,12 +20,7 @@ from functools import total_ordering
 from itertools import repeat
 from typing import Sequence
 
-from .graph import DegreeVector, Frozen, Multigraph, as_fraction
-
-
-def exact_number(value):
-    """Exact scalar: ints stay ints, everything else becomes Fraction."""
-    return value if isinstance(value, int) else as_fraction(value)
+from .graph import DegreeVector, Frozen, Multigraph, exact_number
 
 
 @total_ordering

@@ -25,6 +25,7 @@ from .graph import (
     _st_order,
     block_tree,
     degrees_of_order,
+    exact_number,
     scaled_to_ints,
     subgraph,
 )
@@ -33,7 +34,6 @@ from .objectives import (
     PhiSum,
     binom2,
     evaluate,
-    exact_number,
     exp_base,
     neg_exp_base,
     resolved,

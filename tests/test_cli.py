@@ -15,7 +15,7 @@ from orientopt.cli import MODES, _solve_report, build_parser, run
 from orientopt.flow import CyclicSolution
 from orientopt.formats import key_to_json, parse_graph, parse_objective, rational_to_json
 from orientopt.graph import Orientation, build_graph, degrees_of_order, degrees_of_orientation
-from orientopt.instances import random_multigraph
+from orientopt.instances import FIG4_EDGES, SIZE_BUDGET, random_multigraph
 from orientopt.objectives import LiftedCost, PhiSum, evaluate
 
 
@@ -290,6 +290,57 @@ class TestExitCodes:
         )
         assert code == 2
         assert err == "error: line 1, column 1: `edges` must be a list\n"
+
+    def test_json_graph_undefined_field_is_2(self, capsys, tmp_path):
+        p = tmp_path / "extra.json"
+        p.write_text('{"n": 2, "edges": [[0, 1]], "directed": true}')
+        code, _, err = invoke(
+            capsys, "solve", "--input", str(p), "--objective", "square",
+            "--mode", "cyclic-flow",
+        )
+        assert code == 2
+        assert err == "error: line 1, column 1: a JSON graph has no field 'directed'\n"
+
+    def test_json_graph_errors_are_build_graphs(self, capsys, tmp_path):
+        p = tmp_path / "loop.json"
+        p.write_text('{"n": 2, "edges": [[0, 0]]}')
+        code, _, err = invoke(
+            capsys, "solve", "--input", str(p), "--objective", "square",
+            "--mode", "cyclic-flow",
+        )
+        assert code == 2
+        assert err == "error: line 1, column 1: edge 0 is a loop at 0, but loops are not enabled\n"
+
+    @pytest.mark.parametrize("name, text", [
+        ("big.graph", f"{SIZE_BUDGET + 1} 0\n"),
+        ("big.json", f'{{"n": {SIZE_BUDGET + 1}, "edges": [[0, 1]]}}'),
+    ])
+    def test_graph_file_above_the_budget_is_3(self, capsys, tmp_path, name, text):
+        p = tmp_path / name
+        p.write_text(text)
+        code, out, err = invoke(
+            capsys, "solve", "--input", str(p), "--objective", "max_weighted_indeg",
+            "--mode", "smallest-last",
+        )
+        assert (code, out) == (3, "")
+        assert err == (f"error: {p} declares {SIZE_BUDGET + 1} vertices, above the budget"
+                       f" of {SIZE_BUDGET} vertices plus edges\n")
+
+    def test_small_graph_file_is_within_the_budget(self, capsys, tmp_path):
+        p = tmp_path / "small.graph"
+        p.write_text("3 0\n")
+        rep = report_of(
+            capsys, "solve", "--input", str(p), "--objective", "max_weighted_indeg",
+            "--mode", "smallest-last",
+        )
+        assert rep["n"] == 3
+
+    def test_slope_needs_a_phi_sum_objective_is_3(self, capsys):
+        code, out, err = invoke(
+            capsys, "solve", "--input", "k3", "--objective", "dec_min", "--mode", "slope",
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: slope mode needs a phi_sum objective with linear costs\n"
 
     def test_bad_objective_is_2(self, capsys):
         code, _, err = invoke(
@@ -660,6 +711,21 @@ class TestGenerate:
         assert code == 0
         g = parse_graph(out)
         assert (g.n, g.m) == (11, 13)
+
+    def test_fig4_to_stdout(self, capsys):
+        code, out, _ = invoke(capsys, "generate", "--family", "fig4")
+        assert code == 0
+        g = parse_graph(out)
+        assert (g.n, g.edges) == (9, FIG4_EDGES)
+
+    @pytest.mark.parametrize("n, m", [(SIZE_BUDGET, 1), (1, SIZE_BUDGET), (SIZE_BUDGET + 1, 0)])
+    def test_random_above_the_budget_is_3(self, capsys, n, m):
+        code, out, err = invoke(
+            capsys, "generate", "--family", "random", "--n", str(n), "--m", str(m),
+        )
+        assert (code, out) == (3, "")
+        assert err == (f"error: --n plus --m is {SIZE_BUDGET + 1}, above the budget"
+                       f" of {SIZE_BUDGET} vertices plus edges\n")
 
     def test_gk_above_the_instance_cap_is_3(self, capsys):
         code, out, err = invoke(capsys, "generate", "--family", "gk", "--k", "222223")

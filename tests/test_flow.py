@@ -296,6 +296,15 @@ def test_mixed_validates_fixed_edges():
         solve_mixed(g, {0: 2}, PhiSum(shared=square()))
 
 
+def test_mixed_refuses_a_fixed_loop():
+    # a free loop is refused while the network is built; a fixed one only
+    # by the check of the finished orientation
+    g = build_graph(3, [(0, 0), (0, 1), (1, 2)], allow_loops=True)
+    for fixed in ({0: 0}, {0: 0, 1: 1, 2: 2}):
+        with pytest.raises(ValueError, match="loops cannot be oriented"):
+            solve_mixed(g, fixed, PhiSum(shared=square()))
+
+
 def test_min_cost_flow_units_add_up_to_the_key():
     g = k3()
     rows = build_network(g, PhiSum(shared=square()).resolve(g), [None] * 3)

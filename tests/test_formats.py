@@ -18,6 +18,7 @@ from orientopt.formats import (
     phi_to_json,
     rational_to_json,
 )
+from orientopt.graph import exact_number
 from orientopt.instances import (
     random_multigraph,
     random_scheduling_instance,
@@ -115,6 +116,48 @@ class TestParseGraphText:
                 got = spec.params[0] if spec.kind == "linear" else spec.params[1]
                 assert (got, type(got)) == (want, Fraction)
 
+    @given(st.text(alphabet="0123456789\u0663+-/.e_ ", max_size=8))
+    def test_the_reader_and_the_weight_column_read_as_fraction_does(self, token):
+        text = f"2 1 weighted\n0 1 {token}\n"
+        one_token = token.split() == [token]
+        try:
+            want = Fraction(token)
+        except (ValueError, ZeroDivisionError) as e:
+            with pytest.raises(type(e)):
+                exact_number(token)
+            if one_token:
+                with pytest.raises(FormatError, match="bad number"):
+                    parse_graph_text(text)
+        else:
+            got = exact_number(token)
+            assert (got, type(got)) == (want, Fraction)
+            if one_token and want >= 0:
+                assert parse_graph_text(text).weights == (want,)
+            elif one_token:
+                with pytest.raises(FormatError, match="negative edge weight"):
+                    parse_graph_text(text)
+
+    @given(st.floats())
+    def test_the_reader_takes_a_float_by_its_repr(self, x):
+        try:
+            want = Fraction(repr(x))
+        except ValueError:
+            with pytest.raises(ValueError):
+                exact_number(x)
+        else:
+            got = exact_number(x)
+            assert (got, type(got)) == (want, Fraction)
+
+    @pytest.mark.parametrize("value", [True, False, None, [1], {"a": 1}, (1, 2), b"1", 1j])
+    def test_the_reader_refuses_bools_and_other_types(self, value):
+        with pytest.raises(ValueError, match="cannot interpret"):
+            exact_number(value)
+
+    def test_the_reader_keeps_ints_and_fractions(self):
+        assert exact_number(7) == 7 and type(exact_number(7)) is int
+        half = Fraction(1, 2)
+        assert exact_number(half) is half
+
     def test_loops_flag(self):
         g = parse_graph_text("1 1 loops\n0 0\n")
         assert g.loop_counts == (1,)
@@ -202,6 +245,28 @@ class TestParseGraphJson:
         for text in bad:
             with pytest.raises(FormatError):
                 parse_graph_json(text)
+
+    def test_graph_errors_are_build_graphs(self):
+        cases = [
+            ('{"n": -1, "edges": []}', "vertex count must be a non-negative integer, not -1"),
+            ('{"n": 2.0, "edges": []}', "vertex count must be a non-negative integer, not 2.0"),
+            ('{"n": 2, "edges": [[0, 1], [0, true]]}', "edge 1 endpoints must be integers, not (0, True)"),
+            ('{"n": 2, "edges": [[0, 2]]}', "edge 0 endpoint out of range: (0, 2)"),
+            ('{"n": 2, "edges": [[1, 1]]}', "edge 0 is a loop at 1, but loops are not enabled"),
+            ('{"n": 2, "edges": [[0, 1, "-1/2"]]}', "edge 0 has negative weight -1/2"),
+            ('{"n": 2, "edges": [[0, 1, "1/0"]]}', "edge 0 weight must be a number or 'p/q' string"),
+            ('{"n": 2, "edges": [[0, 1, [1]]]}', "edge 0 weight must be a number or 'p/q' string"),
+        ]
+        for text, message in cases:
+            with pytest.raises(FormatError) as e:
+                parse_graph_json(text)
+            assert str(e.value) == f"line 1, column 1: {message}"
+
+    def test_undefined_fields_are_named(self):
+        with pytest.raises(FormatError, match="a JSON graph has no field 'weights'"):
+            parse_graph_json('{"n": 2, "edges": [[0, 1]], "weights": [1]}')
+        with pytest.raises(FormatError, match="a JSON graph has no field 'm'"):
+            parse_graph_json('{"m": 1, "n": 2, "edges": [[0, 1]], "allow_loops": false}')
 
     def test_decode_error_position(self):
         with pytest.raises(FormatError) as e:

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orientopt.graph import (
+    BlockTree,
     Multigraph,
     Orientation,
     as_fraction,
     block_tree,
     build_graph,
     check_order,
+    check_orientation,
     degrees_of_order,
     degrees_of_orientation,
     is_acyclic,
@@ -64,6 +66,8 @@ def test_weight_validation():
         build_graph(2, [(0, 1)], [Fraction(-1)])
     with pytest.raises(ValueError):
         build_graph(2, [(0, 1)], [1, 2])
+    with pytest.raises(ValueError, match="cannot interpret True"):
+        build_graph(2, [(0, 1)], [True])
     g = build_graph(2, [(0, 1)], [0.5])
     assert g.weights == (Fraction(1, 2),)
 
@@ -74,6 +78,14 @@ def test_as_fraction_exact_decimal():
     assert as_fraction(7) == 7
     with pytest.raises(ValueError):
         as_fraction("x")
+    with pytest.raises(ValueError):
+        as_fraction(False)
+
+
+def test_a_loop_makes_a_graph_not_simple():
+    g = build_graph(2, [(0, 0), (0, 1)], allow_loops=True)
+    assert not g.is_simple
+    assert build_graph(2, [(0, 1)]).is_simple
 
 
 def test_parallel_edges_are_distinct():
@@ -188,6 +200,20 @@ def test_orientation_sum_is_edge_count():
             assert sum(dv.outdeg) == g.m
 
 
+def test_orientations_must_cover_every_edge_and_no_loop():
+    g = k3()
+    for heads in [(1, 2), (1, 2, 2, 0), ()]:
+        with pytest.raises(ValueError, match="does not cover every edge"):
+            check_orientation(g, Orientation(heads))
+        with pytest.raises(ValueError, match="does not cover every edge"):
+            degrees_of_orientation(g, Orientation(heads))
+    looped = build_graph(2, [(0, 0), (0, 1)], allow_loops=True)
+    with pytest.raises(ValueError, match="loops cannot be oriented"):
+        check_orientation(looped, Orientation((0, 1)))
+    with pytest.raises(ValueError, match="loops cannot be oriented"):
+        orientation_of_order(looped, (0, 1))
+
+
 def test_topological_order_detects_cycles():
     g = k3()
     cyc = Orientation((1, 2, 0))  # 0->1->2->0
@@ -233,6 +259,10 @@ def test_block_tree_parallel_edges_form_a_block():
     bt = block_tree(g)
     sizes = sorted(len(b.edge_ids) for b in bt.blocks)
     assert sizes == [1, 2]
+
+
+def test_block_tree_of_the_empty_graph_is_empty():
+    assert block_tree(build_graph(0, [])) == BlockTree((), frozenset(), ())
 
 
 def test_block_tree_rejects_disconnected_and_loops():
@@ -367,6 +397,21 @@ def test_st_order_single_edge_and_triangle():
             if s == t:
                 continue
             _check_st_postcondition(g, st_order(g, s, t), s, t)
+
+
+def test_st_order_refusals():
+    g = k3()
+    for s, t in [(1, 1), (0, 3), (-1, 0), (3, 0)]:
+        with pytest.raises(ValueError, match="two distinct vertices"):
+            st_order(g, s, t)
+    looped = build_graph(3, [(0, 1), (1, 2), (0, 2), (2, 2)], allow_loops=True)
+    with pytest.raises(ValueError, match="s-t orders are defined for loop-free graphs"):
+        st_order(looped, 0, 1)
+    # two triangles sharing vertex 2: connected, not biconnected, and no
+    # order from 0 to 1 gives 3 and 4 both an earlier and a later neighbour
+    bowtie = build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+    with pytest.raises(ValueError, match="not biconnected"):
+        st_order(bowtie, 0, 1)
 
 
 def test_st_order_non_adjacent_terminals():

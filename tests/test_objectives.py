@@ -151,6 +151,11 @@ class TestSpecs:
         lambda: PhiSum(shared=square(), per_vertex=(square(),)),
         lambda: PhiSpec("bogus"),
         lambda: PhiSpec(["square"]),
+        lambda: PhiSpec("linear", (True, 0)),
+        lambda: PhiSpec("linear", (0, False)),
+        lambda: linear(True),
+        lambda: table([True, 2]),
+        lambda: table([0, [1]]),
     ])
     def test_invalid_costs_are_refused_at_construction(self, build):
         with pytest.raises(ValueError):

@@ -1006,6 +1006,13 @@ class TestConditionalExpectation:
         with pytest.raises(ValueError):
             conditional_expectation(path(3), (7,))
 
+    def test_loops_are_refused(self):
+        looped = build_graph(2, [(0, 0), (0, 1)], allow_loops=True)
+        with pytest.raises(ValueError, match="loops are not supported"):
+            conditional_expectation(looped)
+        with pytest.raises(ValueError, match="loops are not supported"):
+            derandomized_order(looped)
+
 
 class TestDerandomized:
     def test_chain_is_monotone_and_ends_integral(self):
