@@ -106,7 +106,7 @@ def parse_graph_text(text: str) -> Multigraph:
         if weighted:
             try:
                 w = exact_number(toks[2])
-            except (ValueError, ZeroDivisionError):
+            except ValueError:
                 raise _at(f"bad number {toks[2]!r}", lines, lineno, 2) from None
             if w < 0:
                 raise _at("negative edge weight", lines, lineno, 2)
@@ -169,7 +169,7 @@ def _json_rational(value, what: str, field: str = ""):
     stay ints.  ``what`` and ``field`` name the value, joined on failure only."""
     try:
         return exact_number(value)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         label = f"{what}: {field}" if field else what
         raise FormatError(f"{label} must be a number or 'p/q' string") from None
 

@@ -23,16 +23,19 @@ def exact_number(value):
     kept; a float becomes the Fraction of its shortest decimal repr, so
     ``0.1`` is ``1/10``; a string is read as ``Fraction(value)`` reads it,
     with ``"p/q"`` read by int() on each side.  A bool, any other type or
-    a string that Fraction refuses raises ValueError (ZeroDivisionError
-    for a zero denominator)."""
+    a string that Fraction refuses, a zero denominator included, raises
+    ValueError."""
     cls = value.__class__
     if cls is str:  # first: file tokens and spec values are strings
         # int() takes what Fraction takes around the "/", but for
         # whitespace before it
         num, _, den = value.partition("/")
-        if den.isdecimal() and not num[-1:].isspace():
-            return Fraction(int(num), int(den))
-        return Fraction(value)
+        try:
+            if den.isdecimal() and not num[-1:].isspace():
+                return Fraction(int(num), int(den))
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"{value!r} has a zero denominator") from None
     if cls is int or cls is Fraction:
         return value
     if cls is float:
@@ -340,44 +343,51 @@ def _lowpoints(graph: Multigraph, root: int, first: int = -1):
     in preorder that its subtree reaches by at most one back edge.
 
     Only the tree edge into a vertex is skipped, by id, so a parallel
-    copy of it is a back edge.  With ``first`` set, the search leaves
-    ``root`` first for that vertex, as if by an extra edge joining them;
-    every real edge between the two is then a back edge.
+    copy of it is a back edge; a loop is never a tree or a back edge.
+    With ``first`` set, the search leaves ``root`` first for that vertex,
+    as if by an extra edge joining them; every real edge between the two
+    is then a back edge.  With ``root`` -1 the search covers every
+    component, each from its lowest vertex, and every component's first
+    vertex has parent -1.
     """
     edges = graph.edges
     incident = graph.incident
     num = [-1] * graph.n  # preorder number, -1 until reached
     low = [0] * graph.n  # lowpoint as a preorder number
     parent = [-1] * graph.n
-    order = [root]
-    num[root] = 0
-    stack = [(root, -1, iter(incident[root]))]
-    if first >= 0:
-        num[first] = low[first] = 1
-        parent[first] = root
-        order.append(first)
-        stack.append((first, -1, iter(incident[first])))
-    while stack:
-        v, tree_edge, rest = stack[-1]
-        lv = low[v]
-        for j in rest:
-            a, b = edges[j]
-            u = b if a == v else a
-            k = num[u]
-            if k < 0:
-                num[u] = low[u] = len(order)
-                parent[u] = v
-                order.append(u)
-                stack.append((u, j, iter(incident[u])))
-                break
-            if k < lv and j != tree_edge:
-                lv = k
-        else:
-            stack.pop()
-            p = parent[v]
-            if p >= 0 and lv < low[p]:
-                low[p] = lv
-        low[v] = lv
+    order = []
+    for r in range(graph.n) if root < 0 else (root,):
+        if num[r] >= 0:
+            continue
+        num[r] = low[r] = len(order)
+        order.append(r)
+        stack = [(r, -1, iter(incident[r]))]
+        if first >= 0:
+            num[first] = low[first] = 1
+            parent[first] = r
+            order.append(first)
+            stack.append((first, -1, iter(incident[first])))
+        while stack:
+            v, tree_edge, rest = stack[-1]
+            lv = low[v]
+            for j in rest:
+                a, b = edges[j]
+                u = b if a == v else a
+                k = num[u]
+                if k < 0:
+                    num[u] = low[u] = len(order)
+                    parent[u] = v
+                    order.append(u)
+                    stack.append((u, j, iter(incident[u])))
+                    break
+                if k < lv and j != tree_edge:
+                    lv = k
+            else:
+                stack.pop()
+                p = parent[v]
+                if p >= 0 and lv < low[p]:
+                    low[p] = lv
+            low[v] = lv
     return order, parent, [order[k] for k in low]
 
 
@@ -394,7 +404,7 @@ class Block(Frozen):
 
 
 class BlockTree(Frozen):
-    """Biconnected components of a connected graph plus its cut vertices.
+    """Biconnected components of a graph plus its cut vertices.
 
     ``block_cuts[i]`` lists the cut vertices lying in block ``i``; a block
     with exactly one cut vertex is an end component, and a biconnected
@@ -412,50 +422,113 @@ class BlockTree(Frozen):
     def is_end_component(self, i: int) -> bool:
         return len(self.block_cuts[i]) == 1
 
+    def rooted(self, root: int = -1) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Each block's parent cut vertex (-1 for a root) and the blocks
+        in a post-order, each after every block below it.
 
-def block_tree(graph: Multigraph) -> BlockTree:
-    """Decompose a connected loop-free graph into blocks.
+        Block ``root`` roots its component; every other component is
+        rooted at its largest block, the lowest index among equals.  From
+        each root, a walk takes a block off a stack and lists, by cut
+        vertex and then by index, the blocks that share a cut vertex with
+        it and are not listed yet, pushing each.  The post-order is that
+        listing reversed.  No recursion: a chain of blocks can be long.
+        """
+        blocks, block_cuts = self.blocks, self.block_cuts
+        at: dict[int, list[int]] = {}  # cut vertex -> the blocks holding it
+        for bi, cuts in enumerate(block_cuts):
+            for c in cuts:
+                at.setdefault(c, []).append(bi)
+        parent = [-1] * len(blocks)
+        listed = [False] * len(blocks)
+        walk: list[int] = []
+        by_size = sorted(range(len(blocks)), key=lambda bi: -len(blocks[bi].vertices))
+        for r in [root] + by_size if root >= 0 else by_size:
+            if listed[r]:
+                continue
+            listed[r] = True
+            walk.append(r)
+            stack = [r]
+            while stack:
+                bi = stack.pop()
+                for c in block_cuts[bi]:
+                    if c == parent[bi]:  # its blocks are listed
+                        continue
+                    for bj in at[c]:
+                        if not listed[bj]:
+                            listed[bj] = True
+                            parent[bj] = c
+                            walk.append(bj)
+                            stack.append(bj)
+        walk.reverse()
+        return tuple(parent), tuple(walk)
 
-    One lowpoint search from vertex 0 labels the edges.  The tree edge
-    into v starts a new block when v's subtree reaches nothing above v's
-    parent; otherwise it joins the block of the parent's tree edge.
-    Every other edge joins the block of the tree edge into its later
-    endpoint in preorder, so parallel edges share a block.
+
+def _split(graph: Multigraph, lone: bool) -> tuple[BlockTree, int]:
+    """The blocks of every component, loops left out, and the number of
+    components; with ``lone``, a vertex without a non-loop edge is a
+    block of its own, without edges.
+
+    One lowpoint search over all components labels the edges.  The tree
+    edge into v starts a new block when v's subtree reaches nothing
+    above v's parent; otherwise it joins the block of the parent's tree
+    edge.  Every other non-loop edge joins the block of the tree edge
+    into its later endpoint in preorder, so parallel edges share a block.
     """
-    if graph.has_loops:
-        raise ValueError("block decomposition requires a loop-free graph")
     n = graph.n
-    if n == 0:
-        return BlockTree((), frozenset(), ())
-    order, parent, low = _lowpoints(graph, 0)
-    if len(order) < n:
-        raise ValueError("block decomposition requires a connected graph")
+    order, parent, low = _lowpoints(graph, -1)
     num = [0] * n
     for i, v in enumerate(order):
         num[v] = i
     label = [0] * n  # block of the tree edge into each vertex
     members: list[list[int]] = []  # per block: its top vertex, then the lower ends
-    for v in order[1:]:
+    tops = [0] * n  # the number of blocks each vertex tops
+    for v in order:
         p = parent[v]
+        if p < 0:
+            continue
         if num[low[v]] >= num[p]:
             label[v] = len(members)
             members.append([p, v])
+            tops[p] += 1
         else:
             label[v] = label[p]
             members[label[p]].append(v)
     edge_ids: list[list[int]] = [[] for _ in members]
     for j, (u, v) in enumerate(graph.edges):
-        edge_ids[label[u if num[u] > num[v] else v]].append(j)
+        if u != v:
+            edge_ids[label[u if num[u] > num[v] else v]].append(j)
+    roots = [v for v in order if parent[v] < 0]
+    if lone:
+        members += [[r] for r in roots if not tops[r]]
+        edge_ids += [[] for r in roots if not tops[r]]
     blocks = sorted(
         (Block(tuple(sorted(vs)), tuple(ids)) for vs, ids in zip(members, edge_ids)),
         key=lambda b: b.vertices,
     )
-    # a vertex other than the root is a cut vertex iff it tops a block;
-    # the root is one iff it tops two
-    tops = [vs[0] for vs in members]
-    cuts = frozenset(tops) if tops.count(0) > 1 else frozenset(tops) - {0}
+    # a vertex other than a component's first is a cut vertex iff it tops
+    # a block; the first vertex is one iff it tops two
+    for r in roots:
+        tops[r] -= 1
+    cuts = frozenset(v for v in range(n) if tops[v] > 0)
     block_cuts = tuple(tuple(v for v in b.vertices if v in cuts) for b in blocks)
-    return BlockTree(tuple(blocks), cuts, block_cuts)
+    return BlockTree(tuple(blocks), cuts, block_cuts), len(roots)
+
+
+def block_tree(graph: Multigraph) -> BlockTree:
+    """Decompose a connected loop-free graph into blocks (see :func:`_split`)."""
+    if graph.has_loops:
+        raise ValueError("block decomposition requires a loop-free graph")
+    bt, components = _split(graph, lone=False)
+    if components > 1:
+        raise ValueError("block decomposition requires a connected graph")
+    return bt
+
+
+def block_forest(graph: Multigraph) -> BlockTree:
+    """The blocks of every component of any graph, loops left out; a
+    vertex without a non-loop edge is a block of its own, without edges.
+    :meth:`BlockTree.rooted` roots it."""
+    return _split(graph, lone=True)[0]
 
 
 def subgraph(graph: Multigraph, vertices: Sequence[int], edge_ids: Sequence[int]):

@@ -14,20 +14,23 @@ import random
 from bisect import bisect_left, insort
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import islice
-from operator import mul, sub
+from itertools import islice, permutations
+from operator import itemgetter, mul, sub
 from typing import Callable, Sequence
 
 from .graph import (
     BlockTree,
     Frozen,
     Multigraph,
+    Orientation,
     _st_order,
+    block_forest,
     block_tree,
     degrees_of_order,
     exact_number,
     scaled_to_ints,
     subgraph,
+    topological_order,
 )
 from .objectives import (
     LiftedCost,
@@ -350,6 +353,123 @@ def _dp_form(graph: Multigraph, objective) -> tuple[PhiSum, bool]:
     raise ValueError(f"objective {k!r} has no separable encoding for the DP")
 
 
+def _join(row: list[int], shift: int, below: list, z: int) -> tuple[int, tuple]:
+    """psi(z), the least ``row[shift + z + j] + H(j)`` over the feasible j,
+    and the child blocks' picks of that H(j), the lowest j first.  ``below``
+    holds H(j) as (value, picks), or None where j is infeasible; picks are
+    linked pairs ``((block, i), rest)``, ending in ``()``."""
+    return min(((row[shift + z + j] + x[0], x[1]) for j, x in enumerate(below) if x is not None),
+               key=itemgetter(0))
+
+
+def _min_plus(below: list, h: dict, bi: int) -> list:
+    """The min-plus convolution of H (see :func:`_join`) with block bi's h,
+    a dict of its feasible i; each entry's picks gain ``(bi, i)``."""
+    out: list = [None] * (len(below) + max(h))
+    for i, (value, _) in h.items():
+        for j, x in enumerate(below, i):
+            if x is not None and (out[j] is None or x[0] + value < out[j][0]):
+                out[j] = (x[0] + value, ((bi, i), x[1]))
+    return out
+
+
+def _block_runs(sub: Multigraph, rows: list, k: int) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """The least sum of ``rows[v][indeg v]`` over the block ``sub`` but its
+    parent cut, the local vertex k, and an order that attains it, for each
+    feasible indegree i of k; a root (k = -1) has one entry, at i = 0.
+
+    Per i, one :func:`exact_subset_dp` run prices k at 0 at indegree i and
+    above every sum of the other rows elsewhere, so a value above that
+    sum means i is infeasible.  A block of at most three vertices needs
+    no run: each of its at most six orders is tried, first found first.
+    """
+    n = sub.n
+    if n <= 3:
+        out: dict = {}
+        for order in permutations(range(n)):
+            z = [0] * n
+            for a, b in sub.edges:
+                z[b if order.index(a) < order.index(b) else a] += 1
+            value = sum(rows[x][z[x]] for x in range(n) if x != k)
+            i = z[k] if k >= 0 else 0
+            if i not in out or value < out[i][0]:
+                out[i] = (value, order)
+        return out
+    if k < 0:
+        order, value = exact_subset_dp(sub, lambda v, z: rows[v][z])
+        return {0: (value, order)}
+    others = rows[:k] + rows[k + 1:]
+    low, high = sum(map(min, others)), sum(map(max, others))
+    d = sub.degrees[k]
+    out = {}
+    for i in range(d + 1):
+        rows[k] = [high - low + 1] * (d + 1)
+        rows[k][i] = 0
+        order, value = exact_subset_dp(sub, lambda v, z: rows[v][z])
+        if value <= high:
+            out[i] = (value, order)
+    return out
+
+
+def _block_order(graph: Multigraph, forest: BlockTree, rows: list[list[int]]):
+    """An order minimizing the sum of ``rows[v][indeg v]``, and that sum,
+    from the blocks of ``forest`` (see :func:`solve_acyclic_exact`)."""
+    blocks = forest.blocks
+    size = max(len(b.vertices) for b in blocks)
+    if size > DP_CAP:
+        raise ValueError(f"subset DP over a block of {size} vertices exceeds the cap ({DP_CAP})")
+    loops = graph.loop_counts
+    parent_cut, post_order = forest.rooted()
+    below: dict[int, list] = {}  # cut vertex -> H of its child blocks
+    runs: list = [None] * len(blocks)  # per block: its graph, vertex map and runs
+    for bi in post_order:
+        c = parent_cut[bi]
+        sub, verts = subgraph(graph, blocks[bi].vertices, blocks[bi].edge_ids)
+        local: list = []  # each vertex's row in B; the parent cut's is set per run
+        for v, d in zip(verts, sub.degrees):
+            if v == c:
+                local.append(None)
+            elif v in below:
+                local.append([_join(rows[v], loops[v], below[v], z)[0] for z in range(d + 1)])
+            else:
+                local.append(rows[v][loops[v]:loops[v] + d + 1])
+        runs[bi] = sub, verts, _block_runs(sub, local, verts.index(c) if c >= 0 else -1)
+        if c >= 0:
+            below[c] = _min_plus(below.get(c, [(0, ())]), runs[bi][2], bi)
+    # from the roots down, each block's order at the indegree i its parent
+    # cut takes in it orients the block
+    pick: dict[int, int] = {}
+    heads = [0] * graph.m
+    total = 0
+    for bi in reversed(post_order):
+        c = parent_cut[bi]
+        sub, verts, out = runs[bi]
+        value, order = out[pick.get(bi, 0)]
+        if c < 0:
+            total += value
+        pos = {x: p for p, x in enumerate(order)}
+        indeg = [0] * sub.n
+        for j, (a, b) in zip(blocks[bi].edge_ids, sub.edges):
+            x = b if pos[a] < pos[b] else a
+            heads[j] = verts[x]
+            indeg[x] += 1
+        for v, z in zip(verts, indeg):
+            if v != c and v in below:
+                picks = _join(rows[v], loops[v], below[v], z)[1]
+                while picks:
+                    (b, i), picks = picks
+                    pick[b] = i
+    keep = [j for j, (u, v) in enumerate(graph.edges) if u != v]
+    indeg = list(loops)
+    for j in keep:
+        indeg[heads[j]] += 1
+    loopless = subgraph(graph, range(graph.n), keep)[0] if graph.has_loops else graph
+    order = topological_order(loopless, Orientation(tuple(heads[j] for j in keep)))
+    if order is None or sum(row[z] for row, z in zip(rows, indeg)) != total:
+        raise RuntimeError("internal error: the blocks' orders do not join into an optimal order")
+    return order, total
+
+
 def solve_acyclic_exact(graph: Multigraph, objective):
     """Exact optimal order for any separable-encodable objective.
 
@@ -361,11 +481,35 @@ def solve_acyclic_exact(graph: Multigraph, objective):
     maximized, for the degree-product sum; ``binom2`` for forbidden
     subpaths.  The DP scales the costs by the LCM of their denominators,
     so 1/b**z runs as the exact int b**(max_degree - z).
+
+    A graph of one block (loops aside) is one :func:`exact_subset_dp`
+    run.  Otherwise the DP runs per block of :func:`block_forest`, so
+    ``DP_CAP`` limits the largest block, not n.  Every cycle lies in one
+    block, so orders of the blocks orient the graph acyclically, and a cut
+    vertex's indegree is the sum over its blocks.  The costs become int
+    rows once, for the whole graph (:func:`_int_costs`), so b and the
+    LiftedCost weight M stay global; a loop shifts its vertex's row, as
+    it counts at every position.  Each component is rooted at its largest
+    block.  Children first, a block B with parent cut c gets h_B(i), the
+    least cost of all below c through B with c at indegree i in B, for
+    each i (:func:`_block_runs`).  A cut c' of B gets H, the min-plus
+    convolution of its child blocks' h, and B prices it at
+    psi(z) = min_j row_c'(z + j) + H(j).  A root's DP gives its
+    component's optimum.  Each block's order at its chosen i orients the
+    block; the union is acyclic, and its
+    :func:`~orientopt.graph.topological_order` is the order.  With cut
+    vertices, that order may differ from the whole-graph DP's among
+    optima of equal key.
     Returns ``(order, natural key)``.
     """
     form, maximize = _dp_form(graph, objective)
     phis = resolved(form, graph)
-    order, _ = exact_subset_dp(graph, lambda v, z: phis[v].cost(z), maximize)
+    forest = block_forest(graph)
+    if len(forest.blocks) <= 1:
+        order, _ = exact_subset_dp(graph, lambda v, z: phis[v].cost(z), maximize)
+    else:
+        tables = [[phi.cost(z) for z in range(d + 1)] for phi, d in zip(phis, graph.degrees)]
+        order, _ = _block_order(graph, forest, _int_costs(tables, maximize))
     key = evaluate(objective, graph, degrees_of_order(graph, order, False))
     return order, key
 
@@ -433,27 +577,16 @@ def combine_st_orders(graph: Multigraph) -> tuple[int, ...]:
         local = {v: i for i, v in enumerate(verts)}
         return [verts[x] for x in _st_order(sub, local[s], local[t])]
 
-    at: dict[int, list[int]] = {}  # cut vertex -> the blocks holding it
-    for bi, cuts in enumerate(bt.block_cuts):
-        for c in cuts:
-            at.setdefault(c, []).append(bi)
     root, s_root, t_root, free = _terminals(graph, bt)
-    order: list[int] = block_order(root, s_root, t_root)
-    seen_blocks = {root}
-    stack = [root]
-    while stack:
-        bi = stack.pop()
-        for c in bt.block_cuts[bi]:
-            for bj in at[c]:
-                if bj in seen_blocks:
-                    continue
-                seen_blocks.add(bj)
-                if bj in free:
-                    t_j = free[bj]
-                else:
-                    t_j = min(v for v in bt.block_cuts[bj] if v != c)
-                order.extend(block_order(bj, c, t_j)[1:])
-                stack.append(bj)
+    parent_cut, post_order = bt.rooted(root)
+    order: list[int] = []
+    for bi in reversed(post_order):  # the root, then each block after its parent
+        c = parent_cut[bi]
+        if c < 0:
+            order += block_order(bi, s_root, t_root)
+            continue
+        t_j = free[bi] if bi in free else min(v for v in bt.block_cuts[bi] if v != c)
+        order += block_order(bi, c, t_j)[1:]
     if len(order) != n:
         raise RuntimeError("internal error: block walk missed vertices")
     return tuple(order)

@@ -499,17 +499,36 @@ class TestExitCodes:
         )
         assert code == 3
 
-    def test_subset_dp_cap_is_3(self, capsys, tmp_path):
+    def test_subset_dp_cap_is_3(self, capsys):
+        # the cap is on the largest block: a cycle is one block
         from orientopt.ordering import DP_CAP
 
-        p = tmp_path / "wide.graph"
-        p.write_text(f"{DP_CAP + 1} 0\n")
         code, out, err = invoke(
-            capsys, "solve", "--input", str(p), "--objective", "square",
+            capsys, "solve", "--input", f"cycle:{DP_CAP + 1}", "--objective", "square",
             "--mode", "acyclic-exact",
         )
         assert code == 3 and out == ""
         assert f"exceeds the cap ({DP_CAP})" in err
+
+    def test_gk7_solves_above_the_cap_in_small_blocks(self, capsys):
+        # gk:7 has 27 vertices in blocks of at most three
+        rep = report_of(
+            capsys, "solve", "--input", "gk:7", "--mode", "acyclic-exact",
+            "--objective", "square",
+        )
+        assert rep["key"] == {"penalty": 0, "base": 47}
+
+    def test_edgeless_graph_above_the_cap_solves(self, capsys, tmp_path):
+        from orientopt.ordering import DP_CAP
+
+        p = tmp_path / "wide.graph"
+        p.write_text(f"{DP_CAP + 1} 0\n")
+        rep = report_of(
+            capsys, "solve", "--input", str(p), "--objective", "square",
+            "--mode", "acyclic-exact",
+        )
+        assert rep["key"] == {"penalty": 0, "base": 0}
+        assert rep["order"] == list(range(DP_CAP + 1))
 
     def test_unknown_mode_is_argparse_2(self, capsys):
         code, _, _ = invoke(

@@ -9,6 +9,7 @@ from orientopt.graph import (
     Multigraph,
     Orientation,
     as_fraction,
+    block_forest,
     block_tree,
     build_graph,
     check_order,
@@ -377,6 +378,84 @@ def test_block_tree_matches_brute_grouping_with_bridges_and_parallel_edges():
         bt = block_tree(g)
         assert sorted(b.edge_ids for b in bt.blocks) == _blocks_by_brute_force(g), g.edges
         assert bt.cut_vertices == frozenset(v for v in range(n) if len(blocks_at(bt, v)) >= 2)
+
+
+def test_block_forest_covers_every_component_without_loops():
+    # bridges, parallel edges, loops, several components and isolated
+    # vertices; each component's blocks are those of its own block_tree
+    rng = random.Random(29)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        g = random_multigraph(n, rng.randint(0, 2 * n), seed=rng.random(), allow_loops=True)
+        forest = block_forest(g)
+        keep = [j for j, (u, v) in enumerate(g.edges) if u != v]
+        loopless = build_graph(n, [g.edges[j] for j in keep])
+        groups = [tuple(keep[j] for j in grp) for grp in _blocks_by_brute_force(loopless)]
+        assert sorted(b.edge_ids for b in forest.blocks if b.edge_ids) == groups
+        alone = [v for v in range(n) if all(g.edges[j][0] == g.edges[j][1] for j in g.incident[v])]
+        assert [b.vertices for b in forest.blocks if not b.edge_ids] == [(v,) for v in alone]
+        # a cut vertex lies in two blocks
+        assert forest.cut_vertices == frozenset(
+            v for v in range(n) if sum(any(v in g.edges[j] for j in grp) for grp in groups) >= 2)
+        assert [b.vertices for b in forest.blocks] == sorted(b.vertices for b in forest.blocks)
+        if not g.has_loops and is_connected(g) and n >= 2:
+            assert forest == block_tree(g)
+
+
+def _check_rooted(forest, root=-1):
+    """Each component has one root, its largest block unless it holds
+    ``root``; each other block's parent cut lies in it and in a block
+    listed after it, and every block is listed once."""
+    parent_cut, post_order = forest.rooted(root)
+    blocks = forest.blocks
+    assert sorted(post_order) == list(range(len(blocks)))
+    pos = {b: i for i, b in enumerate(post_order)}
+    for bi, c in enumerate(parent_cut):
+        if c < 0:
+            continue
+        assert c in forest.block_cuts[bi]
+        holders = [bj for bj, cuts in enumerate(forest.block_cuts) if c in cuts and bj != bi]
+        assert any(pos[bj] > pos[bi] and parent_cut[bj] != c for bj in holders)
+    # the blocks below a root, by parent links, are its component
+    roots = [bi for bi, c in enumerate(parent_cut) if c < 0]
+    top = {}
+    for bi in reversed(post_order):
+        c = parent_cut[bi]
+        if c < 0:
+            top[bi] = bi
+        else:
+            up = [bj for bj in post_order[pos[bi] + 1:] if c in blocks[bj].vertices]
+            top[bi] = top[up[0]]
+    for r in roots:
+        part = [bi for bi in top if top[bi] == r]
+        if root not in part:
+            size = len(blocks[r].vertices)
+            assert all(len(blocks[bi].vertices) <= size for bi in part)
+            assert r == min(bi for bi in part if len(blocks[bi].vertices) == size)
+        else:
+            assert r == root
+    return parent_cut, post_order
+
+
+def test_rooted_block_forest():
+    rng = random.Random(31)
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        g = random_multigraph(n, rng.randint(0, 2 * n), seed=rng.random(), allow_loops=True)
+        forest = block_forest(g)
+        _check_rooted(forest)
+        if forest.blocks:
+            _check_rooted(forest, rng.randrange(len(forest.blocks)))
+
+
+def test_rooted_walks_a_long_chain_of_blocks_without_recursion():
+    # gk:K is a chain of 3K - 2 blocks: K triangles and 2K - 2 bridges
+    from orientopt.instances import gen_gk
+
+    k = 5000
+    parent_cut, post_order = block_tree(gen_gk(k)).rooted(0)
+    assert len(post_order) == 3 * k - 2 and post_order[-1] == 0
+    assert parent_cut.count(-1) == 1
 
 
 def _check_st_postcondition(g, order, s, t):
