@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from operator import eq
 
 from .graph import Multigraph, build_graph, exact_number
 from . import objectives as obj
@@ -61,12 +62,15 @@ def _not_an_int(lines: list[str], lineno: int, toks: list[str]) -> FormatError:
 
 
 def parse_graph_text(text: str) -> Multigraph:
-    """Tokenize with ``str.split``; check each field once, on the way into the Multigraph."""
+    """Check the header, then the edge lines a column at a time: one split,
+    and one ``int`` or :func:`exact_number` per distinct token, so equal ids
+    share one int object.  On a failed check :func:`_locate` finds the line."""
     lines = text.splitlines()
-    rows = [(i, toks) for i, raw in enumerate(lines, start=1) if (toks := raw.split("#", 1)[0].split())]
-    if not rows:
+    for lineno, raw in enumerate(lines, start=1):
+        if header := raw.split("#", 1)[0].split():
+            break
+    else:
         raise FormatError("empty graph file", len(lines) or 1, 1)
-    lineno, header = rows[0]
     if len(header) < 2:
         raise _at("header needs `n m`", lines, lineno, 0)
     try:
@@ -82,36 +86,58 @@ def parse_graph_text(text: str) -> Multigraph:
             raise _at(f"unknown header flag {tok!r}", lines, lineno, k)
     weighted = "weighted" in header[2:]
     allow_loops = "loops" in header[2:]
-    if len(rows) - 1 != m:
-        where = rows[m + 1][0] if len(rows) - 1 > m else lineno
-        raise FormatError(
-            f"header promises {m} edges but the file has {len(rows) - 1}", where, 1
-        )
     want = 3 if weighted else 2
-    edges = []
-    weights = [] if weighted else None
-    for lineno, toks in rows[1:]:
+    body = [raw.split("#", 1)[0] for raw in lines[lineno:]] if "#" in text else lines[lineno:]
+    toks, fields = "\n".join(body).split(), set(map(len, map(str.split, body)))
+    del lines, body  # the largest objects at the size budget; a failure splits text again
+    try:
+        if len(toks) != want * m or not fields <= {0, want}:
+            raise ValueError("a line without the header's field count")
+        keys = {*toks[0::want], *toks[1::want]}
+        ids = dict(zip(keys, map(int, keys)))
+        if ids and not (min(ids.values()) >= 0 and max(ids.values()) < n):
+            raise ValueError("an endpoint out of range")
+        us, vs = list(map(ids.__getitem__, toks[0::want])), list(map(ids.__getitem__, toks[1::want]))
+        if not allow_loops and any(map(eq, us, vs)):
+            raise ValueError("a loop")
+        weights = None
+        if weighted:
+            keys = set(toks[2::3])
+            values = dict(zip(keys, map(exact_number, keys)))
+            if values and min(values.values()) < 0:
+                raise ValueError("a negative weight")
+            weights = tuple(map(values.__getitem__, toks[2::3]))
+        del toks, keys
+    except ValueError:
+        raise _locate(text.splitlines(), lineno, n, m, want, allow_loops) from None
+    return Multigraph(n, tuple(zip(us, vs)), weights, allow_loops)
+
+
+def _locate(lines, lineno, n, m, want, allow_loops) -> FormatError:
+    """The error of the first bad field below the header on line ``lineno``."""
+    rows = [(i, toks) for i, raw in enumerate(lines[lineno:], start=lineno + 1)
+            if (toks := raw.split("#", 1)[0].split())]
+    if len(rows) != m:
+        where = rows[m][0] if len(rows) > m else lineno
+        return FormatError(f"header promises {m} edges but the file has {len(rows)}", where, 1)
+    for lineno, toks in rows:
         if len(toks) != want:
-            raise _at(f"edge line needs {want} fields, got {len(toks)}",
-                      lines, lineno, min(want, len(toks) - 1))
+            return _at(f"edge line needs {want} fields, got {len(toks)}",
+                       lines, lineno, min(want, len(toks) - 1))
         try:
             u, v = int(toks[0]), int(toks[1])
         except ValueError:
-            raise _not_an_int(lines, lineno, toks[:2]) from None
+            return _not_an_int(lines, lineno, toks[:2])
         if not (0 <= u < n and 0 <= v < n):
-            raise _at(f"endpoint out of range for n={n}", lines, lineno, 0 if not 0 <= u < n else 1)
+            return _at(f"endpoint out of range for n={n}", lines, lineno, 0 if not 0 <= u < n else 1)
         if u == v and not allow_loops:
-            raise _at("loop found but the header has no `loops` flag", lines, lineno, 0)
-        edges.append((u, v))
-        if weighted:
-            try:
-                w = exact_number(toks[2])
-            except ValueError:
-                raise _at(f"bad number {toks[2]!r}", lines, lineno, 2) from None
-            if w < 0:
-                raise _at("negative edge weight", lines, lineno, 2)
-            weights.append(w)
-    return Multigraph(n, tuple(edges), None if weights is None else tuple(weights), allow_loops)
+            return _at("loop found but the header has no `loops` flag", lines, lineno, 0)
+        try:
+            if want == 3 and exact_number(toks[2]) < 0:
+                return _at("negative edge weight", lines, lineno, 2)
+        except ValueError:
+            return _at(f"bad number {toks[2]!r}", lines, lineno, 2)
+    raise AssertionError("edge lines that fail a column check pass every line check")
 
 
 def parse_graph_json(text: str) -> Multigraph:
@@ -216,8 +242,8 @@ def _parse_entry(doc, what: str):
             spec = obj.PhiSpec(kind)  # square, cube, binom2, zero
         if "f" not in doc and "g" not in doc:
             return spec
-        f = _parse_bound(doc.get("f"), f"{what}.f")
-        g = _parse_bound(doc.get("g"), f"{what}.g")
+        f = _parse_bound(doc.get("f"), f"{what}.f", entry=True)
+        g = _parse_bound(doc.get("g"), f"{what}.g", entry=True)
         if isinstance(f, tuple) or isinstance(g, tuple):
             raise FormatError(f"{what} bounds must be plain integers")
         return obj.LiftedPhi(spec, f, g)
@@ -227,7 +253,8 @@ def _parse_entry(doc, what: str):
         raise FormatError(f"{what}: {e}") from None
 
 
-def _parse_bound(value, what: str):
+def _parse_bound(value, what: str, entry: bool = False):
+    """An f or g bound; a cost ``entry`` takes an int only, and says so."""
     if value is None:
         return None
     if isinstance(value, int) and not isinstance(value, bool):
@@ -239,7 +266,7 @@ def _parse_bound(value, what: str):
                 raise FormatError(f"{what}[{i}] must be an integer")
             out.append(x)
         return tuple(out)
-    raise FormatError(f"{what} must be an integer or a per-vertex list")
+    raise FormatError(f"{what} must be an integer" + ("" if entry else " or a per-vertex list"))
 
 
 def parse_objective(text: str):

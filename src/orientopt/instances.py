@@ -61,6 +61,11 @@ def gen_gk(k: int) -> Multigraph:
     return build_graph(4 * k - 1, edges)
 
 
+# a drawn weight is Fraction(randint(1, 9), randint(1, 4)); _WEIGHTS[a][b]
+# is the one whose two draws are 1 + a and 1 + b
+_WEIGHTS = tuple(tuple(Fraction(a + 1, b + 1) for b in range(4)) for a in range(9))
+
+
 def random_multigraph(
     n: int,
     m: int,
@@ -72,6 +77,9 @@ def random_multigraph(
     weighted: bool = False,
 ) -> Multigraph:
     """Seed-deterministic random graph with optional structure constraints.
+
+    The edges are in range and loop-free by construction, so the
+    Multigraph is built directly, without :func:`build_graph`'s checks.
 
     Raises ValueError when the parameters are infeasible (or when
     rejection sampling gives up, which the caller should treat the same
@@ -105,9 +113,9 @@ def random_multigraph(
         else:
             edges = []
             deg = [0] * n
-            tries = 0
-            while len(edges) < m and tries < 100 * (m + 1):
-                tries += 1
+            for _ in range(100 * (m + 1)):
+                if len(edges) == m:
+                    break
                 u = getrandbits(bits)
                 while u >= n:
                     u = getrandbits(bits)
@@ -116,16 +124,14 @@ def random_multigraph(
                     v = getrandbits(bits)
                 if u == v and not allow_loops:
                     continue
-                du = 2 if u == v else 1
-                if max_degree is not None and (
-                    deg[u] + du > max_degree
-                    or (u != v and deg[v] + 1 > max_degree)
-                ):
-                    continue
-                edges.append((min(u, v), max(u, v)))
-                deg[u] += du
-                if u != v:
-                    deg[v] += 1
+                if max_degree is not None:
+                    du = 2 if u == v else 1
+                    if deg[u] + du > max_degree or (u != v and deg[v] + 1 > max_degree):
+                        continue
+                    deg[u] += du
+                    if u != v:
+                        deg[v] += 1
+                edges.append((u, v) if u < v else (v, u))
             if len(edges) < m:
                 continue
         if simple and max_degree is not None:
@@ -133,7 +139,6 @@ def random_multigraph(
                 continue
         weights = None
         if weighted:
-            # Fraction(rng.randint(1, 9), rng.randint(1, 4))
             weights = []
             for _ in range(m):
                 a = getrandbits(4)
@@ -142,8 +147,9 @@ def random_multigraph(
                 b = getrandbits(3)
                 while b >= 4:
                     b = getrandbits(3)
-                weights.append(Fraction(a + 1, b + 1))
-        g = build_graph(n, edges, weights, allow_loops=allow_loops)
+                weights.append(_WEIGHTS[a][b])
+            weights = tuple(weights)
+        g = Multigraph(n, tuple(edges), weights, allow_loops)
         if connected and not is_connected(g):
             continue
         return g

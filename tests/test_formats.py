@@ -1,10 +1,12 @@
 """Graph/objective parsing, positional diagnostics, and serialization."""
 
 import json
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from orientopt.formats import (
     FormatError,
@@ -41,6 +43,7 @@ from orientopt.objectives import (
     zero,
 )
 
+from graph_text_reference import ref_parse_graph_text
 from paper_facts import graph_to_json
 
 
@@ -63,6 +66,73 @@ def cost_entries(draw):
     g = draw(st.none() | st.integers(f or 0, 5))
     lift = (f, g) != (None, None) and draw(st.booleans())
     return LiftedPhi(phi, f, g) if lift else phi
+
+
+# line ends that str.splitlines ends a line at, and gaps that str.split
+# splits a line at but splitlines does not; \v, \f, \x1c, \x85 and \u2028
+# are both, so a line end in place of a gap splits a line in two
+LINE_ENDS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x85", "\u2028")
+GAPS = (" ", "\t", "  ", "\xa0", "\x1f")
+BAD_INTS = ("x", "1.0", "2e0", "", "--1", "1__0", "\u00b2")
+WEIGHTS = ("1", "0", "1/2", "+3/4", "007/010", "0.5", "1e1", "-0")
+BAD_WEIGHTS = ("-1/2", "-3", "-1e-1", "1/0", "/3", "x")
+MUTATIONS = ("loop", "id", "weight", "fields", "gap")
+HITS = [set(c) for k in (1, 2, 3) for c in combinations(MUTATIONS, k)]
+
+
+def graph_text(rng):
+    """A text-format graph.  Mostly one edge line carries one to three
+    mutations: a bad or out-of-range id, a loop, a bad or negative weight,
+    a field too few or too many, a line end in place of a gap.  Rarely, too,
+    a header field is bad or ends its line early, or there is one edge line
+    too many or too few.  Lines end and fields are separated in mixed ways,
+    among comments and blank lines."""
+    def rare():
+        return rng.random() < 1 / 12
+
+    def spelled(k):
+        # ways int() reads as k: equal ids need not be equal tokens
+        return rng.choice((str(k), f"+{k}", f"0{k}", chr(0x660 + k)))
+
+    n, m = rng.randint(0, 5), rng.randint(0, 5)
+    flags = rng.choice(([], ["weighted"], ["loops"], ["weighted", "loops"], ["loops", "weighted"]))
+    header = [str(n), str(m), *flags]
+    if rare():
+        header[rng.randrange(len(header))] = rng.choice(BAD_INTS + ("-1", "shiny"))
+    rows = [(header, rare())]
+    count = max(0, m + (rng.choice((-1, 1)) if rare() else 0))
+    target = rng.randint(-1, count - 1)  # the edge line to mutate, if any
+    for i in range(count):
+        hit = rng.choice(HITS) if i == target else ()
+        u = rng.randint(0, max(n - 1, 0))
+        v = u if n < 2 or "loop" in hit else (u + rng.randint(1, n - 1)) % n
+        row = [spelled(u), spelled(v)]
+        if "id" in hit:
+            row[rng.randrange(2)] = rng.choice(BAD_INTS + (str(n), f"0{n}", "-1"))
+        if "weighted" in flags:
+            row.append(rng.choice(BAD_WEIGHTS if "weight" in hit else WEIGHTS))
+        if "fields" in hit:
+            row = row[:-1] if rng.random() < 0.5 else row + ["7"]
+        rows.append((row, "gap" in hit))
+    out = []
+    for row, broken in rows:
+        while rare():
+            out.append(rng.choice(("", "  ", "# a comment", " \t# x")) + rng.choice(LINE_ENDS))
+        gap = rng.choice(LINE_ENDS if broken else GAPS)
+        line = rng.choice(("", " ", "\t")) + gap.join(row)
+        if rare():
+            line += rng.choice(("#", " # a comment", "#7 8"))
+        out.append(line + rng.choice(LINE_ENDS))
+    return "".join(out)
+
+
+def read_outcome(read, text):
+    """The graph read, or the reader's error with its position."""
+    try:
+        g = read(text)
+    except FormatError as e:
+        return str(e), e.line, e.column
+    return g.n, g.edges, g.weights, g.allow_loops
 
 
 class TestParseGraphText:
@@ -207,6 +277,17 @@ class TestParseGraphText:
                 parse_graph_text(text)
             assert fragment in str(e.value), text
             assert (e.value.line, e.value.column) == (line, column), text
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0))
+    def test_reads_as_the_line_by_line_reference(self, seed):
+        # the same graph, or the same error at the same line and column, on
+        # 40 texts per example, drawn from a seeded Random: far cheaper
+        # than drawing each choice from hypothesis
+        rng = random.Random(seed)
+        for _ in range(40):
+            text = graph_text(rng)
+            assert read_outcome(parse_graph_text, text) == read_outcome(ref_parse_graph_text, text), text
 
     def test_error_message_carries_position(self):
         with pytest.raises(FormatError, match=r"line 2, column 3"):

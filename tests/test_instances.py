@@ -256,6 +256,34 @@ class TestRandomMultigraph:
             errors += isinstance(want[0], str)
         assert errors >= 5
 
+    def test_graphs_are_what_build_graph_builds(self):
+        # random_multigraph builds its Multigraph without build_graph's
+        # per-edge checks; over the parameter sets of the test above, and
+        # the simple graphs of the loop-free ones, build_graph accepts every
+        # graph it returns and builds the same graph
+        rng = random.Random(7)
+        built = 0
+        for case in range(480):
+            n = rng.choice((1, 2, 3, 5, 8, rng.randint(1, 300)))
+            loops = case % 2 == 1
+            md = rng.randint(2, 8) if case % 4 == 0 else None
+            m = 0 if n == 1 and not loops else rng.randint(0, 3 * n if md is None else n * md // 2)
+            connected = case % 5 < 2 and m >= (n - 1 if n <= 8 else 2 * n)
+            if case % 40 == 39:
+                n, connected = rng.randint(10, 30), True
+                m = n - 1 if md is None else min(n - 1, n * md // 2)
+            kw = dict(allow_loops=loops, weighted=case % 3 == 0, max_degree=md,
+                      connected=connected)
+            seed = rng.randrange(10**6)
+            for simple in (False, True) if not loops else (False,):
+                try:
+                    g = random_multigraph(n, m, seed, simple=simple, **kw)
+                except ValueError:
+                    continue
+                assert g == build_graph(n, g.edges, g.weights, g.allow_loops), (n, m, seed, kw)
+                built += 1
+        assert built >= 500, built
+
     def test_max_degree_is_enforced(self):
         g = random_multigraph(6, 9, seed=1, max_degree=3)
         assert g.max_degree <= 3
