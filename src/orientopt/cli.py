@@ -283,6 +283,10 @@ def _cmd_generate(args) -> int:
             weighted=args.weighted,
         )
     else:
+        size = args.max_jobs + args.max_slots + args.max_jobs * args.max_slots
+        if size > SIZE_BUDGET:
+            raise ValueError(f"--max-jobs plus --max-slots plus their product is {size},"
+                             f" above the budget of {SIZE_BUDGET} vertices plus edges")
         inst = random_scheduling_instance(
             0 if args.seed is None else args.seed,
             max_jobs=args.max_jobs,

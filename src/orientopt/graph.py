@@ -17,14 +17,16 @@ from heapq import heapify, heappop, heappush
 from math import lcm
 from typing import Iterable, Sequence
 
+EXPONENT_LIMIT = 4300  # int()'s default digit limit, which bounds the rest of a string
+
 
 def exact_number(value):
     """An outside number, exactly: an int stays an int and a Fraction is
     kept; a float becomes the Fraction of its shortest decimal repr, so
     ``0.1`` is ``1/10``; a string is read as ``Fraction(value)`` reads it,
-    with ``"p/q"`` read by int() on each side.  A bool, any other type or
-    a string that Fraction refuses, a zero denominator included, raises
-    ValueError."""
+    with ``"p/q"`` read by int() on each side.  A bool, any other type, a
+    string that Fraction refuses, a zero denominator included, or one with
+    an exponent beyond ``EXPONENT_LIMIT`` in magnitude raises ValueError."""
     cls = value.__class__
     if cls is str:  # first: file tokens and spec values are strings
         # int() takes what Fraction takes around the "/", but for
@@ -33,6 +35,10 @@ def exact_number(value):
         try:
             if den.isdecimal() and not num[-1:].isspace():
                 return Fraction(int(num), int(den))
+            e = max(value.rfind("e"), value.rfind("E"))
+            exp = value[e + 1:].strip().lstrip("+-").replace("_", "")  # checked before 10**exp
+            if e >= 0 and exp.isdecimal() and int(exp) > EXPONENT_LIMIT:
+                raise ValueError(f"{value!r} has an exponent beyond {EXPONENT_LIMIT}")
             return Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"{value!r} has a zero denominator") from None

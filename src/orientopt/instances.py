@@ -173,7 +173,7 @@ def _degree_list(n, edges):
 
 #: Vertices plus edges of the largest graph the command line builds or
 #: reads: the sized builtin families' caps below, a graph file's vertex
-#: count and ``generate --family random``'s n + m.
+#: count and the most ``generate --family random`` or ``scheduling`` makes.
 SIZE_BUDGET = 2 * 10**6
 
 # Largest parameter of each sized builtin family, within about SIZE_BUDGET
@@ -280,7 +280,9 @@ def random_scheduling_instance(
     seed, max_jobs: int = 4, max_slots: int = 3
 ) -> SchedulingInstance:
     """Seeded random instance with convex slot costs (builtin shapes or
-    random convex tables)."""
+    random convex tables), of 1..max_jobs jobs and 1..max_slots slots."""
+    if max_jobs < 1 or max_slots < 1:
+        raise ValueError(f"need max_jobs and max_slots of at least 1, not {max_jobs} and {max_slots}")
     rng = random.Random(seed)
     T = rng.randint(1, max_slots)
     J = rng.randint(1, max_jobs)

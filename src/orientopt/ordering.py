@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
+from collections import deque
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import islice, permutations
@@ -22,7 +23,6 @@ from .graph import (
     BlockTree,
     Frozen,
     Multigraph,
-    Orientation,
     _st_order,
     block_forest,
     block_tree,
@@ -30,7 +30,6 @@ from .graph import (
     exact_number,
     scaled_to_ints,
     subgraph,
-    topological_order,
 )
 from .objectives import (
     LiftedCost,
@@ -260,8 +259,6 @@ def exact_subset_dp(
     n = graph.n
     if n > DP_CAP:
         raise ValueError(f"subset DP over {n} vertices exceeds the cap ({DP_CAP})")
-    if n == 0:
-        return (), 0
     degs = graph.degrees
     tables = [[cost_of(v, z) for z in range(degs[v] + 1)] for v in range(n)]
     costs = _int_costs(tables, maximize)
@@ -381,12 +378,13 @@ def _block_runs(sub: Multigraph, rows: list, k: int) -> dict[int, tuple[int, tup
     Per i, one :func:`exact_subset_dp` run prices k at 0 at indegree i and
     above every sum of the other rows elsewhere, so a value above that
     sum means i is infeasible.  A block of at most three vertices needs
-    no run: each of its at most six orders is tried, first found first.
+    no run: its orders are tried in the DP's tie order, first found first.
     """
     n = sub.n
     if n <= 3:
         out: dict = {}
-        for order in permutations(range(n)):
+        for rev in permutations(range(n)):
+            order = rev[::-1]
             z = [0] * n
             for a, b in sub.edges:
                 z[b if order.index(a) < order.index(b) else a] += 1
@@ -415,7 +413,7 @@ def _block_order(graph: Multigraph, forest: BlockTree, rows: list[list[int]]):
     """An order minimizing the sum of ``rows[v][indeg v]``, and that sum,
     from the blocks of ``forest`` (see :func:`solve_acyclic_exact`)."""
     blocks = forest.blocks
-    size = max(len(b.vertices) for b in blocks)
+    size = max((len(b.vertices) for b in blocks), default=0)
     if size > DP_CAP:
         raise ValueError(f"subset DP over a block of {size} vertices exceeds the cap ({DP_CAP})")
     loops = graph.loop_counts
@@ -436,36 +434,30 @@ def _block_order(graph: Multigraph, forest: BlockTree, rows: list[list[int]]):
         runs[bi] = sub, verts, _block_runs(sub, local, verts.index(c) if c >= 0 else -1)
         if c >= 0:
             below[c] = _min_plus(below.get(c, [(0, ())]), runs[bi][2], bi)
-    # from the roots down, each block's order at the indegree i its parent
-    # cut takes in it orients the block
+    # from the roots down, each block's order at its parent cut's i, spliced in
     pick: dict[int, int] = {}
-    heads = [0] * graph.m
+    order: deque[int] = deque()
     total = 0
     for bi in reversed(post_order):
         c = parent_cut[bi]
         sub, verts, out = runs[bi]
-        value, order = out[pick.get(bi, 0)]
+        value, local_order = out[pick.get(bi, 0)]
+        block = [verts[x] for x in local_order]
         if c < 0:
             total += value
-        pos = {x: p for p, x in enumerate(order)}
-        indeg = [0] * sub.n
-        for j, (a, b) in zip(blocks[bi].edge_ids, sub.edges):
-            x = b if pos[a] < pos[b] else a
-            heads[j] = verts[x]
-            indeg[x] += 1
-        for v, z in zip(verts, indeg):
+            order += block
+        else:
+            at = block.index(c)
+            order.extendleft(reversed(block[:at]))
+            order += block[at + 1:]
+        for v, z in zip(verts, degrees_of_order(sub, local_order).indeg):
             if v != c and v in below:
                 picks = _join(rows[v], loops[v], below[v], z)[1]
                 while picks:
                     (b, i), picks = picks
                     pick[b] = i
-    keep = [j for j, (u, v) in enumerate(graph.edges) if u != v]
-    indeg = list(loops)
-    for j in keep:
-        indeg[heads[j]] += 1
-    loopless = subgraph(graph, range(graph.n), keep)[0] if graph.has_loops else graph
-    order = topological_order(loopless, Orientation(tuple(heads[j] for j in keep)))
-    if order is None or sum(row[z] for row, z in zip(rows, indeg)) != total:
+    order = tuple(order)
+    if sum(row[z] for row, z in zip(rows, degrees_of_order(graph, order).indeg)) != total:
         raise RuntimeError("internal error: the blocks' orders do not join into an optimal order")
     return order, total
 
@@ -482,34 +474,29 @@ def solve_acyclic_exact(graph: Multigraph, objective):
     subpaths.  The DP scales the costs by the LCM of their denominators,
     so 1/b**z runs as the exact int b**(max_degree - z).
 
-    A graph of one block (loops aside) is one :func:`exact_subset_dp`
-    run.  Otherwise the DP runs per block of :func:`block_forest`, so
-    ``DP_CAP`` limits the largest block, not n.  Every cycle lies in one
-    block, so orders of the blocks orient the graph acyclically, and a cut
-    vertex's indegree is the sum over its blocks.  The costs become int
-    rows once, for the whole graph (:func:`_int_costs`), so b and the
-    LiftedCost weight M stay global; a loop shifts its vertex's row, as
-    it counts at every position.  Each component is rooted at its largest
-    block.  Children first, a block B with parent cut c gets h_B(i), the
-    least cost of all below c through B with c at indegree i in B, for
-    each i (:func:`_block_runs`).  A cut c' of B gets H, the min-plus
-    convolution of its child blocks' h, and B prices it at
+    The DP runs per block of :func:`block_forest`, so ``DP_CAP`` limits the
+    largest block, not n; a graph of one block is one
+    :func:`exact_subset_dp` run over its loop-free block.  A cut vertex's
+    indegree is the sum over its blocks.  The costs become int rows once,
+    for the whole graph (:func:`_int_costs`), so b and the LiftedCost
+    weight M stay global; a loop shifts its vertex's row, as it counts at
+    every position.  Each component is rooted at its largest block.
+    Children first, a block B with parent cut c gets h_B(i), the least
+    cost of all below c through B with c at indegree i in B, for each i
+    (:func:`_block_runs`).  A cut c' of B gets H, the min-plus convolution
+    of its child blocks' h, and B prices it at
     psi(z) = min_j row_c'(z + j) + H(j).  A root's DP gives its
-    component's optimum.  Each block's order at its chosen i orients the
-    block; the union is acyclic, and its
-    :func:`~orientopt.graph.topological_order` is the order.  With cut
-    vertices, that order may differ from the whole-graph DP's among
-    optima of equal key.
-    Returns ``(order, natural key)``.
+    component's optimum.  From the roots down, each block's order at its
+    chosen i is spliced in: a root's goes at the end, a child's vertices
+    before its parent cut at the front and those after it at the end.
+    Blocks share only cut vertices, so each keeps its own order; with cut
+    vertices, the order may differ from the whole-graph DP's among optima
+    of equal key.  Returns ``(order, natural key)``.
     """
     form, maximize = _dp_form(graph, objective)
     phis = resolved(form, graph)
-    forest = block_forest(graph)
-    if len(forest.blocks) <= 1:
-        order, _ = exact_subset_dp(graph, lambda v, z: phis[v].cost(z), maximize)
-    else:
-        tables = [[phi.cost(z) for z in range(d + 1)] for phi, d in zip(phis, graph.degrees)]
-        order, _ = _block_order(graph, forest, _int_costs(tables, maximize))
+    tables = [[phi.cost(z) for z in range(d + 1)] for phi, d in zip(phis, graph.degrees)]
+    order, _ = _block_order(graph, block_forest(graph), _int_costs(tables, maximize))
     key = evaluate(objective, graph, degrees_of_order(graph, order, False))
     return order, key
 

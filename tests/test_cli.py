@@ -746,6 +746,28 @@ class TestGenerate:
         assert err == (f"error: --n plus --m is {SIZE_BUDGET + 1}, above the budget"
                        f" of {SIZE_BUDGET} vertices plus edges\n")
 
+    @pytest.mark.parametrize("jobs, slots", [(1, 10**6), (10**6, 1), (10**5, 10**5)])
+    def test_scheduling_above_the_budget_is_3(self, capsys, jobs, slots):
+        code, out, err = invoke(
+            capsys, "generate", "--family", "scheduling",
+            "--max-jobs", str(jobs), "--max-slots", str(slots),
+        )
+        size = jobs + slots + jobs * slots
+        assert size > SIZE_BUDGET
+        assert (code, out) == (3, "")
+        assert err == (f"error: --max-jobs plus --max-slots plus their product is {size},"
+                       f" above the budget of {SIZE_BUDGET} vertices plus edges\n")
+
+    @pytest.mark.parametrize("jobs, slots", [(0, 3), (4, 0), (-1, -1)])
+    def test_scheduling_without_jobs_or_slots_is_3(self, capsys, jobs, slots):
+        code, out, err = invoke(
+            capsys, "generate", "--family", "scheduling",
+            "--max-jobs", str(jobs), "--max-slots", str(slots),
+        )
+        assert (code, out) == (3, "")
+        assert err == (f"error: need max_jobs and max_slots of at least 1,"
+                       f" not {jobs} and {slots}\n")
+
     def test_gk_above_the_instance_cap_is_3(self, capsys):
         code, out, err = invoke(capsys, "generate", "--family", "gk", "--k", "222223")
         assert (code, out) == (3, "")

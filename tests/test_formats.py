@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,7 +21,7 @@ from orientopt.formats import (
     phi_to_json,
     rational_to_json,
 )
-from orientopt.graph import exact_number
+from orientopt.graph import EXPONENT_LIMIT, exact_number
 from orientopt.instances import (
     random_multigraph,
     random_scheduling_instance,
@@ -135,6 +136,17 @@ def read_outcome(read, text):
     return g.n, g.edges, g.weights, g.allow_loops
 
 
+def fraction_within_bound(token: str) -> Fraction:
+    """``Fraction(token)``, the oracle the reader follows, for a token
+    whose decimal exponent is at most ``EXPONENT_LIMIT`` in magnitude; a
+    larger exponent, which the reader refuses, raises ValueError before
+    Fraction would expand it."""
+    exp = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", token, re.I)
+    if exp and abs(int(exp[1])) > EXPONENT_LIMIT:
+        raise ValueError(f"exponent of {token!r} beyond the bound")
+    return Fraction(token)
+
+
 class TestParseGraphText:
     def test_minimal(self):
         g = parse_graph_text("2 1\n0 1\n")
@@ -151,10 +163,11 @@ class TestParseGraphText:
     @pytest.mark.parametrize("token", [
         "3/7", "+3/4", "-3/4", "007/010", "1_0/3", "١/٢", "0.5", "1e3", "-.5", "5",
         "1/0", "3/-4", "3/+4", "+-3/4", "/3", "3/", "1__0/3", "²/3", "1/2/3", "3/4e2", "x",
+        "1e4300", "1e-4300", "1e4301", "1E-4301", "0e10000000", "0e1_000_000_0",
     ])
     def test_weight_tokens_read_as_fraction_does(self, token):
         try:
-            want = Fraction(token)
+            want = fraction_within_bound(token)
         except (ValueError, ZeroDivisionError):
             with pytest.raises(FormatError, match="bad number"):
                 parse_graph_text(f"2 1 weighted\n0 1 {token}\n")
@@ -168,7 +181,7 @@ class TestParseGraphText:
     @pytest.mark.parametrize("token", [
         "3/7", "+3/4", "-3/4", "007/010", "1_0/3", "١/٢", "0.5", "1e3", "-.5", "5",
         "1/0", "3/-4", "3/+4", "+-3/4", "/3", "3/", "1__0/3", "²/3", "1/2/3", "3/4e2", "x",
-        " 3/4", "3 /4", "3/4 ", "3\t/4", "3/ 4",
+        " 3/4", "3 /4", "3/4 ", "3\t/4", "3/ 4", "1e4300", "1e4301", "0e10000000",
     ])
     def test_objective_rationals_read_as_fraction_does(self, token):
         docs = [
@@ -177,7 +190,7 @@ class TestParseGraphText:
         ]
         for doc in docs:
             try:
-                want = Fraction(token)
+                want = fraction_within_bound(token)
             except (ValueError, ZeroDivisionError):
                 with pytest.raises(FormatError, match="must be a number"):
                     parse_objective(json.dumps(doc))
@@ -191,7 +204,7 @@ class TestParseGraphText:
         text = f"2 1 weighted\n0 1 {token}\n"
         one_token = token.split() == [token]
         try:
-            want = Fraction(token)
+            want = fraction_within_bound(token)
         except (ValueError, ZeroDivisionError):
             with pytest.raises(ValueError):
                 exact_number(token)

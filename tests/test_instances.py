@@ -385,3 +385,12 @@ class TestScheduling:
 
     def test_random_instance_determinism(self):
         assert random_scheduling_instance(seed=9) == random_scheduling_instance(seed=9)
+
+    @pytest.mark.parametrize("jobs, slots", [(0, 3), (4, 0), (0, 0), (-2, 5)])
+    def test_random_instance_needs_a_job_and_a_slot(self, jobs, slots):
+        with pytest.raises(ValueError, match=f"at least 1, not {jobs} and {slots}$"):
+            random_scheduling_instance(seed=1, max_jobs=jobs, max_slots=slots)
+
+    def test_one_job_and_one_slot(self):
+        inst = random_scheduling_instance(seed=3, max_jobs=1, max_slots=1)
+        assert (inst.num_jobs, inst.num_slots, inst.feasible) == (1, 1, (frozenset({0}),))

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from orientopt.exhaustive import brute_optimal, enumerate_orders
 from orientopt.formats import parse_objective
 from orientopt import ordering
-from orientopt.graph import block_forest, build_graph, degrees_of_order
+from orientopt.graph import block_forest, build_graph, degrees_of_order, subgraph
 from orientopt.instances import (
     FIG4_DECMIN_ORDER,
     fig4_graph,
@@ -555,15 +555,59 @@ class TestBlockPath:
             return real(graph, cost_of, maximize)
 
         monkeypatch.setattr(ordering, "exact_subset_dp", spy)
-        g = build_graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 0), (0, 0)],
-                        allow_loops=True)
-        for obj in BLOCK_OBJECTIVES:
-            calls.clear()
-            form, maximize = _dp_form(g, obj)
-            phis = resolved(form, g)
-            want = real(g, lambda v, z: phis[v].cost(z), maximize)[0]
-            assert solve_acyclic_exact(g, obj)[0] == want
-            assert calls == [g]
+        # the smallest graphs, whose blocks need no run, and graphs of a
+        # cycle through every vertex, chords, parallel edges and loops
+        graphs = [build_graph(0, []), build_graph(1, [(0, 0), (0, 0)], allow_loops=True),
+                  build_graph(2, [(0, 1)]), named_instance("k3"),
+                  build_graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 0), (0, 0)],
+                              allow_loops=True)]
+        rng = random.Random(38)
+        for _ in range(100):
+            n = rng.randint(2, 9)
+            edges = [(v, (v + 1) % n) for v in range(n if n > 2 else 1)]
+            edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, n))]
+            edges += [(v, v) for v in rng.choices(range(n), k=rng.randint(0, 3))]
+            rng.shuffle(edges)
+            graphs.append(build_graph(n, edges, allow_loops=True))
+        for g in graphs:
+            blocks = block_forest(g).blocks
+            assert len(blocks) <= 1
+            # one run, over the block: g without its loops
+            runs = [subgraph(g, b.vertices, b.edge_ids)[0] for b in blocks if g.n > 3]
+            for obj in BLOCK_OBJECTIVES + [_bounded_tables(g.n)]:
+                calls.clear()
+                form, maximize = _dp_form(g, obj)
+                phis = resolved(form, g)
+                want = real(g, lambda v, z: phis[v].cost(z), maximize)[0]
+                assert solve_acyclic_exact(g, obj)[0] == want, (g.n, g.edges, obj)
+                assert calls == runs
+
+    def test_small_blocks_are_what_the_dp_runs_give(self):
+        # a block of one to three vertices: one vertex, a bundle of
+        # parallel edges, or a triangle with parallel edges
+        rng = random.Random(39)
+        for _ in range(1500):
+            n = rng.randint(1, 3)
+            if n == 1:
+                edges = []
+            elif n == 2:
+                edges = [(0, 1)] * rng.randint(1, 4)
+            else:
+                edges = [e for e in [(0, 1), (1, 2), (0, 2)] for _ in range(rng.randint(1, 3))]
+            sub = build_graph(n, edges)
+            rows = [[rng.randint(-5, 5) for _ in range(d + 1)] for d in sub.degrees]
+            # above the spread of any two orders' sums
+            big = sum(max(row) - min(row) for row in rows) + 1
+            for k in range(-1, n):
+                want = {}
+                for i in range(sub.degrees[k] + 1) if k >= 0 else [0]:
+                    # one run per i, with k free at indegree i only
+                    cost = lambda v, z: (0 if z == i else big) if v == k else rows[v][z]
+                    order, value = exact_subset_dp(sub, cost)
+                    if k < 0 or degrees_of_order(sub, order).indeg[k] == i:
+                        want[i] = (value, order)
+                local = [None if x == k else row for x, row in enumerate(rows)]
+                assert ordering._block_runs(sub, local, k) == want, (sub.edges, rows, k)
 
     def test_every_block_run_goes_through_the_module_name(self, monkeypatch):
         sizes = []
@@ -590,7 +634,7 @@ class TestBlockPath:
     def test_the_cap_is_on_the_largest_block(self):
         n = DP_CAP + 1
         cycle = [(i, (i + 1) % n) for i in range(n)]
-        with pytest.raises(ValueError, match=f"subset DP over {n} vertices exceeds the cap"):
+        with pytest.raises(ValueError, match=f"subset DP over a block of {n} vertices exceeds the cap"):
             solve_acyclic_exact(build_graph(n, cycle), DecMin())
         with pytest.raises(ValueError, match=f"a block of {n} vertices exceeds the cap"):
             solve_acyclic_exact(build_graph(n + 1, cycle + [(0, n)]), DecMin())
@@ -603,105 +647,105 @@ class TestBlockPath:
 # random_multigraph(n, 2n, seed), under the objectives of the benchmark's
 # acyclic-exact workload.  The keys were recorded before the isolated-vertex
 # rule.  These graphs have cut vertices, so the orders are those of the DP
-# run per block, re-recorded when it replaced the one whole-graph run; they
+# run per block, with the block orders spliced at their cut vertices; they
 # are other optima of the same keys.
 EXACT_PINS = {
     (14, 1, "square"): (
-        (12, 3, 7, 1, 9, 2, 10, 8, 0, 5, 13, 6, 11, 4),
+        (12, 3, 10, 8, 0, 13, 7, 6, 11, 1, 9, 5, 4, 2),
         LiftedCost(penalty=0, base=64),
     ),
     (14, 1, "cube_bounded"): (
-        (12, 3, 7, 1, 9, 2, 10, 8, 0, 5, 13, 6, 11, 4),
+        (12, 3, 10, 8, 0, 13, 7, 6, 11, 1, 9, 5, 4, 2),
         LiftedCost(penalty=1, base=155),
     ),
     (14, 1, "dec_min"): (
-        (12, 3, 7, 1, 9, 2, 10, 8, 0, 5, 13, 6, 11, 4),
+        (12, 3, 10, 8, 0, 13, 7, 6, 11, 1, 9, 5, 4, 2),
         (3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 0),
     ),
     (14, 1, "inc_max"): (
-        (12, 3, 7, 1, 9, 2, 10, 8, 0, 5, 13, 6, 11, 4),
+        (12, 3, 10, 8, 0, 13, 7, 6, 11, 1, 9, 5, 4, 2),
         (0, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3),
     ),
     (14, 1, "rho_delta_sum"): (
-        (2, 9, 1, 7, 12, 3, 5, 10, 8, 0, 13, 6, 11, 4),
+        (2, 9, 1, 7, 12, 3, 10, 8, 5, 0, 13, 6, 11, 4),
         63,
     ),
     (14, 1, "forbidden_subpaths"): (
-        (12, 3, 7, 1, 9, 2, 10, 8, 0, 5, 13, 6, 11, 4),
+        (12, 3, 10, 8, 0, 13, 7, 6, 11, 1, 9, 5, 4, 2),
         18,
     ),
     (15, 2, "square"): (
-        (8, 4, 5, 14, 2, 6, 7, 12, 11, 13, 0, 1, 10, 9, 3),
+        (8, 5, 14, 2, 13, 6, 10, 0, 9, 7, 3, 1, 12, 4, 11),
         LiftedCost(penalty=0, base=70),
     ),
     (15, 2, "cube_bounded"): (
-        (8, 4, 5, 14, 2, 6, 7, 12, 11, 13, 0, 1, 10, 9, 3),
+        (8, 5, 14, 2, 13, 6, 10, 0, 9, 7, 3, 1, 12, 4, 11),
         LiftedCost(penalty=1, base=175),
     ),
     (15, 2, "dec_min"): (
-        (8, 4, 5, 14, 2, 6, 7, 12, 11, 13, 0, 1, 10, 9, 3),
+        (8, 5, 14, 2, 13, 6, 10, 0, 9, 7, 3, 1, 12, 4, 11),
         (3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2, 1, 1, 0),
     ),
     (15, 2, "inc_max"): (
-        (8, 4, 5, 14, 2, 6, 7, 12, 11, 13, 0, 1, 10, 9, 3),
+        (8, 5, 14, 2, 13, 6, 10, 0, 9, 7, 3, 1, 12, 4, 11),
         (0, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3),
     ),
     (15, 2, "rho_delta_sum"): (
-        (9, 3, 0, 13, 10, 6, 2, 14, 8, 4, 5, 1, 7, 12, 11),
+        (9, 3, 0, 13, 10, 6, 2, 14, 8, 5, 7, 1, 12, 4, 11),
         63,
     ),
     (15, 2, "forbidden_subpaths"): (
-        (8, 4, 5, 14, 2, 6, 7, 12, 11, 13, 0, 1, 10, 9, 3),
+        (8, 5, 14, 2, 13, 6, 10, 0, 9, 7, 3, 1, 12, 4, 11),
         20,
     ),
     (16, 3, "square"): (
-        (15, 2, 11, 12, 0, 8, 5, 13, 4, 7, 6, 9, 3, 1, 10, 14),
+        (15, 2, 11, 12, 0, 8, 13, 9, 3, 10, 4, 7, 6, 5, 1, 14),
         LiftedCost(penalty=0, base=72),
     ),
     (16, 3, "cube_bounded"): (
-        (15, 2, 11, 12, 0, 8, 5, 13, 4, 7, 6, 9, 3, 1, 10, 14),
+        (15, 2, 11, 12, 0, 8, 13, 9, 3, 10, 4, 7, 6, 5, 1, 14),
         LiftedCost(penalty=1, base=171),
     ),
     (16, 3, "dec_min"): (
-        (15, 2, 11, 12, 0, 8, 5, 13, 4, 7, 6, 9, 3, 1, 10, 14),
+        (15, 2, 11, 12, 0, 8, 13, 9, 3, 10, 4, 7, 6, 5, 1, 14),
         (3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 0),
     ),
     (16, 3, "inc_max"): (
-        (15, 2, 11, 12, 0, 8, 5, 13, 4, 7, 6, 9, 3, 1, 10, 14),
+        (15, 2, 11, 12, 0, 8, 13, 9, 3, 10, 4, 7, 6, 5, 1, 14),
         (0, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3),
     ),
     (16, 3, "rho_delta_sum"): (
-        (6, 7, 14, 4, 13, 8, 12, 15, 11, 2, 0, 5, 9, 1, 3, 10),
+        (14, 6, 7, 4, 13, 12, 8, 15, 11, 2, 0, 9, 1, 3, 10, 5),
         64,
     ),
     (16, 3, "forbidden_subpaths"): (
-        (15, 2, 11, 12, 0, 8, 5, 13, 4, 7, 6, 9, 3, 1, 10, 14),
+        (15, 2, 11, 12, 0, 8, 13, 9, 3, 10, 4, 7, 6, 5, 1, 14),
         20,
     ),
     # dec_max and inc_min are not benchmark slots; they pin the two
     # maximizing power-sum forms at the same sizes
     (14, 1, "dec_max"): (
-        (4, 5, 7, 8, 3, 9, 1, 2, 13, 6, 0, 10, 11, 12),
+        (13, 9, 8, 7, 6, 5, 4, 3, 1, 0, 12, 11, 10, 2),
         (9, 5, 4, 3, 3, 2, 1, 1, 0, 0, 0, 0, 0, 0),
     ),
     (14, 1, "inc_min"): (
-        (4, 5, 7, 8, 3, 9, 1, 2, 13, 6, 0, 10, 11, 12),
+        (13, 9, 8, 7, 6, 5, 4, 3, 1, 0, 12, 11, 10, 2),
         (0, 0, 0, 0, 0, 0, 1, 1, 2, 3, 3, 4, 5, 9),
     ),
     (15, 2, "dec_max"): (
-        (1, 4, 6, 7, 5, 9, 3, 11, 12, 13, 0, 2, 10, 14, 8),
+        (11, 4, 13, 9, 7, 6, 1, 5, 3, 2, 0, 14, 10, 8, 12),
         (7, 6, 4, 4, 3, 3, 2, 1, 0, 0, 0, 0, 0, 0, 0),
     ),
     (15, 2, "inc_min"): (
-        (1, 4, 6, 7, 5, 9, 3, 11, 12, 13, 0, 2, 10, 14, 8),
+        (11, 4, 13, 9, 7, 6, 1, 5, 3, 2, 0, 14, 10, 8, 12),
         (0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 3, 4, 4, 6, 7),
     ),
     (16, 3, "dec_max"): (
-        (2, 7, 8, 5, 6, 9, 1, 10, 12, 0, 11, 3, 13, 14, 4, 15),
+        (14, 12, 2, 11, 8, 7, 6, 15, 9, 13, 10, 5, 1, 4, 3, 0),
         (6, 6, 5, 4, 4, 2, 2, 2, 1, 0, 0, 0, 0, 0, 0, 0),
     ),
     (16, 3, "inc_min"): (
-        (2, 7, 8, 5, 6, 9, 1, 10, 12, 0, 11, 3, 13, 14, 4, 15),
+        (14, 12, 2, 11, 8, 7, 6, 15, 9, 13, 10, 5, 1, 4, 3, 0),
         (0, 0, 0, 0, 0, 0, 0, 1, 2, 2, 2, 4, 4, 5, 6, 6),
     ),
 }
