@@ -189,11 +189,21 @@ def _solve_report(graph, objective, mode, seed, trials):
     return report, key
 
 
+def _print_report(report: dict) -> None:
+    """Write one report to stdout as a line of JSON, or, before writing
+    anything, raise ValueError on an int of more digits than str() writes."""
+    try:
+        text = json.dumps(report)
+    except ValueError as e:  # json.dumps meets no other ValueError in a report
+        raise ValueError(f"the report holds an int of more than {sys.get_int_max_str_digits()}"
+                         " digits, Python's limit for writing an int as text") from e
+    print(text)
+
+
 def _cmd_solve(args) -> int:
     graph = _load_graph(args.input)
     objective = _load_objective(args.objective)
-    report, _ = _solve_report(graph, objective, args.mode, args.seed, args.trials)
-    print(json.dumps(report))
+    _print_report(_solve_report(graph, objective, args.mode, args.seed, args.trials)[0])
     return 0
 
 
@@ -220,7 +230,7 @@ def _cmd_oracle(args) -> int:
     if res.count is not None:
         report["optima"] = res.count
     report["wall_time"] = round(elapsed, 6)
-    print(json.dumps(report))
+    _print_report(report)
     return 0
 
 
@@ -240,7 +250,7 @@ def _cmd_compare(args) -> int:
         "oracle_key": key_to_json(oracle.key),
         "match": match,
     }
-    print(json.dumps(report))
+    _print_report(report)
     return 0 if match else 1
 
 
@@ -259,7 +269,7 @@ def _cmd_bench(args) -> int:
         "key": key_to_json(runs[-1][1]),
         "wall_times": [rep["wall_time"] for rep, _ in runs],
     }
-    print(json.dumps(report))
+    _print_report(report)
     return 0
 
 

@@ -16,7 +16,7 @@ from collections import deque
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import islice, permutations
-from operator import itemgetter, mul, sub
+from operator import mul, sub
 from typing import Callable, Sequence
 
 from .graph import (
@@ -350,26 +350,6 @@ def _dp_form(graph: Multigraph, objective) -> tuple[PhiSum, bool]:
     raise ValueError(f"objective {k!r} has no separable encoding for the DP")
 
 
-def _join(row: list[int], shift: int, below: list, z: int) -> tuple[int, tuple]:
-    """psi(z), the least ``row[shift + z + j] + H(j)`` over the feasible j,
-    and the child blocks' picks of that H(j), the lowest j first.  ``below``
-    holds H(j) as (value, picks), or None where j is infeasible; picks are
-    linked pairs ``((block, i), rest)``, ending in ``()``."""
-    return min(((row[shift + z + j] + x[0], x[1]) for j, x in enumerate(below) if x is not None),
-               key=itemgetter(0))
-
-
-def _min_plus(below: list, h: dict, bi: int) -> list:
-    """The min-plus convolution of H (see :func:`_join`) with block bi's h,
-    a dict of its feasible i; each entry's picks gain ``(bi, i)``."""
-    out: list = [None] * (len(below) + max(h))
-    for i, (value, _) in h.items():
-        for j, x in enumerate(below, i):
-            if x is not None and (out[j] is None or x[0] + value < out[j][0]):
-                out[j] = (x[0] + value, ((bi, i), x[1]))
-    return out
-
-
 def _block_runs(sub: Multigraph, rows: list, k: int) -> dict[int, tuple[int, tuple[int, ...]]]:
     """The least sum of ``rows[v][indeg v]`` over the block ``sub`` but its
     parent cut, the local vertex k, and an order that attains it, for each
@@ -411,29 +391,34 @@ def _block_runs(sub: Multigraph, rows: list, k: int) -> dict[int, tuple[int, tup
 
 def _block_order(graph: Multigraph, forest: BlockTree, rows: list[list[int]]):
     """An order minimizing the sum of ``rows[v][indeg v]``, and that sum,
-    from the blocks of ``forest`` (see :func:`solve_acyclic_exact`)."""
+    from the blocks of ``forest`` (see :func:`solve_acyclic_exact`).
+    ``split[B][z]`` is the i that block B's fold into its parent cut's row
+    chose at z, so that the walk down can undo the fold."""
     blocks = forest.blocks
     size = max((len(b.vertices) for b in blocks), default=0)
     if size > DP_CAP:
         raise ValueError(f"subset DP over a block of {size} vertices exceeds the cap ({DP_CAP})")
     loops = graph.loop_counts
     parent_cut, post_order = forest.rooted()
-    below: dict[int, list] = {}  # cut vertex -> H of its child blocks
+    folded = rows[:]  # each vertex's row, its child blocks folded in
+    children: dict[int, list[int]] = {}  # cut vertex -> its child blocks, in fold order
+    split: list = [None] * len(blocks)
     runs: list = [None] * len(blocks)  # per block: its graph, vertex map and runs
     for bi in post_order:
         c = parent_cut[bi]
         sub, verts = subgraph(graph, blocks[bi].vertices, blocks[bi].edge_ids)
-        local: list = []  # each vertex's row in B; the parent cut's is set per run
-        for v, d in zip(verts, sub.degrees):
-            if v == c:
-                local.append(None)
-            elif v in below:
-                local.append([_join(rows[v], loops[v], below[v], z)[0] for z in range(d + 1)])
-            else:
-                local.append(rows[v][loops[v]:loops[v] + d + 1])
-        runs[bi] = sub, verts, _block_runs(sub, local, verts.index(c) if c >= 0 else -1)
+        # each vertex's row in B; the parent cut's is set per run
+        local = [None if v == c else folded[v][loops[v]:loops[v] + d + 1]
+                 for v, d in zip(verts, sub.degrees)]
+        k = verts.index(c) if c >= 0 else -1
+        out = _block_runs(sub, local, k)
+        runs[bi] = sub, verts, out
         if c >= 0:
-            below[c] = _min_plus(below.get(c, [(0, ())]), runs[bi][2], bi)
+            row = folded[c]
+            best = [min((row[z + i] + h, i) for i, (h, _) in out.items())
+                    for z in range(len(row) - sub.degrees[k])]
+            folded[c], split[bi] = zip(*best)
+            children.setdefault(c, []).append(bi)
     # from the roots down, each block's order at its parent cut's i, spliced in
     pick: dict[int, int] = {}
     order: deque[int] = deque()
@@ -451,11 +436,12 @@ def _block_order(graph: Multigraph, forest: BlockTree, rows: list[list[int]]):
             order.extendleft(reversed(block[:at]))
             order += block[at + 1:]
         for v, z in zip(verts, degrees_of_order(sub, local_order).indeg):
-            if v != c and v in below:
-                picks = _join(rows[v], loops[v], below[v], z)[1]
-                while picks:
-                    (b, i), picks = picks
-                    pick[b] = i
+            if v != c:
+                # undo v's folds, the last first
+                at = loops[v] + z
+                for child in reversed(children.get(v, ())):
+                    pick[child] = split[child][at]
+                    at += pick[child]
     order = tuple(order)
     if sum(row[z] for row, z in zip(rows, degrees_of_order(graph, order).indeg)) != total:
         raise RuntimeError("internal error: the blocks' orders do not join into an optimal order")
@@ -483,12 +469,14 @@ def solve_acyclic_exact(graph: Multigraph, objective):
     every position.  Each component is rooted at its largest block.
     Children first, a block B with parent cut c gets h_B(i), the least
     cost of all below c through B with c at indegree i in B, for each i
-    (:func:`_block_runs`).  A cut c' of B gets H, the min-plus convolution
-    of its child blocks' h, and B prices it at
-    psi(z) = min_j row_c'(z + j) + H(j).  A root's DP gives its
+    (:func:`_block_runs`), which is folded into c's cost row, with no
+    table kept per cut vertex: row_c(z) becomes min_i row_c(z + i) + h_B(i)
+    for each z that c's other blocks and loops reach, and every vertex of
+    a block is priced by a slice of its row.  A root's DP gives its
     component's optimum.  From the roots down, each block's order at its
-    chosen i is spliced in: a root's goes at the end, a child's vertices
-    before its parent cut at the front and those after it at the end.
+    i is spliced in: a root's goes at the end, a child's vertices before
+    its parent cut at the front and those after it at the end; undoing a
+    cut vertex's folds, the last first, gives its child blocks their i.
     Blocks share only cut vertices, so each keeps its own order; with cut
     vertices, the order may differ from the whole-graph DP's among optima
     of equal key.  Returns ``(order, natural key)``.

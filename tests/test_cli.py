@@ -510,6 +510,25 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert f"exceeds the cap ({DP_CAP})" in err
 
+    # the key of a one-edge graph under a linear cost of slope 10**4300
+    # is an int of 4,301 digits, one more than str() writes
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--mode", "acyclic-exact"),
+        ("solve", "--mode", "cyclic-flow"),
+        ("oracle", "--mode", "acyclic"),
+        ("compare", "--mode", "acyclic-exact"),
+        ("bench", "--mode", "cyclic-flow"),
+    ], ids=["solve-exact", "solve-flow", "oracle", "compare", "bench"])
+    def test_an_int_too_long_to_write_is_3(self, capsys, tmp_path, argv):
+        p = tmp_path / "edge.txt"
+        p.write_text("2 1\n0 1\n")
+        spec = {"kind": "phi_sum", "shared": {"kind": "linear", "a": "1e4300"}}
+        code, out, err = invoke(capsys, *argv, "--input", str(p),
+                                "--objective", json.dumps(spec))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "more than 4300 digits" in err and "Traceback" not in err
+
     def test_gk7_solves_above_the_cap_in_small_blocks(self, capsys):
         # gk:7 has 27 vertices in blocks of at most three
         rep = report_of(

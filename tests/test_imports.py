@@ -4,7 +4,9 @@ stay apart from the brute-force oracles.
 No linter runs on this project, so this test is the check: it parses
 each module of ``orientopt`` except ``__init__.py`` (which imports to
 re-export) and fails on a name that a top-level import binds and the
-module never reads.  It also fails when a solver module (``flow``,
+module never reads, and on a module-level private name (a function,
+class or constant whose name starts with one underscore) that no module
+of the package reads by name, attribute or import.  It also fails when a solver module (``flow``,
 ``ordering``) imports from ``exhaustive`` or ``exhaustive`` imports a
 solver, anywhere in the module: an oracle that shares code with the
 solver it checks cannot catch that code's faults.  An exactness lint
@@ -54,6 +56,58 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The module-level private names of ``sources`` (file name -> source)
+    that none of them reads, as a ``Name``, an attribute or an import."""
+    bound = []
+    read = set()
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                targets = [node.target.id]
+            else:
+                continue
+            bound += [(name, node.lineno, t) for t in targets
+                      if t.startswith("_") and not t.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [f"{name} line {line}: {t}" for name, line, t in bound if t not in read]
+
+
+def test_the_check_sees_an_unread_private_name():
+    sources = {
+        "a.py": (
+            "_CAP = 3\n"
+            "_LIMIT: int = 4\n"
+            "__all__ = []\n"
+            "def _join(x):\n"
+            "    _local = 1\n"
+            "    return x\n"
+            "class _Pick:\n"
+            "    pass\n"
+            "def _used():\n"
+            "    return _CAP\n"
+        ),
+        "b.py": "from .a import _used\nimport a\nprint(a._Pick)\n",
+    }
+    assert unread_private_names(sources) == ["a.py line 2: _LIMIT", "a.py line 4: _join"]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []
 
 
 def package_imports(source: str) -> set[str]:

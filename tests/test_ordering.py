@@ -546,6 +546,37 @@ class TestBlockPath:
         for obj in BLOCK_OBJECTIVES + [_bounded_tables(g.n)]:
             assert solve_acyclic_exact(g, obj)[1] == _whole_graph_key(g, obj), obj
 
+    def test_a_hub_folds_children_of_every_reach(self):
+        # hub 0 has a loop and lies on the root block, the 6-cycle
+        # 0-1-2-3-12-13; four child blocks hang on it: a doubled edge, a
+        # triangle, a 5-cycle with a chord, which needs one DP run per
+        # indegree of 0, and a pendant edge
+        edges = [(0, 1), (1, 2), (2, 3), (3, 12), (12, 13), (13, 0), (0, 0), (0, 4), (0, 4),
+                 (0, 5), (5, 6), (6, 0), (0, 7), (7, 8), (8, 9), (9, 10), (10, 0), (0, 9),
+                 (0, 11)]
+        for g in [build_graph(14, edges, allow_loops=True),
+                  build_graph(14, edges[::-1], allow_loops=True)]:
+            forest = block_forest(g)
+            parent, _ = forest.rooted()
+            hub_children = [b for b, c in zip(forest.blocks, parent) if c == 0]
+            assert sorted(len(b.vertices) for b in hub_children) == [2, 2, 3, 5]
+            for obj in BLOCK_OBJECTIVES + [_bounded_tables(g.n)]:
+                order, key = solve_acyclic_exact(g, obj)
+                assert key == evaluate(obj, g, degrees_of_order(g, order))
+                assert key == _whole_graph_key(g, obj), obj
+
+    def test_a_star_stays_small_in_memory(self):
+        # K_{1,500}: 500 bridges fold into the hub's row, one after another
+        g = build_graph(501, [(0, v) for v in range(1, 501)])
+        tracemalloc.start()
+        try:
+            key = solve_acyclic_exact(g, PhiSum(shared=square()))[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert key == LiftedCost(0, 500)
+        assert peak < 5 * 2**20, peak
+
     def test_one_block_is_one_dp_run(self, monkeypatch):
         calls = []
         real = ordering.exact_subset_dp
