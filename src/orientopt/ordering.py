@@ -222,28 +222,45 @@ def exact_subset_dp(
     The DP runs on plain ints: the tables are scaled by the LCM of their
     denominators, and a LiftedCost becomes penalty * M + base with M one
     more than the total spread of the bases (:func:`_int_costs`), which
-    keeps every comparison and tie.  v's degree inside a mask (loops
-    included) is ``lo[v][mask & low] + hi[v][mask >> half]``, its degrees
-    into the low and the high half of the vertex set.  The masks are
-    swept in blocks of one high half-mask ``mh`` each, over every low
-    half-mask ``ml``.  Once per block, each vertex's cost row is shifted
-    by ``hi[v][mh]`` and cut to the ``lo[v][-1] + 1`` entries its degree
-    into the low half can reach; the sweep indexes it by ``lo[v][ml]``,
-    which each low half-mask stores with its vertices.  So a candidate
-    last vertex costs one lookup in f and one in its shifted row, and the
-    loop keeps only the minimum, starting above every sum of one entry
-    per vertex.  That is O(2^n * n + 2^(n/2) * m) time, the second term
-    for the shifts, and O(2^n + n * 2^(n/2) + m) memory: f, the
-    half-mask tables and one block's rows, with no per-mask table of
-    last vertices (2^26 bytes less at ``DP_CAP``).
+    keeps every comparison and tie.  Each int row is then shifted to
+    start at 0, its least entry subtracted after any ``maximize``
+    negation.  Every order pays exactly one entry per row, so every sum
+    the DP compares moves by the same constant, and comparisons, ties
+    and the backtrack are unchanged; the value is summed from the
+    caller's tables.  No entry is negative, so one more than the sum of
+    the row maxima starts each minimum above every partial sum, and the
+    sums of small tables stay within CPython's cache of small ints.
+
+    v's degree inside a mask (loops included) is
+    ``lo[v][mask & low] + hi[v][mask >> half]``, its degrees into the
+    low half (the first n // 2 + 1 vertices, whose half-masks carry the
+    precomputed tables) and into the high half.  The masks are swept in
+    blocks of one high half-mask ``mh`` each, over every low half-mask
+    ``ml``.  Once per block, one flat list holds every vertex's cost row,
+    shifted by ``hi[v][mh]`` and cut to the entries its degree into the
+    low half can reach, at an offset fixed once, so v's cost in the mask
+    is ``flat[off[v] + lo[v][ml]]``.  Each low half-mask keeps one
+    (predecessor half-mask, flat index) pair per vertex, and the block's
+    values are filled into a local list, so a low candidate last vertex
+    costs two list reads, an add and a compare.  A high vertex v of
+    ``mh`` reads its predecessor from a slice of the finished block
+    ``mh - v``, at a flat index kept per low half-mask.  The finished
+    block is copied once into f.  That is O(2^n * n + 2^(n/2) * m) time,
+    the second term for the flat rows, and O(2^n + n * 2^(n/2) + m)
+    memory: f, the half-mask tables (n * 2^(n/2+1) degrees, and fewer
+    flat indices and pairs) and one block's rows, with no per-mask table
+    of last vertices (2^26 bytes less at ``DP_CAP``).
 
     A mask S with a vertex v that has no neighbour in S but itself skips
     the minimum.  v's left degree is its loop count wherever it stands,
     so S's best value is f(S) = f(S - v) + c_v(loops_v); the argument
     needs no convexity, so it holds for every table and for
-    ``maximize``.  The vertices of S with no neighbour in S are
-    ``S & apart_lo[S & low] & apart_hi[S >> half]``, two lookups in
-    tables of the vertices with no neighbour in each half-mask.  The
+    ``maximize``.  The vertices of S with no neighbour in S come from
+    tables of the vertices with no neighbour in each half-mask: the low
+    ones are ``lone_lo[ml] & far_hi`` (the vertices of ``ml`` with no
+    neighbour in ``ml``, kept per low half-mask, and the low vertices with
+    no neighbour in ``mh``, found once per block), the high ones
+    ``lone_hi & far_lo[ml]`` likewise, and the lowest of them is used.  The
     rule fires on every one-vertex mask, on every mask of an edgeless
     graph, and on 52–76% of the masks of ``random_multigraph(n, 2n)``
     at n = 14–16 (seeds 1–3).
@@ -261,17 +278,29 @@ def exact_subset_dp(
         raise ValueError(f"subset DP over {n} vertices exceeds the cap ({DP_CAP})")
     degs = graph.degrees
     tables = [[cost_of(v, z) for z in range(degs[v] + 1)] for v in range(n)]
-    costs = _int_costs(tables, maximize)
+    costs = []
+    for row in _int_costs(tables, maximize):
+        least = min(row)
+        costs.append([x - least for x in row])
     loops = graph.loop_counts
     counts = graph.neighbor_counts
-    half = n // 2
-    low = (1 << half) - 1
+    half = min(n, n // 2 + 1)
+    size = 1 << half
+    low = size - 1
     lo = [_subset_sums(loops[v], [counts[v].get(u, 0) for u in range(half)]) for v in range(n)]
     hi = [_subset_sums(0, [counts[v].get(u, 0) for u in range(half, n)]) for v in range(n)]
-    # each low vertex of each low half-mask, with its degree into it
-    low_verts = [
-        [(1 << v, v, lo[v][ml]) for v in range(half) if ml >> v & 1] for ml in range(low + 1)
+    # v's cost row, cut to the entries its degree into the low half can
+    # reach, sits at off[v] in each block's flat list
+    spans = [lo[v][-1] + 1 for v in range(n)]
+    off = [sum(spans[:v]) for v in range(n)]
+    cuts = list(zip(costs, hi, spans))
+    # each low vertex of each low half-mask: the half-mask without it and
+    # its flat index; and each high vertex's flat index per low half-mask
+    pairs = [
+        [(ml ^ 1 << v, off[v] + lo[v][ml]) for v in range(half) if ml >> v & 1]
+        for ml in range(size)
     ]
+    at_lo = [[off[v] + z for z in lo[v]] for v in range(half, n)]
     # the vertices with no neighbour in each half-mask, and the cost of
     # each vertex at its loop count: what it pays with no neighbour before
     full = 1 << n
@@ -281,37 +310,50 @@ def exact_subset_dp(
         far = ~sum(1 << x for x in counts[u])
         apart = apart_lo if u < half else apart_hi
         apart += [x & far for x in apart]
+    # per low half-mask: its own vertices apart from it, and the high
+    # vertices apart from it, as a high half-mask
+    lone_lo = [ml & a for ml, a in enumerate(apart_lo)]
+    far_lo = [a >> half for a in apart_lo]
     alone = [costs[v][loops[v]] for v in range(n)]
     # above every sum of one entry per vertex of a mask
-    top = sum(max(0, *row) for row in costs) + 1
-    # each vertex's cost row, degrees into the high half-masks, and the
-    # length a degree into the low half can reach
-    spans = [(costs[v], hi[v], lo[v][-1] + 1) for v in range(n)]
+    top = sum(map(max, costs)) + 1
     f = [0] * full
+    block = [0] * size
     for mh in range(1 << (n - half)):
         base = mh << half
-        aph = apart_hi[mh]
-        # each vertex's cost row shifted by its degree into the high
-        # half-mask and cut to its degree into the low half, which indexes it
-        rows = [row[hv[mh]:hv[mh] + k] for row, hv, k in spans]
-        high_rows = [(1 << v, rows[v], lo[v]) for v in range(half, n) if base >> v & 1]
-        for ml in range(0 if mh else 1, low + 1):
-            mask = base | ml
-            iso = mask & apart_lo[ml] & aph
+        # the low vertices apart from mh, and mh's own vertices apart from it
+        far_hi = apart_hi[mh] & low
+        lone_hi = apart_hi[mh] >> half & mh
+        flat = []
+        for row, hv, k in cuts:
+            flat += row[hv[mh]:hv[mh] + k]
+        # each high vertex's predecessors: the finished block without it
+        highs = [
+            (f[base ^ 1 << v:(base ^ 1 << v) + size], at_lo[v - half])
+            for v in range(half, n) if base >> v & 1
+        ]
+        for ml in range(0 if mh else 1, size):
+            iso = lone_lo[ml] & far_hi
             if iso:
                 b = iso & -iso
-                f[mask] = f[mask ^ b] + alone[b.bit_length() - 1]
+                block[ml] = block[ml ^ b] + alone[b.bit_length() - 1]
+                continue
+            iso = lone_hi & far_lo[ml]
+            if iso:
+                b = iso & -iso
+                block[ml] = f[(mh ^ b) << half | ml] + alone[half + b.bit_length() - 1]
                 continue
             best = top
-            for b, v, z in low_verts[ml]:
-                c = f[mask ^ b] + rows[v][z]
+            for pm, i in pairs[ml]:
+                c = block[pm] + flat[i]
                 if c < best:
                     best = c
-            for b, row, lv in high_rows:
-                c = f[mask ^ b] + row[lv[ml]]
+            for prev, ix in highs:
+                c = prev[ml] + flat[ix[ml]]
                 if c < best:
                     best = c
-            f[mask] = best
+            block[ml] = best
+        f[base:base + size] = block
     suffix = []
     value = 0
     mask = full - 1

@@ -89,3 +89,33 @@ def test_untraced_run_prints_every_end_to_end_metric():
     metrics = run_bench("cyclic", 0)["metrics"]
     for m in DECLARED["end_to_end"]:
         assert metrics[m["name"]]["value"] > 0, m["name"]
+
+
+def test_every_perf_record_keeps_the_pair_format():
+    """Each ``BENCH_*.json`` at the root is a perf record: alternating
+    parent/change runs of workloads that BENCHMARK.json declares, each
+    side with the result line's counts and the four end-to-end metrics,
+    every run correct and without a failed request."""
+    workloads = {w["name"] for w in DECLARED["workloads"]}
+    metrics = [m["name"] for m in DECLARED["end_to_end"]]
+    fields = {"benchmark", "machine", "parent_commit", "change_commit", "change_blobs", "claim",
+              "runs"}
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text())
+        assert fields <= set(record), (path.name, sorted(fields - set(record)))
+        for run in record["runs"]:
+            where = (path.name, run.get("workload"), run.get("seed"))
+            assert run["workload"] in workloads, where
+            assert isinstance(run["seed"], int), where
+            assert run["pairs"], where
+            for pair in run["pairs"]:
+                assert pair["first"] in ("parent", "change"), (where, pair.get("pair"))
+                for side in ("parent", "change"):
+                    result = pair[side]
+                    assert result["correct"] is True, (where, pair.get("pair"), side)
+                    assert result["failed"] == 0, (where, pair.get("pair"), side)
+                    assert result["attempted"] > 0, (where, pair.get("pair"), side)
+                    for name in metrics:
+                        assert result[name] > 0, (where, pair.get("pair"), side, name)

@@ -34,6 +34,7 @@ from orientopt.objectives import (
     RhoDeltaSum,
     cube,
     evaluate,
+    exp_base,
     resolved,
     square,
     table,
@@ -339,16 +340,15 @@ class TestSubsetDP:
         sum over all vertices: a start value that is not above every
         partial sum leaves masks at that start.  Positive tables with
         ``maximize`` are negated into the same case.  Every graph has
-        vertices in both halves of the vertex set and edges across them."""
+        vertices in both halves of the vertex set (the low half holds
+        n // 2 + 1, so n starts at 3) and edges within and across them."""
         rng = random.Random(10)
         graphs = []
-        for n in range(2, 10):
+        for n in range(3, 11):
             for _ in range(4):
-                half = n // 2
+                half = n // 2 + 1
                 edges = [(rng.randrange(half, n), rng.randrange(n)) for _ in range(2 * n)]
-                if half > 1:
-                    edges.append((0, half - 1))
-                edges += [(half, n - 1), (0, n - 1)]
+                edges += [(0, half - 1), (half, n - 1), (0, n - 1)]
                 graphs.append(build_graph(n, edges, allow_loops=True))
         for g in graphs:
             def rows(draw):
@@ -365,9 +365,42 @@ class TestSubsetDP:
                 want = ref_subset_dp(g, lambda v, z: t[v][z], maximize=maximize)
                 assert got == want, (g.edges, t, maximize)
 
+    def test_a_constant_per_row_moves_only_the_value(self):
+        """Adding a constant c_v to every entry of v's row (an int, a
+        Fraction, or a LiftedCost's base) adds c_v to the sum of every
+        order, since every order pays one entry per row.  So the order
+        stays the same and the value moves by the sum of the constants,
+        with and without ``maximize``.  The constants reach far below and
+        above the rows, so a start value that assumes rows with no
+        negative entry, but leaves them unshifted, fails."""
+        rng = random.Random(13)
+        graphs = small_random_graphs(14, 40, (1, 12), (0, 24), allow_loops=True)
+        assert max(g.n for g in graphs) == 12 and any(g.has_loops for g in graphs)
+        for g in graphs:
+            def rows(draw):
+                return [[draw() for _ in range(g.degrees[v] + 1)] for v in range(g.n)]
+
+            ints = [rng.randint(-1000, 1000) for _ in range(g.n)]
+            fracs = [Fraction(rng.randint(-900, 900), rng.randint(1, 5)) for _ in range(g.n)]
+            for t, consts, moved in (
+                (rows(lambda: rng.randint(-9, 9)), ints, lambda x, c: x + c),
+                (rows(lambda: Fraction(rng.randint(-20, 20), rng.randint(1, 6))), fracs,
+                 lambda x, c: x + c),
+                (rows(lambda: LiftedCost(rng.randint(0, 2), rng.randint(-9, 9))), fracs,
+                 lambda x, c: LiftedCost(x.penalty, x.base + c)),
+            ):
+                shifted = [[moved(x, c) for x in row] for row, c in zip(t, consts)]
+                for maximize in (False, True):
+                    order, value = exact_subset_dp(g, lambda v, z: t[v][z], maximize=maximize)
+                    got = exact_subset_dp(g, lambda v, z: shifted[v][z], maximize=maximize)
+                    assert got[0] == order, (g.edges, t, consts, maximize)
+                    assert got[1] == moved(value, sum(consts)), (g.edges, t, consts, maximize)
+
     def test_matches_naive_reference_at_the_smallest_sizes(self):
-        """n = 0 to 3, where a half holds at most one vertex, so the first
-        block of masks starts at mask 1 and a block can hold one mask."""
+        """n = 0 to 3: up to n = 2 the low half holds every vertex, so the
+        sweep is one block of masks that starts at mask 1; at n = 3 the
+        high half holds one vertex, so its block starts at the empty low
+        half-mask and reads its predecessors from the first block."""
         graphs = [
             build_graph(0, []),
             build_graph(1, []),
@@ -390,9 +423,11 @@ class TestSubsetDP:
 
     def test_thousands_of_parallel_edges(self):
         """A few vertices of degree in the thousands, with different
-        multiplicities across both halves: the DP matches the reference,
-        and its peak memory stays linear in the degrees, where a cost row
-        shifted to every offset would hold deg^2 / 2 entries."""
+        multiplicities within the low half (n = 2, which has no high half)
+        and across both halves (n = 3 and 4, whose high half holds the
+        last vertex): the DP matches the reference, and its peak memory
+        stays linear in the degrees, where a cost row shifted to every
+        offset would hold deg^2 / 2 entries."""
         graphs = [
             build_graph(2, [(0, 1)] * 3000),
             build_graph(3, [(0, 1)] * 900 + [(1, 2)] * 700 + [(0, 2)] * 400 + [(1, 1)] * 300, allow_loops=True),
@@ -407,6 +442,27 @@ class TestSubsetDP:
             finally:
                 tracemalloc.stop()
             assert peak < 2_000_000, (g.n, g.m, peak)
+
+    def test_peak_memory_on_a_two_connected_block(self):
+        """A 2-connected graph on 18 vertices (a Hamiltonian cycle and
+        three chords), priced by ``square`` and by ``dec_min``'s 18**z.
+        f's 2^18 slots take 2 MiB; the tables of the 10-vertex low half
+        take about 0.55 MB more than those of a 9-vertex one.  Measured
+        peaks: 3,067,304 bytes (``square``) and 3,183,632 (``dec_min``),
+        so the bound leaves 14% and 10% headroom."""
+        n = 18
+        g = build_graph(n, [(v, (v + 1) % n) for v in range(n)] + [(0, 9), (3, 14), (6, 11)])
+        assert len(block_forest(g).blocks) == 1
+        for spec in (square(), exp_base(n)):
+            phis = resolved(PhiSum(shared=spec), g)
+            t = [[phi.cost(z) for z in range(d + 1)] for phi, d in zip(phis, g.degrees)]
+            tracemalloc.start()
+            try:
+                exact_subset_dp(g, lambda v, z: t[v][z])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3_500_000, (spec, peak)
 
     def test_one_penalty_unit_outweighs_a_huge_base_spread(self):
         # order (0, 1) costs LiftedCost(1, 0) and order (1, 0) costs
