@@ -11,6 +11,7 @@ derandomized orders for the same objective.
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_left, insort
 from collections import deque
 from fractions import Fraction
@@ -243,13 +244,25 @@ def exact_subset_dp(
     (predecessor half-mask, flat index) pair per vertex, and the block's
     values are filled into a local list, so a low candidate last vertex
     costs two list reads, an add and a compare.  A high vertex v of
-    ``mh`` reads its predecessor from a slice of the finished block
-    ``mh - v``, at a flat index kept per low half-mask.  The finished
-    block is copied once into f.  That is O(2^n * n + 2^(n/2) * m) time,
-    the second term for the flat rows, and O(2^n + n * 2^(n/2) + m)
+    ``mh`` reads its predecessor from the finished block ``mh - v``, at a
+    flat index kept per low half-mask.  That is O(2^n * n + 2^(n/2) * m)
+    time, the second term for the flat rows, and O(2^n + n * 2^(n/2) + m)
     memory: f, the half-mask tables (n * 2^(n/2+1) degrees, and fewer
     flat indices and pairs) and one block's rows, with no per-mask table
     of last vertices (2^26 bytes less at ``DP_CAP``).
+
+    f holds one block per high half-mask, read as ``f[mh][ml]``, and the
+    blocks are swept in layers, by the number of high vertices in
+    ``mh``.  A block of layer k reads only itself and blocks of layer
+    k - 1 (its high predecessors, and the isolated-vertex rule's), so
+    when layer k starts, each block of layer k - 2 is packed into an
+    ``array('q')``: 8 bytes per mask, where a list holds an 8-byte slot
+    and, for a sum outside the small-int cache, a 32-byte int.  Only the
+    two live layers stay lists, so every read in the sweep is a list
+    read and none boxes an int; only the backtrack reads packed blocks.
+    Every value is a non-negative int below ``top``, so it fits; when
+    ``top`` is 2^63 or more every block stays a list.  Packing holds one
+    extra block at a time.
 
     A mask S with a vertex v that has no neighbour in S but itself skips
     the minimum.  v's left degree is its loop count wherever it stands,
@@ -317,43 +330,48 @@ def exact_subset_dp(
     alone = [costs[v][loops[v]] for v in range(n)]
     # above every sum of one entry per vertex of a mask
     top = sum(map(max, costs)) + 1
-    f = [0] * full
-    block = [0] * size
+    # f[mh] holds the block of masks mh << half | ml; the blocks are swept
+    # by the popcount of mh, and a block reads only blocks one bit smaller
+    layers = [[] for _ in range(n - half + 1)]
     for mh in range(1 << (n - half)):
-        base = mh << half
-        # the low vertices apart from mh, and mh's own vertices apart from it
-        far_hi = apart_hi[mh] & low
-        lone_hi = apart_hi[mh] >> half & mh
-        flat = []
-        for row, hv, k in cuts:
-            flat += row[hv[mh]:hv[mh] + k]
-        # each high vertex's predecessors: the finished block without it
-        highs = [
-            (f[base ^ 1 << v:(base ^ 1 << v) + size], at_lo[v - half])
-            for v in range(half, n) if base >> v & 1
-        ]
-        for ml in range(0 if mh else 1, size):
-            iso = lone_lo[ml] & far_hi
-            if iso:
-                b = iso & -iso
-                block[ml] = block[ml ^ b] + alone[b.bit_length() - 1]
-                continue
-            iso = lone_hi & far_lo[ml]
-            if iso:
-                b = iso & -iso
-                block[ml] = f[(mh ^ b) << half | ml] + alone[half + b.bit_length() - 1]
-                continue
-            best = top
-            for pm, i in pairs[ml]:
-                c = block[pm] + flat[i]
-                if c < best:
-                    best = c
-            for prev, ix in highs:
-                c = prev[ml] + flat[ix[ml]]
-                if c < best:
-                    best = c
-            block[ml] = best
-        f[base:base + size] = block
+        layers[mh.bit_count()].append(mh)
+    f = [None] * (1 << (n - half))
+    for j, layer in enumerate(layers):
+        if j >= 2 and top < 1 << 63:
+            for mh in layers[j - 2]:
+                f[mh] = array("q", f[mh])
+        for mh in layer:
+            # the low vertices apart from mh, and mh's own vertices apart from it
+            far_hi = apart_hi[mh] & low
+            lone_hi = apart_hi[mh] >> half & mh
+            flat = []
+            for row, hv, k in cuts:
+                flat += row[hv[mh]:hv[mh] + k]
+            # each high vertex's predecessors: the finished block without it
+            highs = [(f[mh ^ 1 << v], at_lo[v]) for v in range(n - half) if mh >> v & 1]
+            block = [0] * size
+            for ml in range(0 if mh else 1, size):
+                iso = lone_lo[ml] & far_hi
+                if iso:
+                    b = iso & -iso
+                    block[ml] = block[ml ^ b] + alone[b.bit_length() - 1]
+                    continue
+                iso = lone_hi & far_lo[ml]
+                if iso:
+                    b = iso & -iso
+                    block[ml] = f[mh ^ b][ml] + alone[half + b.bit_length() - 1]
+                    continue
+                best = top
+                for pm, i in pairs[ml]:
+                    c = block[pm] + flat[i]
+                    if c < best:
+                        best = c
+                for prev, ix in highs:
+                    c = prev[ml] + flat[ix[ml]]
+                    if c < best:
+                        best = c
+                block[ml] = best
+            f[mh] = block
     suffix = []
     value = 0
     mask = full - 1
@@ -363,7 +381,8 @@ def exact_subset_dp(
         for v in range(n):
             if mask >> v & 1:
                 z = lo[v][ml] + hi[v][mh]
-                if f[mask ^ 1 << v] + costs[v][z] == f[mask]:
+                pm = mask ^ 1 << v
+                if f[pm >> half][pm & low] + costs[v][z] == f[mh][ml]:
                     break
         else:
             raise RuntimeError(f"internal error: subset DP backtrack stopped at mask {mask:#x}")

@@ -446,10 +446,12 @@ class TestSubsetDP:
     def test_peak_memory_on_a_two_connected_block(self):
         """A 2-connected graph on 18 vertices (a Hamiltonian cycle and
         three chords), priced by ``square`` and by ``dec_min``'s 18**z.
-        f's 2^18 slots take 2 MiB; the tables of the 10-vertex low half
-        take about 0.55 MB more than those of a 9-vertex one.  Measured
-        peaks: 3,067,304 bytes (``square``) and 3,183,632 (``dec_min``),
-        so the bound leaves 14% and 10% headroom."""
+        f's 2^18 masks take 8 bytes each, 2 MiB, as list slots or packed;
+        only the two live layers of blocks also hold ``dec_min``'s large
+        ints.  The tables of the 10-vertex low half take about 0.55 MB
+        more than those of a 9-vertex one.  Measured peaks: 2,927,760
+        bytes (``square``) and 2,968,736 (``dec_min``), so the bound
+        leaves 20% and 18% headroom."""
         n = 18
         g = build_graph(n, [(v, (v + 1) % n) for v in range(n)] + [(0, 9), (3, 14), (6, 11)])
         assert len(block_forest(g).blocks) == 1
@@ -463,6 +465,88 @@ class TestSubsetDP:
             finally:
                 tracemalloc.stop()
             assert peak < 3_500_000, (spec, peak)
+
+    @staticmethod
+    def packed_blocks(monkeypatch):
+        """Record the type code of every block the DP packs."""
+        codes = []
+        real = ordering.array
+
+        def packing(code, block):
+            codes.append(code)
+            return real(code, block)
+
+        monkeypatch.setattr(ordering, "array", packing)
+        return codes
+
+    def test_blocks_are_packed_only_while_top_fits_in_64_bits(self, monkeypatch):
+        """On 8 vertices the high half has 3, so the sweep has four layers
+        and the first two (1 + 3 blocks) are packed when ``top`` is below
+        2^63.  Each low vertex pays W_v below its full degree and 0 at it,
+        and has a high neighbour, so the full low half-mask (in the first,
+        packed block) is worth the sum of the W_v, which is ``top`` - 1:
+        2^63 - 2 just below the limit.  At ``top`` = 2^63 and above, no
+        block is packed, and at 2^64 + 1 a packed first block would not
+        hold its values.  Every case returns the reference's order and
+        value."""
+        n = 8
+        edges = [(v, 5 + v % 3) for v in range(5)] + [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (7, 5)]
+        g = build_graph(n, edges)
+        codes = self.packed_blocks(monkeypatch)
+        for total, packed in ((2**63 - 2, 4), (2**63 - 1, 0), (2**64, 0)):
+            w = [total // 5 + (v < total % 5) for v in range(5)]
+            assert sum(w) == total
+            t = [[w[v]] * g.degrees[v] + [0] for v in range(5)]
+            t += [[0] * (g.degrees[v] + 1) for v in range(5, n)]
+            codes.clear()
+            got = exact_subset_dp(g, lambda v, z: t[v][z])
+            assert got == ref_subset_dp(g, lambda v, z: t[v][z]), total
+            assert codes == ["q"] * packed, total
+
+    def test_packed_layers_match_the_reference(self, monkeypatch):
+        """n = 5 to 12, where the high half has at least two vertices, so
+        at least one layer of blocks is packed before the backtrack reads
+        it: int, Fraction and LiftedCost tables, with and without
+        ``maximize``, on multigraphs with loops, return the reference's
+        order and value."""
+        rng = random.Random(15)
+        codes = self.packed_blocks(monkeypatch)
+        for n in range(5, 13):
+            high = n - (n // 2 + 1)
+            for _ in range(2):
+                g = random_multigraph(n, rng.randint(n, 2 * n), rng.random(), allow_loops=True)
+
+                def rows(draw):
+                    return [[draw() for _ in range(g.degrees[v] + 1)] for v in range(n)]
+
+                for t in (
+                    rows(lambda: rng.randint(-50, 50)),
+                    rows(lambda: Fraction(rng.randint(-30, 30), rng.randint(1, 6))),
+                    rows(lambda: LiftedCost(rng.randint(0, 2), Fraction(rng.randint(-9, 9), rng.randint(1, 4)))),
+                ):
+                    for maximize in (False, True):
+                        codes.clear()
+                        got = exact_subset_dp(g, lambda v, z: t[v][z], maximize=maximize)
+                        want = ref_subset_dp(g, lambda v, z: t[v][z], maximize=maximize)
+                        assert got == want, (g.edges, t, maximize)
+                        assert len(codes) == 2**high - high - 1 > 0
+
+    def test_peak_memory_on_a_sparse_multigraph(self):
+        """``random_multigraph(16, 32, seed=1)`` priced by ``dec_min``'s
+        16**z, whose sums leave the small-int cache, so a block kept as a
+        list holds a 32-byte int per mask besides its 8-byte slot.
+        Measured peak: 1,712,336 bytes, where a table of lists for every
+        block peaked at 2,548,848; the bound leaves 17% headroom."""
+        g = random_multigraph(16, 32, seed=1)
+        phis = resolved(PhiSum(shared=exp_base(16)), g)
+        t = [[phi.cost(z) for z in range(d + 1)] for phi, d in zip(phis, g.degrees)]
+        tracemalloc.start()
+        try:
+            exact_subset_dp(g, lambda v, z: t[v][z])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, peak
 
     def test_one_penalty_unit_outweighs_a_huge_base_spread(self):
         # order (0, 1) costs LiftedCost(1, 0) and order (1, 0) costs
