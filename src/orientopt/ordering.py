@@ -416,14 +416,17 @@ def _block_runs(sub: Multigraph, rows: list, k: int) -> dict[int, tuple[int, tup
     parent cut, the local vertex k, and an order that attains it, for each
     feasible indegree i of k; a root (k = -1) has one entry, at i = 0.
 
-    Per i, one :func:`exact_subset_dp` run prices k at 0 at indegree i and
-    above every sum of the other rows elsewhere, so a value above that
-    sum means i is infeasible.  A block of at most three vertices needs
-    no run: its orders are tried in the DP's tie order, first found first.
+    Per i, one :func:`exact_subset_dp` run pins k at i by a LiftedCost
+    penalty, ``LiftedCost(int(z != i), 0)`` (``rows[k]`` is not read), and
+    prices every other vertex at ``LiftedCost(0, rows[v][z])``.  The DP
+    weighs the penalty by :func:`_int_costs`' M, so i is feasible iff the
+    optimum's penalty is 0, and its base is then the least sum.  A block
+    of at most three vertices needs no run: its orders are tried in the
+    DP's tie order, first found first.
     """
     n = sub.n
+    out: dict = {}
     if n <= 3:
-        out: dict = {}
         for rev in permutations(range(n)):
             order = rev[::-1]
             z = [0] * n
@@ -434,25 +437,19 @@ def _block_runs(sub: Multigraph, rows: list, k: int) -> dict[int, tuple[int, tup
             if i not in out or value < out[i][0]:
                 out[i] = (value, order)
         return out
-    if k < 0:
-        order, value = exact_subset_dp(sub, lambda v, z: rows[v][z])
-        return {0: (value, order)}
-    others = rows[:k] + rows[k + 1:]
-    low, high = sum(map(min, others)), sum(map(max, others))
-    d = sub.degrees[k]
-    out = {}
-    for i in range(d + 1):
-        rows[k] = [high - low + 1] * (d + 1)
-        rows[k][i] = 0
-        order, value = exact_subset_dp(sub, lambda v, z: rows[v][z])
-        if value <= high:
-            out[i] = (value, order)
+    for i in range(sub.degrees[k] + 1) if k >= 0 else [0]:
+        order, value = exact_subset_dp(
+            sub, lambda v, z: LiftedCost(int(z != i), 0) if v == k else LiftedCost(0, rows[v][z]))
+        if value.penalty == 0:
+            out[i] = (value.base, order)
     return out
 
 
 def _block_order(graph: Multigraph, forest: BlockTree, rows: list[list[int]]):
     """An order minimizing the sum of ``rows[v][indeg v]``, and that sum,
-    from the blocks of ``forest`` (see :func:`solve_acyclic_exact`).
+    from the blocks of ``forest`` (see :func:`solve_acyclic_exact`, which
+    checks the one against the other).  Every vertex of a block, its parent
+    cut too, gets a slice of its row; :func:`_block_runs` pins the cut.
     ``split[B][z]`` is the i that block B's fold into its parent cut's row
     chose at z, so that the walk down can undo the fold."""
     blocks = forest.blocks
@@ -468,9 +465,7 @@ def _block_order(graph: Multigraph, forest: BlockTree, rows: list[list[int]]):
     for bi in post_order:
         c = parent_cut[bi]
         sub, verts = subgraph(graph, blocks[bi].vertices, blocks[bi].edge_ids)
-        # each vertex's row in B; the parent cut's is set per run
-        local = [None if v == c else folded[v][loops[v]:loops[v] + d + 1]
-                 for v, d in zip(verts, sub.degrees)]
+        local = [folded[v][loops[v]:loops[v] + d + 1] for v, d in zip(verts, sub.degrees)]
         k = verts.index(c) if c >= 0 else -1
         out = _block_runs(sub, local, k)
         runs[bi] = sub, verts, out
@@ -503,10 +498,7 @@ def _block_order(graph: Multigraph, forest: BlockTree, rows: list[list[int]]):
                 for child in reversed(children.get(v, ())):
                     pick[child] = split[child][at]
                     at += pick[child]
-    order = tuple(order)
-    if sum(row[z] for row, z in zip(rows, degrees_of_order(graph, order).indeg)) != total:
-        raise RuntimeError("internal error: the blocks' orders do not join into an optimal order")
-    return order, total
+    return tuple(order), total
 
 
 def solve_acyclic_exact(graph: Multigraph, objective):
@@ -529,25 +521,31 @@ def solve_acyclic_exact(graph: Multigraph, objective):
     weight M stay global; a loop shifts its vertex's row, as it counts at
     every position.  Each component is rooted at its largest block.
     Children first, a block B with parent cut c gets h_B(i), the least
-    cost of all below c through B with c at indegree i in B, for each i
-    (:func:`_block_runs`), which is folded into c's cost row, with no
-    table kept per cut vertex: row_c(z) becomes min_i row_c(z + i) + h_B(i)
-    for each z that c's other blocks and loops reach, and every vertex of
-    a block is priced by a slice of its row.  A root's DP gives its
+    cost of all below c through B with c at indegree i in B, for each i,
+    from one DP run per i that pins c at i by a LiftedCost penalty
+    (:func:`_block_runs`).  h_B is folded into c's cost row, with no table
+    kept per cut vertex: row_c(z) becomes min_i row_c(z + i) + h_B(i) for
+    each z that c's other blocks and loops reach, and every vertex of a
+    block is priced by a slice of its row.  A root's DP gives its
     component's optimum.  From the roots down, each block's order at its
     i is spliced in: a root's goes at the end, a child's vertices before
     its parent cut at the front and those after it at the end; undoing a
     cut vertex's folds, the last first, gives its child blocks their i.
     Blocks share only cut vertices, so each keeps its own order; with cut
     vertices, the order may differ from the whole-graph DP's among optima
-    of equal key.  Returns ``(order, natural key)``.
+    of equal key.  The order's degree vector, computed once, must sum the
+    rows to the blocks' total (else RuntimeError) and gives the key.
+    Returns ``(order, natural key)``.
     """
     form, maximize = _dp_form(graph, objective)
     phis = resolved(form, graph)
     tables = [[phi.cost(z) for z in range(d + 1)] for phi, d in zip(phis, graph.degrees)]
-    order, _ = _block_order(graph, block_forest(graph), _int_costs(tables, maximize))
-    key = evaluate(objective, graph, degrees_of_order(graph, order, False))
-    return order, key
+    rows = _int_costs(tables, maximize)
+    order, total = _block_order(graph, block_forest(graph), rows)
+    degrees = degrees_of_order(graph, order)
+    if sum(row[z] for row, z in zip(rows, degrees.indeg)) != total:
+        raise RuntimeError("internal error: the blocks' orders do not join into an optimal order")
+    return order, evaluate(objective, graph, degrees)
 
 
 # ---------------------------------------------------------------------------

@@ -755,16 +755,22 @@ class TestBlockPath:
 
     def test_small_blocks_are_what_the_dp_runs_give(self):
         # a block of one to three vertices: one vertex, a bundle of
-        # parallel edges, or a triangle with parallel edges
+        # parallel edges, or a triangle with parallel edges; then blocks of
+        # four to six vertices, a cycle with chords and parallel edges,
+        # which take the runs' own path, infeasible indegrees included
         rng = random.Random(39)
-        for _ in range(1500):
-            n = rng.randint(1, 3)
+        for t in range(1700):
+            n = rng.randint(1, 3) if t < 1500 else rng.randint(4, 6)
             if n == 1:
                 edges = []
             elif n == 2:
                 edges = [(0, 1)] * rng.randint(1, 4)
-            else:
+            elif n == 3:
                 edges = [e for e in [(0, 1), (1, 2), (0, 2)] for _ in range(rng.randint(1, 3))]
+            else:
+                edges = [(v, (v + 1) % n) for v in range(n)]
+                edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, n - 2))]
+                edges += rng.choices(edges, k=rng.randint(0, 3))
             sub = build_graph(n, edges)
             rows = [[rng.randint(-5, 5) for _ in range(d + 1)] for d in sub.degrees]
             # above the spread of any two orders' sums
@@ -796,6 +802,19 @@ class TestBlockPath:
                              (7, 8), (8, 9), (9, 7)])
         solve_acyclic_exact(g, PhiSum(shared=square()))
         assert sizes == [4, 4, 4, 4]
+
+    def test_a_cut_vertex_with_unreachable_indegrees(self):
+        # a 5-cycle is the root block; the child block at cut 0, doubled
+        # edges 0-5 and 0-6 and the edges 5-7 and 6-7, gives 0 indegree 0,
+        # 2 or 4 only, so the runs at 1 and 3 must come out infeasible
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+                 (0, 5), (0, 5), (0, 6), (0, 6), (5, 7), (6, 7)]
+        g = build_graph(8, edges)
+        assert sorted(len(b.vertices) for b in block_forest(g).blocks) == [4, 5]
+        odd = table([10 if z % 2 == 0 else 0 for z in range(g.degrees[0] + 1)])
+        obj = PhiSum(per_vertex=[odd] + [zero()] * 7)
+        key = solve_acyclic_exact(g, obj)[1]
+        assert key == brute_optimal(g, obj, "acyclic").key == LiftedCost(0, 0)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 50, 1000])
     def test_gk_square_is_7k_minus_2(self, k):
