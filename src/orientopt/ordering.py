@@ -48,25 +48,29 @@ DP_CAP = 26
 
 def _peel(graph: Multigraph, weighted: bool = False, choose=None) -> list[int]:
     """Smallest-last peeling: n times, remove a live vertex of minimum
-    (weighted) degree; returns the removal sequence, the reverse order.
+    (weighted) degree; returns the removal sequence, the reverse order
+    (Matula & Beck 1983; Batagelj & Zaversnik 2003).
 
-    Without ``weighted`` every edge counts one and the live vertices sit in a
-    bucket queue, one list per degree kept sorted by id, so a step costs
-    one bucket move (a bisect and a list shift) per incident edge
-    (Matula & Beck 1983; Batagelj & Zaversnik 2003).  ``choose(ties)``
-    gets the bucket of minimum degree and returns the member of it to
-    remove (default: ``ties[0]``, the lowest id).
+    The key of a vertex is its degree, or with ``weighted`` its
+    :attr:`Multigraph.int_weighted_degrees`.  Without ``choose`` the lowest
+    id among the minima goes first.  Each key with a live vertex has a
+    min-heap of ids in a dict, beside a min-heap of those keys, and a
+    moved vertex is pushed onto its new key's heap without leaving the old
+    one.  A popped id is stale when its vertex is gone or its key has moved
+    on; keys only fall, so a stale entry never becomes live again.  That is
+    one heap push per key drop, O((n + m) log n).
 
-    With ``weighted``, edges count their :attr:`Multigraph.int_weights`
-    and a lazy heap of (weighted degree, id) serves instead, O(m log n),
-    and the lowest id among the minima goes first.
+    ``choose(ties)`` (unit weights only) gets the live vertices of minimum
+    degree sorted by id and returns the one to remove.  It runs on a bucket
+    queue of id-sorted lists, one per degree, so a move is a bisect and a
+    list shift: quadratic in the worst case.
     """
     n = graph.n
     edges = graph.edges
     incident = graph.incident
     alive = [True] * n
     removed: list[int] = []
-    if not weighted:
+    if choose is not None:
         deg = list(graph.degrees)
         buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
         for v in range(n):
@@ -76,7 +80,7 @@ def _peel(graph: Multigraph, weighted: bool = False, choose=None) -> list[int]:
             while not buckets[lo]:
                 lo += 1
             ties = buckets[lo]
-            v = ties[0] if choose is None else choose(ties)
+            v = choose(ties)
             del ties[bisect_left(ties, v)]
             alive[v] = False
             removed.append(v)
@@ -92,16 +96,30 @@ def _peel(graph: Multigraph, weighted: bool = False, choose=None) -> list[int]:
                     if d <= lo:
                         lo = d - 1
         return removed
-    w = graph.int_weights[0]
-    key = list(graph.int_weighted_degrees)
-    heap = [(k, v) for v, k in enumerate(key)]
-    heapify(heap)
-    while heap:
-        _, v = heappop(heap)
-        if not alive[v]:
-            # an older entry: a live vertex's current (smaller) entry
-            # always sits in the heap ahead of its stale ones
-            continue
+    if weighted:
+        w = graph.int_weights[0]
+        key = list(graph.int_weighted_degrees)
+    else:
+        w = (1,) * len(edges)
+        key = list(graph.degrees)
+    ids: dict[int, list[int]] = {}
+    for v, k in enumerate(key):
+        ids.setdefault(k, []).append(v)  # ascending, so already a heap
+    keys = list(ids)
+    heapify(keys)
+    for _ in range(n):
+        # pop until an id is live: a stale one's key moved on, or its vertex
+        # is gone (removed by its entry at its last key); the stale ids left
+        # after the last removal are never popped
+        while True:
+            k = keys[0]
+            heap = ids[k]
+            v = heappop(heap)
+            if not heap:
+                del ids[k]
+                heappop(keys)
+            if key[v] == k:
+                break
         alive[v] = False
         removed.append(v)
         for j in incident[v]:
@@ -109,8 +127,13 @@ def _peel(graph: Multigraph, weighted: bool = False, choose=None) -> list[int]:
                 a, b = edges[j]
                 u = b if a == v else a
                 if u != v and alive[u]:
-                    key[u] -= w[j]
-                    heappush(heap, (key[u], u))
+                    ku = key[u] - w[j]
+                    key[u] = ku
+                    if ku in ids:
+                        heappush(ids[ku], u)
+                    else:
+                        ids[ku] = [u]
+                        heappush(keys, ku)
     return removed
 
 
@@ -123,8 +146,9 @@ def weighted_smallest_last(graph: Multigraph) -> tuple[int, ...]:
 
     Runs on the graph's :attr:`Multigraph.int_weights` (scaling is
     positive, so it keeps every comparison and tie between weighted
-    degrees): in O(n + m) bucket moves when all weights are equal and
-    positive, and in O(m log n) with a lazy heap otherwise.
+    degrees), keyed by the plain degrees when all weights are equal and
+    positive: a lazy min-heap of ids per int key, beside a min-heap of
+    the keys, in O((n + m) log n) (see :func:`_peel`).
     """
     ints = graph.int_weights[0]
     uniform = len(set(ints)) <= 1 and min(ints, default=1) > 0
@@ -134,10 +158,12 @@ def weighted_smallest_last(graph: Multigraph) -> tuple[int, ...]:
 def greedy_min_degree(graph: Multigraph, seed=None) -> tuple[int, ...]:
     """Unweighted smallest-last order.
 
-    Without a seed, ties go to the lowest id; with one, the vertex is
-    drawn uniformly among the minimum-degree vertices by
-    ``random.Random(seed)``.  Runs in O(n + m) bucket moves (see
-    :func:`weighted_smallest_last`).
+    Without a seed, ties go to the lowest id, on the lazy per-degree id
+    heaps of :func:`weighted_smallest_last`, in O((n + m) log n).  With
+    one, the vertex is drawn uniformly among the minimum-degree vertices
+    by ``random.Random(seed)``, which needs them sorted by id: that rule
+    keeps one id-sorted list per degree and shifts one per move, so it is
+    quadratic when many vertices share a degree.
     """
     # choice() over the id-sorted bucket draws exactly as it would
     # over the id-sorted list of all minimum-degree vertices

@@ -95,6 +95,9 @@ def small_random_graphs(seed, count, n_range=(2, 6), m_range=(0, 9), **kw):
 # independent implementations.
 
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+
+
 def ref_smallest_last(g, weights, rng=None):
     """Remove a live vertex of minimum weighted degree, scanning them all;
     ties to the lowest id, or ``rng.choice`` over the id-sorted ties."""
@@ -1036,7 +1039,10 @@ class TestAgainstNaiveReference:
             carried = g.weights if g.weights is not None else ones
             assert weighted_smallest_last(g) == ref_smallest_last(g, carried)
             w = [Fraction(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(g.m)]
-            for w in (ones, w, [Fraction(2, 3)] * g.m, [0] * g.m):
+            # scaled by the product of 20 primes (about 5.6e26), the int
+            # keys are huge and sparse: no list indexed by key could hold them
+            sparse = [Fraction(1 + j % 3, PRIMES[j % 20]) for j in range(g.m)]
+            for w in (ones, w, [Fraction(2, 3)] * g.m, [0] * g.m, sparse):
                 reweighted = build_graph(g.n, g.edges, w, g.allow_loops)
                 assert weighted_smallest_last(reweighted) == ref_smallest_last(g, w), (g.edges, w)
 
@@ -1070,6 +1076,46 @@ class TestAgainstNaiveReference:
             assert derandomized_order(g) == want, g.edges
             prefix = want[: g.n // 2]
             assert conditional_expectation(g, prefix) == ref_expectation(g, prefix)
+
+
+N_SCALE = 2 * 10**5
+TIES_AT_SCALE = {
+    "path": lambda: named_instance(f"path:{N_SCALE}"),
+    "cycle": lambda: named_instance(f"cycle:{N_SCALE}"),
+    "matching": lambda: build_graph(N_SCALE, [(2 * i, 2 * i + 1) for i in range(N_SCALE // 2)]),
+    "triangles": lambda: build_graph(N_SCALE // 3 * 3, [
+        (i + a, i + b) for i in range(0, N_SCALE - 2, 3) for a, b in ((0, 1), (1, 2), (0, 2))]),
+}
+
+
+@pytest.mark.parametrize("name", list(TIES_AT_SCALE))
+@pytest.mark.parametrize("solver", [weighted_smallest_last, greedy_min_degree])
+def test_lowest_id_peel_of_many_ties_is_linear_at_scale(name, solver):
+    # each of these graphs peels as 0, 1, 2, ...: after vertex i goes, its
+    # successor is a lowest id of minimum degree; a peel that shifts a
+    # sorted bucket per move is quadratic here and takes seconds
+    g = TIES_AT_SCALE[name]()
+    start = time.process_time()
+    order = solver(g)
+    took = time.process_time() - start
+    assert order == tuple(range(g.n))[::-1]
+    assert took < 1.5, took
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_smallest_last_order_is_invariant_under_weight_scaling(data):
+    n = data.draw(st.integers(1, 30), label="n")
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=60), label="edges")
+    weights = data.draw(st.lists(st.fractions(0, 6, max_denominator=5),
+                                 min_size=len(edges), max_size=len(edges)), label="weights")
+    c = data.draw(st.fractions(Fraction(1, 7), 9, max_denominator=7), label="c")
+    g = build_graph(n, edges, weights, allow_loops=True)
+    scaled = build_graph(n, edges, [c * x for x in weights], allow_loops=True)
+    assert weighted_smallest_last(scaled) == weighted_smallest_last(g)
+    equal = build_graph(n, edges, [c] * len(edges), allow_loops=True)
+    assert weighted_smallest_last(equal) == greedy_min_degree(g)
 
 
 def test_smallest_last_certifies_degeneracy_at_scale():
