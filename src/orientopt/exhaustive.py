@@ -41,26 +41,36 @@ from .graph import (
     degrees_of_orientation,
     topological_order,
 )
-from .objectives import LiftedPhi, abs_balance, evaluate
+from .objectives import LiftedPhi, PhiSum, abs_balance, evaluate, linear
 
 ORIENTATION_CAP = 20  # at most 2**20 orientations
 ORDER_CAP = 10  # at most 10! orders
 
 
+def _refuse(graph: Multigraph, mode: str) -> None:
+    """Raise unless the orientations of a loop-free graph (``"cyclic"``)
+    or the vertex orders (``"acyclic"``) are within their cap."""
+    if mode == "cyclic":
+        if graph.has_loops:
+            raise ValueError("graphs with loops cannot be oriented")
+        if graph.m > ORIENTATION_CAP:
+            raise ValueError(f"refusing to enumerate 2**{graph.m} orientations")
+    elif mode != "acyclic":
+        raise ValueError(f"unknown oracle mode {mode!r}")
+    elif graph.n > ORDER_CAP:
+        raise ValueError(f"refusing to enumerate {graph.n}! orders")
+
+
 def enumerate_orientations(graph: Multigraph) -> Iterator[Orientation]:
     """Yield every orientation of a loop-free graph, 2**m of them."""
-    if graph.has_loops:
-        raise ValueError("graphs with loops cannot be oriented")
-    if graph.m > ORIENTATION_CAP:
-        raise ValueError(f"refusing to enumerate 2**{graph.m} orientations")
+    _refuse(graph, "cyclic")
     edges = graph.edges
     for bits in range(1 << graph.m):
         yield Orientation(tuple(e[1] if bits >> j & 1 == 0 else e[0] for j, e in enumerate(edges)))
 
 
 def enumerate_orders(graph: Multigraph) -> Iterator[tuple[int, ...]]:
-    if graph.n > ORDER_CAP:
-        raise ValueError(f"refusing to enumerate {graph.n}! orders")
+    _refuse(graph, "acyclic")
     return permutations(range(graph.n))
 
 
@@ -262,18 +272,11 @@ def brute_optimal(graph: Multigraph, objective, mode: str, count_optima: bool = 
     The witness is the first optimum in a fixed enumeration sequence:
     the Gray code of :func:`_walk_orientations`, or lexicographic order.
     """
+    _refuse(graph, mode)
     if mode == "cyclic":
-        if graph.has_loops:
-            raise ValueError("graphs with loops cannot be oriented")
-        if graph.m > ORIENTATION_CAP:
-            raise ValueError(f"refusing to enumerate 2**{graph.m} orientations")
         walk, witness_of, degrees_of = _walk_orientations, Orientation, degrees_of_orientation
-    elif mode == "acyclic":
-        if graph.n > ORDER_CAP:
-            raise ValueError(f"refusing to enumerate {graph.n}! orders")
-        walk, witness_of, degrees_of = _walk_orders, tuple, degrees_of_order
     else:
-        raise ValueError(f"unknown oracle mode {mode!r}")
+        walk, witness_of, degrees_of = _walk_orders, tuple, degrees_of_order
     r = _ranker(graph, objective)
     *_, sign, leaf = r
     # past the minimum, an inc key ranks by how many vertices sit at it: more
@@ -306,8 +309,10 @@ def vertex_certificate(graph: Multigraph, orientation: Orientation):
     """Linear weights certifying an acyclic orientation's indegree vector.
 
     Assigns strictly decreasing weights along a topological order, then
-    checks by full enumeration that this vector is the unique minimizer
-    of the weighted indegree sum.  Returns ``(weights, verdict)``.
+    asks :func:`brute_optimal` whether the orientation is the unique
+    minimizer of the weighted indegree sum.  No other orientation has its
+    indegree vector (their differing arcs, oriented as here, would be
+    balanced and hold a directed cycle).  Returns ``(weights, verdict)``.
     """
     topo = topological_order(graph, orientation)
     if topo is None:
@@ -318,16 +323,6 @@ def vertex_certificate(graph: Multigraph, orientation: Orientation):
     slopes = [0] * n
     for pos, v in enumerate(topo):
         slopes[v] = n - pos
-    target = degrees_of_orientation(graph, orientation).indeg
-    least = [None, set()]  # least slope sum, the indegree vectors attaining it
-
-    def visit(head, ind, heads):
-        if least[0] is None or head < least[0]:
-            least[:] = head, set()
-        least[1].add(tuple(ind))
-        return least[0]
-
-    sums = [[s * z for z in range(d + 1)] for s, d in zip(slopes, graph.degrees)]
-    zeros = [[0] * len(t) for t in sums]
-    _walk_orientations(graph, ([1] * graph.m, zeros, sums, None, 1, None), visit)
-    return tuple(slopes), least[1] == {target}
+    objective = PhiSum(per_vertex=tuple(linear(s) for s in slopes))
+    least = brute_optimal(graph, objective, "cyclic", count_optima=True)
+    return tuple(slopes), least.count == 1 and least.witness == orientation

@@ -13,7 +13,8 @@ Convex Analysis*): if label(x) is the largest D-(t) over the vertices t
 that x reaches by a path of one or more arcs, every x with such a path
 has D+(x) >= label(x).  On such a set the dec-min, inc-max and
 square-sum optima coincide (Frank & Murota, *Discrete Decreasing
-Minimization*), so those keys are solved as the square sum.
+Minimization*), so those keys are solved as the square sum, and so is
+the sum of C(indeg, 2), which is (square sum - m) / 2 on every orientation.
 
 This is the unit-capacity min-cost flow of the layered network (source,
 vertex nodes, edge nodes, sink) with the network left implicit: only
@@ -34,7 +35,7 @@ without a numeric big-M.
 from __future__ import annotations
 
 from .graph import Frozen, Multigraph, Orientation, degrees_of_orientation
-from .objectives import DecMin, IncMax, LiftedCost, PhiSum, evaluate, resolved, square
+from .objectives import LiftedCost, PhiSum, evaluate, resolved, square
 
 
 def build_network(graph: Multigraph, phis, heads) -> list[list[tuple]]:
@@ -186,11 +187,11 @@ def _solution(graph: Multigraph, objective, o: Orientation) -> CyclicSolution:
 
 
 def _internal_phis(graph: Multigraph, objective):
-    """Resolve the objective to per-vertex lifted costs; dec-min and
-    inc-max resolve to the square sum, whose optima they share."""
+    """Resolve the objective to per-vertex lifted costs; dec-min, inc-max
+    and forbidden subpaths resolve to the square sum, whose optima they share."""
     if isinstance(objective, PhiSum):
         return resolved(objective, graph)
-    if isinstance(objective, (DecMin, IncMax)):
+    if objective.kind in ("dec_min", "inc_max", "forbidden_subpaths"):
         return PhiSum(shared=square()).resolve(graph)
     raise ValueError(
         f"objective {objective.kind!r} is not solvable by the flow reduction"
@@ -206,7 +207,7 @@ def _complete(graph: Multigraph, objective, phis, heads: list) -> CyclicSolution
 
 def solve_cyclic(graph: Multigraph, objective) -> CyclicSolution:
     """Optimal unconstrained orientation for a separable convex cost or a
-    dec-min / inc-max key."""
+    dec-min, inc-max or forbidden-subpaths key."""
     phis = _internal_phis(graph, objective)
     return _complete(graph, objective, phis, [None] * graph.m)
 

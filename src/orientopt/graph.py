@@ -57,8 +57,10 @@ def as_fraction(value) -> Fraction:
 def scaled_to_ints(weights) -> tuple[tuple[int, ...], int]:
     """Exact rational weights times the LCM of their denominators, as ints,
     and that LCM: a positive scaling, which keeps every comparison and tie."""
-    scale = lcm(*(x.denominator for x in weights))
-    return tuple(x.numerator * (scale // x.denominator) for x in weights), scale
+    ratios = [x.as_integer_ratio() for x in weights]
+    scale = lcm(*(dens := {d for _, d in ratios}))
+    factor = {d: scale // d for d in dens}
+    return tuple([p * factor[d] for p, d in ratios]), scale
 
 
 class Frozen:

@@ -144,15 +144,12 @@ def weighted_smallest_last(graph: Multigraph) -> tuple[int, ...]:
     remaining graph and places it last; ties go to the lowest id.  With
     unit weights the achieved maximum equals the degeneracy.
 
-    Runs on the graph's :attr:`Multigraph.int_weights` (scaling is
-    positive, so it keeps every comparison and tie between weighted
-    degrees), keyed by the plain degrees when all weights are equal and
-    positive: a lazy min-heap of ids per int key, beside a min-heap of
-    the keys, in O((n + m) log n) (see :func:`_peel`).
+    Peels on :attr:`Multigraph.int_weighted_degrees` if the graph has
+    weights (a positive scaling keeps every comparison and tie), on its
+    degrees if not: a lazy min-heap of ids per int key, beside a min-heap
+    of the keys, in O((n + m) log n) (see :func:`_peel`).
     """
-    ints = graph.int_weights[0]
-    uniform = len(set(ints)) <= 1 and min(ints, default=1) > 0
-    return tuple(reversed(_peel(graph, weighted=not uniform)))
+    return tuple(reversed(_peel(graph, weighted=graph.weights is not None)))
 
 
 def greedy_min_degree(graph: Multigraph, seed=None) -> tuple[int, ...]:

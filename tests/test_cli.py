@@ -678,6 +678,16 @@ class TestCompare:
         )
         assert code == 0
 
+    def test_flow_solves_forbidden_subpaths_as_the_square_sum(self, capsys):
+        code, out, _ = invoke(
+            capsys, "compare", "--input", "fig4", "--objective", "forbidden_subpaths",
+            "--mode", "cyclic-flow",
+        )
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["match"] is True
+        assert rep["solver_key"] == rep["oracle_key"]
+
     def test_mismatch_exits_1(self, capsys):
         # one random order (seed 0) lands on 17; the exhaustive optimum is 28
         code, out, _ = invoke(

@@ -18,6 +18,7 @@ from orientopt.instances import (
 )
 from orientopt.objectives import (
     DecMin,
+    ForbiddenSubpaths,
     IncMax,
     LiftedCost,
     LiftedPhi,
@@ -185,6 +186,28 @@ def test_flow_matches_brute_on_random_multigraphs():
         gg = [rng.choice([None, (fv or 0) + rng.randint(0, 2)]) for fv in f]
         obj = bounded_tables(rng, g, f, gg, rng.choice([1, Fraction(1, 3)]))
         assert solve_cyclic(g, obj).key == brute_optimal(g, obj, "cyclic").key
+
+
+def test_forbidden_subpaths_match_brute_on_multigraphs():
+    """The sum of C(indeg, 2) is (square sum - m) / 2 on every
+    orientation, so the flow solves it as the square sum: its keys equal
+    the oracle's, unconstrained and with some heads fixed, on multigraphs
+    with a doubled edge and up to 16 edges."""
+    rng = random.Random(44)
+    obj = ForbiddenSubpaths()
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 15))]
+        edges.append(rng.choice(edges))
+        g = build_graph(n, edges)
+        assert solve_cyclic(g, obj).key == brute_optimal(g, obj, "cyclic").key
+        fixed = {j: rng.choice(g.edges[j]) for j in rng.sample(range(g.m), rng.randint(0, 3))}
+        best = min(
+            evaluate(obj, g, degrees_of_orientation(g, o))
+            for o in enumerate_orientations(g)
+            if all(o.heads[j] == h for j, h in fixed.items())
+        )
+        assert solve_mixed(g, fixed, obj).key == best
 
 
 def test_lifted_bounds_match_brute_and_flag_feasibility():

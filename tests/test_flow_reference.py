@@ -14,7 +14,7 @@ import pytest
 
 from orientopt.flow import solve_cyclic, solve_mixed
 from orientopt.instances import random_multigraph, random_scheduling_instance, scheduling_to_orientation
-from orientopt.objectives import LiftedCost, PhiSum, abs_balance, cube, square
+from orientopt.objectives import ForbiddenSubpaths, LiftedCost, PhiSum, abs_balance, binom2, cube, square
 
 nx = pytest.importorskip("networkx")
 
@@ -85,6 +85,15 @@ def test_solve_cyclic_value_equals_network_simplex(spec, n):
     g = _graph(n, seed=n)
     obj = PhiSum(shared=spec)
     assert solve_cyclic(g, obj).key == network_simplex_optimum(g, obj.resolve(g))
+
+
+def test_forbidden_subpaths_value_equals_network_simplex():
+    """The flow solves the sum of C(indeg, 2) as the square sum; its key
+    is the binom2 optimum."""
+    g = _graph(1000, seed=5)
+    want = network_simplex_optimum(g, PhiSum(shared=binom2()).resolve(g))
+    assert want.penalty == 0
+    assert solve_cyclic(g, ForbiddenSubpaths()).key == want.base
 
 
 def test_bounded_square_value_equals_network_simplex():

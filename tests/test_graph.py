@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from orientopt.graph import (
     is_acyclic,
     is_connected,
     orientation_of_order,
+    scaled_to_ints,
     st_order,
     subgraph,
     topological_order,
@@ -169,6 +171,22 @@ def test_int_weight_model_matches_naive_fraction_sums():
         assert (dv.indeg, dv.outdeg) == naive_weighted_degrees(g, heads.__getitem__)
         entries += dv.indeg + dv.outdeg
         assert all(type(x) is Fraction for x in entries)
+
+
+@pytest.mark.parametrize("weights", [
+    [],
+    [0, 3, 3, 7],
+    [Fraction(1, 3), Fraction(5, 6), Fraction(0), Fraction(-7, 4)],
+    [2, Fraction(1, 2), 0, Fraction(9, 10), 5, Fraction(1, 2)],
+    [Fraction(1, 10**40 + 1), Fraction(3, 10**39 + 7), 4, Fraction(-2, 10**40 + 1)],
+], ids=["empty", "ints", "fractions", "mixed", "huge-denominators"])
+def test_scaled_to_ints_is_the_weights_times_the_lcm_of_their_denominators(weights):
+    # reference: the direct expression, which reads each weight three times
+    scale = math.lcm(*(x.denominator for x in weights))
+    ints, got = scaled_to_ints(weights)
+    assert got == scale
+    assert ints == tuple(x.numerator * (scale // x.denominator) for x in weights)
+    assert all(type(x) is int for x in ints)
 
 
 def test_orientation_of_order_and_back():

@@ -13,6 +13,9 @@ solver it checks cannot catch that code's faults.  An exactness lint
 fails on a float literal or a ``float(`` call anywhere in the package:
 values stay ints and Fractions.  An import guard keeps ``dataclasses``
 and ``inspect`` out of the CLI's start-up, which every run pays for.
+A walker lint keeps one enumerator per regime: only ``brute_optimal``
+reads the oracle walkers, and only ``_ranker`` makes the rankers they
+take.
 """
 
 import ast
@@ -187,3 +190,77 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
     done = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
                           capture_output=True, text=True, check=True, timeout=60)
     assert done.stdout == "[]\n"
+
+
+WALKERS = {"_walk_orientations", "_walk_orders"}
+
+
+def walker_misuse(sources: dict[str, str]) -> list[str]:
+    """Reads of a walker of :data:`WALKERS` outside ``brute_optimal``, and
+    walker calls there whose ranker (the second argument) is not a name
+    bound only by ``_ranker(...)``.  A walker called through a local name
+    (``walk = _walk_orders``, also inside a tuple assignment) counts."""
+    found = []
+    for name, source in sources.items():
+        for top in ast.parse(source).body:
+            reads = [n for n in ast.walk(top) if isinstance(n, ast.Name)
+                     and isinstance(n.ctx, ast.Load) and n.id in WALKERS
+                     or isinstance(n, ast.Attribute) and n.attr in WALKERS]
+            if not reads:
+                continue
+            if not (isinstance(top, ast.FunctionDef) and top.name == "brute_optimal"):
+                where = top.name if isinstance(top, ast.FunctionDef) else "module level"
+                found += [f"{name} line {n.lineno}: walker read in {where}" for n in reads]
+                continue
+            walkers, bound = set(WALKERS), {}
+            for node in ast.walk(top):
+                if isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        pairs = [(target, node.value)]
+                        if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                            pairs = list(zip(target.elts, node.value.elts))
+                        for t, v in pairs:
+                            if isinstance(t, ast.Name):
+                                bound.setdefault(t.id, []).append(v)
+                                if isinstance(v, ast.Name) and v.id in WALKERS:
+                                    walkers.add(t.id)
+            for node in ast.walk(top):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in walkers):
+                    continue
+                r = node.args[1] if len(node.args) > 1 else None
+                made = isinstance(r, ast.Name) and r.id in bound and all(
+                    isinstance(v, ast.Call) and isinstance(v.func, ast.Name)
+                    and v.func.id == "_ranker" for v in bound[r.id])
+                if not made:
+                    found.append(f"{name} line {node.lineno}: ranker not made by _ranker")
+    return found
+
+
+def test_the_check_sees_a_walker_misused():
+    sources = {
+        "a.py": (
+            "def brute_optimal(g, objective):\n"
+            "    r = _ranker(g, objective)\n"
+            "    walk, of = _walk_orientations, tuple\n"
+            "    walk(g, r, print)\n"
+            "    _walk_orders(g, ([1], [], [], None, 1, None), print)\n"
+            "    q = _ranker(g, objective)\n"
+            "    q = None\n"
+            "    walk(g, q, print)\n"
+            "def vertex_certificate(g):\n"
+            "    return _walk_orientations(g, _ranker(g, None), print)\n"
+        ),
+        "b.py": "import a\nWALK = a._walk_orders\n",
+    }
+    assert walker_misuse(sources) == [
+        "a.py line 5: ranker not made by _ranker",
+        "a.py line 8: ranker not made by _ranker",
+        "a.py line 10: walker read in vertex_certificate",
+        "b.py line 2: walker read in module level",
+    ]
+
+
+def test_only_brute_optimal_walks_and_only_on_rankers_from_ranker():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert walker_misuse(sources) == []

@@ -377,6 +377,43 @@ class TestVertexCertificate:
         with pytest.raises(ValueError):
             vertex_certificate(wide, o)
 
+    def test_doubled_edge(self):
+        g = build_graph(2, [(0, 1), (1, 0)])
+        assert vertex_certificate(g, Orientation((0, 0))) == ((1, 2), True)
+        with pytest.raises(ValueError, match="directed cycle"):
+            vertex_certificate(g, Orientation((1, 0)))
+
+    def test_no_edges(self):
+        assert vertex_certificate(build_graph(3, []), Orientation(())) == ((3, 2, 1), True)
+        assert vertex_certificate(build_graph(0, []), Orientation(())) == ((), True)
+
+    def test_sixteen_edges_certify_and_seventeen_are_refused(self):
+        path16 = build_graph(17, [(v, v + 1) for v in range(16)])
+        assert vertex_certificate(path16, Orientation(tuple(range(1, 17))))[1]
+        path17 = build_graph(18, [(v, v + 1) for v in range(17)])
+        with pytest.raises(ValueError, match=r"^refusing to certify over 2\*\*17 orientations$"):
+            vertex_certificate(path17, Orientation(tuple(range(1, 18))))
+
+    def test_verdict_is_a_unique_minimizing_indegree_vector(self):
+        """The verdict against its definition, by plain enumeration: the
+        slope-weighted indegree sum has one minimizing vector, the
+        orientation's own, on multigraphs with parallel edges."""
+        rng = random.Random(44)
+        for _ in range(30):
+            n = rng.randint(2, 5)
+            edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 7))]
+            edges.append(rng.choice(edges))
+            g = build_graph(n, edges)
+            vectors = {degrees_of_orientation(g, o).indeg for o in enumerate_orientations(g)}
+            for o in enumerate_orientations(g):
+                if not is_acyclic(g, o):
+                    continue
+                slopes, verdict = vertex_certificate(g, o)
+                cost = {vec: sum(s * z for s, z in zip(slopes, vec)) for vec in vectors}
+                least = min(cost.values())
+                want = [vec for vec, c in cost.items() if c == least]
+                assert verdict == (want == [degrees_of_orientation(g, o).indeg])
+
     def test_every_acyclic_orientation_certifies(self):
         rng = random.Random(77)
         done = 0
