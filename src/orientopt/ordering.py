@@ -11,13 +11,14 @@ derandomized orders for the same objective.
 from __future__ import annotations
 
 import random
+import sys
 from array import array
 from bisect import bisect_left, insort
 from collections import deque
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import islice, permutations
-from operator import mul, sub
+from operator import mul
 from typing import Callable, Sequence
 
 from .graph import (
@@ -676,13 +677,19 @@ def _shuffled_orders(rng: random.Random, n: int, trials: int):
     ``rng.shuffle(list(range(n)))`` gives, from the same ``getrandbits(k)``
     draws with ``k = (i + 1).bit_length()``, and ``pos`` its inverse,
     written as each position is settled (the vertex left at 0 has 0).
-    ``k`` changes only at powers of two, so its ranges of ``i`` are built once.
+    ``k`` changes only at powers of two, so its spans of ``i`` are built
+    once, as reversed slices of one ``ids = list(range(n))``.  Every
+    ``perm`` starts as a copy of ``ids`` and every ``pos`` entry comes from
+    a span, so all of them share the int objects of ``ids``: the loop
+    allocates no int per position, where a ``range`` makes one for each
+    position above 256.
     """
     getrandbits = rng.getrandbits
-    spans = [(k, range(min(n - 1, (1 << k) - 2), (1 << (k - 1)) - 2, -1))
+    ids = list(range(n))
+    spans = [(k, ids[min(n - 1, (1 << k) - 2):(1 << (k - 1)) - 2:-1])
              for k in range(n.bit_length(), 1, -1)]
     for _ in range(trials):
-        perm = list(range(n))
+        perm = ids[:]
         pos = [0] * n
         for k, span in spans:
             for i in span:
@@ -694,34 +701,97 @@ def _shuffled_orders(rng: random.Random, n: int, trials: int):
         yield perm, pos
 
 
+TRIAL_CHUNK = 128  # trials evaluated together at most, one lane each
+TRIAL_LANES = 1 << 20  # lane entries (trials x vertices) a chunk may hold,
+TRIAL_FLOOR = 16  # unless that leaves it fewer trials than this
+_LANE_CODES = {8 * array(c).itemsize: c for c in "HILQ"}  # lane bits -> array typecode
+
+
+def _trial_values(edges: Sequence[tuple[int, int]], degrees: Sequence[int], lanes: array,
+                 t: int, b: int) -> list[int]:
+    """The degree-product sums of ``t`` trials, one ``b``-bit lane per trial.
+
+    ``lanes[v * t + k]`` is vertex v's position in trial k.  ``packed[v]``
+    reads vertex v's ``t`` entries as one int, trial k in bits
+    ``k*b .. k*b + b - 1``, and ``x`` has lane k set when u comes after v
+    in trial k (see :func:`random_order_trials`).  One pass over the edges
+    counts each edge at its later end, ``ind[u] += x`` and
+    ``ind[v] += ones ^ x``, and adds to ``q`` that end's indegree so far:
+    ``ind[u]`` in the lanes where ``x * (2**b - 1)`` is all ones, ``ind[v]``
+    in the others.  A vertex entered i times adds 0 + 1 + ... + (i - 1),
+    so sum(in**2) is 2q + m and the values are sum(d * in) - 2q - m.  The
+    lanes of those sums may carry into each other, but sums of ints are
+    exact, so the result's lanes are the values, each below 2**b.
+    """
+    width, order = t * b // 8, sys.byteorder
+    data = memoryview(lanes).cast("B")
+    packed = [int.from_bytes(data[i:i + width], order) for i in range(0, len(data), width)]
+    ones = ((1 << (t * b)) - 1) // ((1 << b) - 1)  # 1 in every lane
+    guard, shift, full = ones << (b - 1), b - 1, (1 << b) - 1
+    ind = [0] * len(packed)
+    q = 0
+    for u, v in edges:
+        x = (((packed[u] | guard) - packed[v]) >> shift) & ones
+        a, c = ind[u], ind[v]
+        q += c ^ ((a ^ c) & (x * full))
+        ind[u] = a + x
+        ind[v] = c + (ones ^ x)
+    acc = sum(map(mul, degrees, ind)) - 2 * q - len(edges) * ones
+    return array(_LANE_CODES[b], acc.to_bytes(width, order)).tolist()
+
+
 def random_order_trials(graph: Multigraph, seed, trials: int) -> TrialsResult:
     """Sample uniform random orders; keep the best degree-product sum.
 
     A uniform order is a 3-approximation in expectation, since any two
     edges at a shared vertex point the same way with probability 2/3.
     A shuffle is a valid order, so no trial checks its own.
+
+    The trials are evaluated a chunk at a time, bit-parallel: lane k of a
+    Python int holds trial k of the chunk, b bits wide, and a few big-int
+    operations per edge serve every trial of the chunk (Lamport's
+    many-lanes-per-word idea).  A vertex's positions make one int P[v].  G
+    holds the top bit of every lane, so lane k of ``(P[u] | G) - P[v]``
+    keeps that bit exactly when u comes after v in trial k; no lane
+    borrows from the next while positions stay below that guard bit,
+    which is why b is the smallest of 16, 32 and 64 with n <= 2**(b-1).
+    b also needs the sum of floor(d_v**2 / 4), which bounds every trial's
+    value, below 2**b; it bounds every indegree above 3 too, so no
+    indegree lane carries into the next.  A chunk holds at most
+    ``TRIAL_CHUNK`` trials and at most ``TRIAL_LANES`` positions (trials
+    times n), but never fewer than ``TRIAL_FLOOR`` trials: every chunk
+    pays for a pass over the vertices and one over the edges, which fewer
+    lanes do not repay.  So a chunk holds at most max(``TRIAL_LANES``,
+    ``TRIAL_FLOOR`` * n) positions, linear in n.  Only the chunk's
+    positions are kept, in one array, and the best order is rebuilt once,
+    as the inverse of the best trial's positions; ties keep the earliest
+    trial.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if graph.has_loops:
         raise ValueError("loops are not supported here")
-    n, edges, degrees = graph.n, graph.edges, graph.degrees
-    total = 0
-    best_val = None
-    best_order: tuple[int, ...] = ()
-    for perm, pos in _shuffled_orders(random.Random(seed), n, trials):
-        indeg = [0] * n  # each edge counts at its later endpoint
-        for u, v in edges:
-            if pos[u] < pos[v]:
-                indeg[v] += 1
-            else:
-                indeg[u] += 1
-        val = sum(map(mul, indeg, map(sub, degrees, indeg)))  # in * out
-        total += val
-        if best_val is None or val > best_val:
-            best_val = val
-            best_order = tuple(perm)
-    return TrialsResult(best_order, best_val, Fraction(total, trials))
+    n, edges = graph.n, graph.edges
+    bound = sum(d * d // 4 for d in graph.degrees)
+    b = next(b for b in (16, 32, 64) if n <= 1 << (b - 1) and bound < 1 << b)
+    code = _LANE_CODES[b]
+    chunk = min(TRIAL_CHUNK, max(TRIAL_FLOOR, TRIAL_LANES // max(n, 1)))
+    shuffles = _shuffled_orders(random.Random(seed), n, trials)
+    total, best_val, best_pos = 0, -1, None
+    for start in range(0, trials, chunk):
+        t = min(chunk, trials - start)
+        lanes = array(code, bytes(n * t * b // 8))
+        for k, (_, pos) in zip(range(t), shuffles):
+            lanes[k::t] = array(code, pos)
+        values = _trial_values(edges, graph.degrees, lanes, t, b)
+        total += sum(values)
+        top = max(values)
+        if top > best_val:
+            best_val, best_pos = top, lanes[values.index(top)::t]
+    best_order = [0] * n
+    for v, p in enumerate(best_pos):
+        best_order[p] = v
+    return TrialsResult(tuple(best_order), best_val, Fraction(total, trials))
 
 
 def relative_order_counts(mults: Sequence[int]):

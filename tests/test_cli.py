@@ -97,6 +97,21 @@ class TestSolve:
             )
             assert rep["mode"] == mode
 
+    @pytest.mark.parametrize("mode, objective", [
+        ("random", "rho_delta_sum"), ("acyclic-greedy", "square"),
+    ])
+    def test_seed_sign_is_dropped(self, capsys, mode, objective):
+        # random.Random(s) seeds by |s|, so -3 and 3 give the same report
+        reports = []
+        for seed in ("3", "-3"):
+            rep = report_of(
+                capsys, "solve", "--input", "cycle:9", "--objective", objective,
+                "--mode", mode, "--seed", seed,
+            )
+            rep.pop("wall_time")
+            reports.append(rep)
+        assert reports[0] == reports[1]
+
     def test_slope_mode_needs_linear_costs(self, capsys, tmp_path):
         spec = {
             "kind": "phi_sum",
@@ -369,6 +384,14 @@ class TestExitCodes:
             "--mode", "combine-st",
         )
         assert code == 3
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_is_3(self, capsys, trials):
+        code, out, err = invoke(
+            capsys, "solve", "--input", "fig4", "--objective", "rho_delta_sum",
+            "--mode", "random", "--trials", trials,
+        )
+        assert (code, out, err) == (3, "", "error: need at least one trial\n")
 
     def test_missing_input_is_3(self, capsys):
         code, _, err = invoke(

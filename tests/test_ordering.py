@@ -1317,6 +1317,51 @@ class TestRandomTrials:
         r = random_order_trials(random_multigraph(*graph_args), seed, trials)
         assert (r.order, r.value, r.mean) == (order, value, mean)
 
+    @staticmethod
+    def assert_matches_reference(g, seed, trials):
+        r = random_order_trials(g, seed, trials)
+        want = ref_random_order_trials(g, seed, trials)
+        assert (r.order, r.value, r.mean) == want
+        return r
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_trial_counts_around_the_chunk(self, offset):
+        g = random_multigraph(40, 120, seed=5)
+        self.assert_matches_reference(g, 9, ordering.TRIAL_CHUNK + offset)
+
+    @pytest.mark.parametrize("trials", [1, 300])
+    def test_one_trial_and_several_chunks(self, trials):
+        self.assert_matches_reference(random_multigraph(40, 120, seed=6), 4, trials)
+
+    # positions fill 16-bit lanes, guard bit left free, up to n = 2**15
+    @pytest.mark.parametrize("n", [2**15 - 1, 2**15, 2**15 + 1])
+    def test_position_lanes_switch_width(self, n):
+        self.assert_matches_reference(random_multigraph(n, n, seed=n), 1, 2)
+
+    # a-b-c with c parallel a-b and b-c edges: b in the middle scores c*c
+    @pytest.mark.parametrize("c, passed", [(2**8 + 1, 2**16), (2**16 + 1, 2**32)])
+    def test_value_lanes_switch_width(self, c, passed):
+        g = build_graph(3, [(0, 1)] * c + [(1, 2)] * c)
+        r = self.assert_matches_reference(g, 0, 5)
+        assert r.value == c * c > passed
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (1, 0), (2, 0), (2, 3), (9, 0)])
+    def test_tiny_and_edgeless(self, n, m):
+        r = self.assert_matches_reference(random_multigraph(n, m, seed=3), 8, 300)
+        assert sorted(r.order) == list(range(n))
+
+    def test_memory_bound_sets_the_chunk(self):
+        n = ordering.TRIAL_LANES // 64
+        chunk = ordering.TRIAL_LANES // n
+        assert ordering.TRIAL_FLOOR < chunk < ordering.TRIAL_CHUNK
+        self.assert_matches_reference(random_multigraph(n, n, seed=2), 3, chunk + 1)
+
+    def test_floor_sets_the_chunk(self):
+        n = ordering.TRIAL_LANES // ordering.TRIAL_FLOOR + 1
+        assert ordering.TRIAL_LANES // n < ordering.TRIAL_FLOOR
+        trials = ordering.TRIAL_FLOOR + 1
+        self.assert_matches_reference(random_multigraph(n, n, seed=4), 5, trials)
+
     def test_rejects_loops_and_zero_trials(self):
         g = build_graph(1, [(0, 0)], allow_loops=True)
         with pytest.raises(ValueError):
