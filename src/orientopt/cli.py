@@ -8,8 +8,8 @@ a ``schema`` field; all randomness comes from ``--seed``.
 
 Exit codes: 0 success, 1 compare mismatch, 2 parse error (with a
 line/column diagnostic on stderr), 3 precondition violation (a file that
-cannot be read or written among them), 4 internal error (a solver result
-that failed its own check).
+cannot be read or written, or memory running out, among them), 4 internal
+error (a solver result that failed its own check).
 """
 
 from __future__ import annotations
@@ -389,21 +389,23 @@ def run(argv=None) -> int:
         args = _parser().parse_args(argv)  # None: argparse reads sys.argv[1:]
     except SystemExit as e:
         return int(e.code or 0)
+    command = f"{args.subcommand} --mode {args.mode}" if "mode" in args else args.subcommand
+    out_of_memory = f"{command} ran out of memory"  # worded while memory is still free
     try:
         return args.func(args)
     except FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        code, text = 2, str(e)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        code, text = 3, str(e)
     except OSError as e:  # a file that cannot be read or written
         where = f"{e.filename}: " if e.filename else ""
-        print(f"error: {where}{e.strerror or e}", file=sys.stderr)
-        return 3
+        code, text = 3, f"{where}{e.strerror or e}"
     except RuntimeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
+        code, text = 4, str(e)
+    except MemoryError:
+        code, text = 3, out_of_memory
+    print(f"error: {text}", file=sys.stderr)  # past the handler, which frees the frames' memory
+    return code
 
 
 def main() -> None:

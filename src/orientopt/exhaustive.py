@@ -186,7 +186,8 @@ def _walk_orientations(graph: Multigraph, r, visit) -> None:
 
 def _walk_orders(graph: Multigraph, r, visit) -> None:
     """Walk the n! vertex orders in lexicographic order.  ``left`` holds
-    the left degrees in units of ``w`` (a loop counts once).
+    the left degrees in units of ``w`` (a loop counts once).  One walk for
+    every n: it closes the last three vertices when n >= 3.
 
     ``bar = visit(head, left, order)`` sees the first candidate and each
     later one whose head (see :func:`_head`; pairs compare
@@ -206,14 +207,6 @@ def _walk_orders(graph: Multigraph, r, visit) -> None:
             mult[v][u] += w[j]
         left[max(u, v)] += w[j]
     bar = _head(r, left)
-    if n < 3:
-        for order in permutations(range(n)):
-            for i, v in enumerate(order):
-                left[v] = prefix[v] + sum(mult[u][v] for u in order[:i])
-            h = _head(r, left)
-            if h <= bar:
-                bar = visit(h, left, order)
-        return
     nbrs = [[(u, c) for u, c in enumerate(row) if c] for row in mult]
     rest = list(range(n))  # unplaced vertices, increasing
     order: list[int] = []
@@ -246,6 +239,11 @@ def _walk_orders(graph: Multigraph, r, visit) -> None:
                 if sp < bar[0] or sp == bar[0] and sb <= bar[1]:
                     left[x], left[y], left[z] = zx, zy, zz
                     bar = visit((sp, sb), left, (*order, x, y, z))
+            return
+        if not rest:  # every vertex placed, reached only when n < 3
+            h = _head(r, left)
+            if h <= bar:
+                bar = visit(h, left, order)
             return
         for i in range(len(rest)):
             v = rest.pop(i)
@@ -312,13 +310,12 @@ def vertex_certificate(graph: Multigraph, orientation: Orientation):
     asks :func:`brute_optimal` whether the orientation is the unique
     minimizer of the weighted indegree sum.  No other orientation has its
     indegree vector (their differing arcs, oriented as here, would be
-    balanced and hold a directed cycle).  Returns ``(weights, verdict)``.
+    balanced and hold a directed cycle).  Returns ``(weights, verdict)``;
+    the query refuses above the oracle's ``ORIENTATION_CAP`` edges.
     """
     topo = topological_order(graph, orientation)
     if topo is None:
         raise ValueError("orientation has a directed cycle")
-    if graph.m > 16:
-        raise ValueError(f"refusing to certify over 2**{graph.m} orientations")
     n = graph.n
     slopes = [0] * n
     for pos, v in enumerate(topo):

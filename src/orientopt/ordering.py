@@ -471,15 +471,12 @@ def _block_runs(sub: Multigraph, rows: list, k: int) -> dict[int, tuple[int, tup
 
 def _block_order(graph: Multigraph, forest: BlockTree, rows: list[list[int]]):
     """An order minimizing the sum of ``rows[v][indeg v]``, and that sum,
-    from the blocks of ``forest`` (see :func:`solve_acyclic_exact`, which
-    checks the one against the other).  Every vertex of a block, its parent
-    cut too, gets a slice of its row; :func:`_block_runs` pins the cut.
-    ``split[B][z]`` is the i that block B's fold into its parent cut's row
-    chose at z, so that the walk down can undo the fold."""
+    from the blocks of ``forest``, which :func:`solve_acyclic_exact` has
+    checked against ``DP_CAP`` and checks the sum against.  Every vertex of
+    a block, its parent cut too, gets a slice of its row; :func:`_block_runs`
+    pins the cut.  ``split[B][z]`` is the i that block B's fold into its
+    parent cut's row chose at z, so that the walk down can undo the fold."""
     blocks = forest.blocks
-    size = max((len(b.vertices) for b in blocks), default=0)
-    if size > DP_CAP:
-        raise ValueError(f"subset DP over a block of {size} vertices exceeds the cap ({DP_CAP})")
     loops = graph.loop_counts
     parent_cut, post_order = forest.rooted()
     folded = rows[:]  # each vertex's row, its child blocks folded in
@@ -538,34 +535,37 @@ def solve_acyclic_exact(graph: Multigraph, objective):
     so 1/b**z runs as the exact int b**(max_degree - z).
 
     The DP runs per block of :func:`block_forest`, so ``DP_CAP`` limits the
-    largest block, not n; a graph of one block is one
-    :func:`exact_subset_dp` run over its loop-free block.  A cut vertex's
-    indegree is the sum over its blocks.  The costs become int rows once,
-    for the whole graph (:func:`_int_costs`), so b and the LiftedCost
-    weight M stay global; a loop shifts its vertex's row, as it counts at
-    every position.  Each component is rooted at its largest block.
-    Children first, a block B with parent cut c gets h_B(i), the least
-    cost of all below c through B with c at indegree i in B, for each i,
-    from one DP run per i that pins c at i by a LiftedCost penalty
+    largest block, not n, and is checked before any row is built.  A graph
+    of one block is one :func:`exact_subset_dp` run over its loop-free
+    block.  A cut vertex's indegree is the sum over its blocks.  The costs
+    become int rows once, for the whole graph (:func:`_int_costs`), so b and
+    the LiftedCost weight M stay global; a loop shifts its vertex's row, as
+    it counts at every position.  Each component is rooted at its largest
+    block.  Children first, a block B with parent cut c gets h_B(i), the
+    least cost of all below c through B with c at indegree i in B, for each
+    i, from one DP run per i that pins c at i by a LiftedCost penalty
     (:func:`_block_runs`).  h_B is folded into c's cost row, with no table
     kept per cut vertex: row_c(z) becomes min_i row_c(z + i) + h_B(i) for
     each z that c's other blocks and loops reach, and every vertex of a
     block is priced by a slice of its row.  A root's DP gives its
-    component's optimum.  From the roots down, each block's order at its
-    i is spliced in: a root's goes at the end, a child's vertices before
-    its parent cut at the front and those after it at the end; undoing a
-    cut vertex's folds, the last first, gives its child blocks their i.
-    Blocks share only cut vertices, so each keeps its own order; with cut
-    vertices, the order may differ from the whole-graph DP's among optima
-    of equal key.  The order's degree vector, computed once, must sum the
-    rows to the blocks' total (else RuntimeError) and gives the key.
+    component's optimum.  From the roots down, each block's order at its i
+    is spliced in: a root's goes at the end, a child's vertices before its
+    parent cut at the front and those after it at the end; undoing a cut
+    vertex's folds, the last first, gives its child blocks their i.  Blocks
+    share only cut vertices, so each keeps its own order; with cut vertices,
+    the order may differ from the whole-graph DP's among optima of equal
+    key.  The order's degree vector, computed once, must sum the rows to the
+    blocks' total (else RuntimeError) and gives the key.
     Returns ``(order, natural key)``.
     """
     form, maximize = _dp_form(graph, objective)
+    forest = block_forest(graph)
+    if (size := max((len(b.vertices) for b in forest.blocks), default=0)) > DP_CAP:
+        raise ValueError(f"subset DP over a block of {size} vertices exceeds the cap ({DP_CAP})")
     phis = resolved(form, graph)
     tables = [[phi.cost(z) for z in range(d + 1)] for phi, d in zip(phis, graph.degrees)]
     rows = _int_costs(tables, maximize)
-    order, total = _block_order(graph, block_forest(graph), rows)
+    order, total = _block_order(graph, forest, rows)
     degrees = degrees_of_order(graph, order)
     if sum(row[z] for row, z in zip(rows, degrees.indeg)) != total:
         raise RuntimeError("internal error: the blocks' orders do not join into an optimal order")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,9 @@ import orientopt
 from orientopt import cli
 from orientopt.cli import MODES, _solve_report, build_parser, run
 from orientopt.flow import CyclicSolution
-from orientopt.formats import key_to_json, parse_graph, parse_objective, rational_to_json
+from orientopt.formats import (
+    graph_to_text, key_to_json, parse_graph, parse_objective, rational_to_json,
+)
 from orientopt.graph import Orientation, build_graph, degrees_of_order, degrees_of_orientation
 from orientopt.instances import FIG4_EDGES, SIZE_BUDGET, random_multigraph
 from orientopt.objectives import LiftedCost, PhiSum, evaluate
@@ -905,13 +908,13 @@ K3_ORACLE = ("oracle", "--input", "k3", "--objective", "square",
              "--mode", "cyclic")
 
 
-def run_process(*cmd):
+def run_process(*cmd, preexec_fn=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")])
     )
     return subprocess.run(
-        list(cmd), capture_output=True, text=True, timeout=60, env=env,
+        list(cmd), capture_output=True, text=True, timeout=60, env=env, preexec_fn=preexec_fn,
     )
 
 
@@ -966,6 +969,32 @@ def test_module_invocation_matches_script():
     by_script = json.loads(out.stdout)
     by_module.pop("wall_time"), by_script.pop("wall_time")
     assert by_module == by_script
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmPeak from procfs")
+def test_running_out_of_memory_is_3_with_one_error_line(tmp_path):
+    """A 24-vertex block under dec_min, in a child whose address space may
+    grow 100 MB past an idle child's peak: the subset DP's sweep runs out of
+    memory, and the CLI says so in one line.  The limit is set in the
+    child only."""
+    resource = pytest.importorskip("resource")
+    rng = random.Random(1)
+    n = 24
+    chords = [tuple(rng.sample(range(n), 2)) for _ in range(n)]
+    edges = [(v, (v + 1) % n) for v in range(n)] + chords
+    p = tmp_path / "block.txt"
+    p.write_text(graph_to_text(build_graph(n, edges)))
+    probe = run_process(sys.executable, "-c", "import orientopt.cli\n"
+                        "print(*(s for s in open('/proc/self/status') if 'VmPeak' in s))")
+    limit = int(probe.stdout.split()[1]) * 1024 + (100 << 20)
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    out = run_process(sys.executable, "-m", "orientopt.cli", "solve", "--input", str(p),
+                      "--objective", "dec_min", "--mode", "acyclic-exact", preexec_fn=cap_memory)
+    assert (out.returncode, out.stdout) == (3, "")
+    assert out.stderr == "error: solve --mode acyclic-exact ran out of memory\n"
 
 
 class TestParserCache:

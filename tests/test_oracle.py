@@ -267,6 +267,10 @@ class TestWalkerContract:
             (2, [(0, 1), (0, 1), (1, 1)], [1, Fraction(2, 3), 2]),
             (3, [(0, 0), (1, 2)], None),
             (3, [(0, 1), (1, 2), (0, 2), (2, 2), (1, 0)], [2, 1, Fraction(1, 3), 5, 1]),
+            # n < 3 visits each order where the walk has placed every vertex
+            (1, [(0, 0), (0, 0), (0, 0)], None),
+            (2, [(1, 0), (0, 1), (1, 0), (0, 0), (1, 1), (1, 1)], None),
+            (2, [(0, 0), (1, 0), (1, 0), (1, 1)], [3, Fraction(1, 2), Fraction(5, 2), 1]),
         ],
     )
     def test_orders_at_n_up_to_3(self, n, edges, weights):
@@ -372,8 +376,9 @@ class TestVertexCertificate:
             vertex_certificate(k3(), Orientation((1, 2, 0)))
 
     def test_cap(self):
-        wide = build_graph(2, [(0, 1)] * 17)
-        o = Orientation((1,) * 17)
+        m = ORIENTATION_CAP + 1
+        wide = build_graph(2, [(0, 1)] * m)
+        o = Orientation((1,) * m)
         with pytest.raises(ValueError):
             vertex_certificate(wide, o)
 
@@ -387,12 +392,17 @@ class TestVertexCertificate:
         assert vertex_certificate(build_graph(3, []), Orientation(())) == ((3, 2, 1), True)
         assert vertex_certificate(build_graph(0, []), Orientation(())) == ((), True)
 
-    def test_sixteen_edges_certify_and_seventeen_are_refused(self):
-        path16 = build_graph(17, [(v, v + 1) for v in range(16)])
-        assert vertex_certificate(path16, Orientation(tuple(range(1, 17))))[1]
-        path17 = build_graph(18, [(v, v + 1) for v in range(17)])
-        with pytest.raises(ValueError, match=r"^refusing to certify over 2\*\*17 orientations$"):
-            vertex_certificate(path17, Orientation(tuple(range(1, 18))))
+    def test_the_oracle_cap_is_the_only_refusal(self):
+        def path_of(m):  # oriented from 0 to m
+            g = build_graph(m + 1, [(v, v + 1) for v in range(m)])
+            return g, Orientation(tuple(range(1, m + 1)))
+
+        assert ORIENTATION_CAP == 20
+        for m in (17, 20):
+            assert vertex_certificate(*path_of(m)) == (tuple(range(m + 1, 0, -1)), True)
+        with pytest.raises(ValueError) as refused:
+            vertex_certificate(*path_of(21))
+        assert str(refused.value) == "refusing to enumerate 2**21 orientations"
 
     def test_verdict_is_a_unique_minimizing_indegree_vector(self):
         """The verdict against its definition, by plain enumeration: the

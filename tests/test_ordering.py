@@ -835,6 +835,25 @@ class TestBlockPath:
         g = build_graph(2 * DP_CAP, [(i, i + 1) for i in range(2 * DP_CAP - 1)] + [(0, 3)])
         assert solve_acyclic_exact(g, DecMin())[1] == (2,) + (1,) * (2 * DP_CAP - 2) + (0,)
 
+    def test_the_cap_refuses_before_any_row_is_built(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("built cost rows before refusing")
+
+        monkeypatch.setattr(ordering, "_int_costs", built)
+        monkeypatch.setattr(ordering, "resolved", built)
+        n = DP_CAP + 1
+        g = build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+        message = f"subset DP over a block of {n} vertices exceeds the cap ({DP_CAP})"
+        for obj in (PhiSum(shared=square()), DecMin(), RhoDeltaSum()):
+            with pytest.raises(ValueError) as refused:
+                solve_acyclic_exact(g, obj)
+            assert str(refused.value) == message
+        # an objective the DP cannot encode keeps its own message, over the cap too
+        with pytest.raises(ValueError) as refused:
+            solve_acyclic_exact(g, MaxWeightedIndeg())
+        assert str(refused.value) == ("objective 'max_weighted_indeg'"
+                                      " has no separable encoding for the DP")
+
 
 # (n, seed, objective) -> (order, key) of solve_acyclic_exact on
 # random_multigraph(n, 2n, seed), under the objectives of the benchmark's
