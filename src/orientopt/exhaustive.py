@@ -3,35 +3,29 @@
 Deliberately free of solver shortcuts — the only cleverness allowed here
 is incremental bookkeeping while enumerating, never a structural insight
 that could share a bug with a solver.  Every candidate is visited, by a
-Gray code over the 2**m orientations (one edge flips per step) or a
-recursion over the n! orders (left degrees carried down), on int degrees
+Gray code over the 2**m orientations (one edge flips per step) or plain
+changes over the n! orders (one adjacent swap per step), on int degrees
 with weights scaled by the LCM of their denominators.  A per-kind ranker
 ranks each candidate: by the penalty and base sums of per-vertex tables
 (built from the cost specs here, not by the solvers' cost code), kept by
 delta updates, for separable kinds; by the maximum or the sorted degree
 list, negated where the objective maximizes, for the others.
 
-Four savings per candidate are allowed, and no more.  The order walk
-closes the last three vertices a < b < c directly: in each of their six
-orders x, y, z, taken lexicographically, x gets left degree prefix[x],
-y gets prefix[y] + mult[x][y] and z gets prefix[z] + mult[x][z] +
-mult[y][z].  The table sums are compared with the best so far inside
-the walk.  A sorted key is built only when its head, the maximum or
-minimum degree (negated where the objective maximizes), ties or beats
-the best head, since a strictly worse head cannot start an optimal rank.
-For inc_min and inc_max a tied head is followed by the number of
-vertices at the minimum, the next thing the sorted key compares: more
-of them is better for inc_min and worse for inc_max, and a strictly
-worse count skips the sorted key as well.  So a caller sees only the
-candidates that tie or beat the best so far, in the same sequence, and
-the witness and the number of optima stay exact.
+Three savings per candidate are allowed, and no more.  The table sums
+are compared with the best so far inside the walk.  A sorted key is
+built only when its head, the maximum or minimum degree (negated where
+the objective maximizes), ties or beats the best head, since a strictly
+worse head cannot start an optimal rank.  For inc_min and inc_max a
+tied head is followed by the number of vertices at the minimum, the
+next thing the sorted key compares: more of them is better for inc_min
+and worse for inc_max, and a strictly worse count skips the sorted key
+as well.  So a caller sees every candidate that ties or beats the best
+so far, and the witness and the number of optima stay exact.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
 from math import lcm
-from typing import Iterator
 
 from .graph import (
     Frozen,
@@ -59,19 +53,6 @@ def _refuse(graph: Multigraph, mode: str) -> None:
         raise ValueError(f"unknown oracle mode {mode!r}")
     elif graph.n > ORDER_CAP:
         raise ValueError(f"refusing to enumerate {graph.n}! orders")
-
-
-def enumerate_orientations(graph: Multigraph) -> Iterator[Orientation]:
-    """Yield every orientation of a loop-free graph, 2**m of them."""
-    _refuse(graph, "cyclic")
-    edges = graph.edges
-    for bits in range(1 << graph.m):
-        yield Orientation(tuple(e[1] if bits >> j & 1 == 0 else e[0] for j, e in enumerate(edges)))
-
-
-def enumerate_orders(graph: Multigraph) -> Iterator[tuple[int, ...]]:
-    _refuse(graph, "acyclic")
-    return permutations(range(graph.n))
 
 
 class BruteResult(Frozen):
@@ -185,9 +166,12 @@ def _walk_orientations(graph: Multigraph, r, visit) -> None:
 
 
 def _walk_orders(graph: Multigraph, r, visit) -> None:
-    """Walk the n! vertex orders in lexicographic order.  ``left`` holds
-    the left degrees in units of ``w`` (a loop counts once).  One walk for
-    every n: it closes the last three vertices when n >= 3.
+    """Walk the n! vertex orders by plain changes (Knuth's Algorithm
+    7.2.1.2P), from the identity: vertex t = n - 1 sweeps across the
+    others, one adjacent swap per order, and between two sweeps the others
+    take one plain change.  ``left`` holds the left degrees in units of
+    ``w`` (a loop counts once).  When x, y becomes y, x, left[x] gains and
+    left[y] loses the weight between them: four row reads per table sum.
 
     ``bar = visit(head, left, order)`` sees the first candidate and each
     later one whose head (see :func:`_head`; pairs compare
@@ -196,79 +180,92 @@ def _walk_orders(graph: Multigraph, r, visit) -> None:
     head exceeds lets every candidate through."""
     n = graph.n
     w, pen, base, top, sign, _ = r
-    prefix = [0] * n  # left degree each vertex would get if placed now
     mult = [[0] * n for _ in range(n)]  # weight between two distinct vertices
     left = [0] * n  # those of the identity order, the first one walked
     for j, (u, v) in enumerate(graph.edges):
-        if u == v:
-            prefix[u] += w[j]
-        else:
+        if u != v:
             mult[u][v] += w[j]
             mult[v][u] += w[j]
         left[max(u, v)] += w[j]
-    bar = _head(r, left)
-    nbrs = [[(u, c) for u, c in enumerate(row) if c] for row in mult]
-    rest = list(range(n))  # unplaced vertices, increasing
-    order: list[int] = []
+    order = list(range(n))
+    bar = visit(h := _head(r, left), left, order)
+    if n < 2:
+        return
+    t = n - 1
+    # per sweep: t's positions, its step back, the gain of the vertex it passes,
+    # and s, Algorithm P's offset: 1 when the sweep leaves t first
+    sweeps = (range(t - 1, -1, -1), 1, mult[t], 1), (range(1, n), -1, [-k for k in mult[t]], 0)
+    c, o = [0] * t, [1] * t  # Algorithm P's offsets and directions below t
 
-    def rec(tp, tb):
-        nonlocal bar
-        if len(rest) == 3:  # close the last three a < b < c in their six orders
-            a, b, c = rest
-            pa, pb, pc = prefix[a], prefix[b], prefix[c]
-            ab, ac, bc = mult[a][b], mult[a][c], mult[b][c]
-            # x, y, z: x gets prefix[x], y adds mult[x][y], z adds mult[x][z] + mult[y][z]
-            tail = (
-                (a, b, c, pa, pb + ab, pc + ac + bc),
-                (a, c, b, pa, pc + ac, pb + ab + bc),
-                (b, a, c, pb, pa + ab, pc + ac + bc),
-                (b, c, a, pb, pc + bc, pa + ab + ac),
-                (c, a, b, pc, pa + ac, pb + ab + bc),
-                (c, b, a, pc, pb + bc, pa + ab + ac),
-            )
-            if pen is None:
-                for x, y, z, zx, zy, zz in tail:
-                    left[x], left[y], left[z] = zx, zy, zz
-                    h = sign * top(left)
+    def change(s):  # one plain change of the vertices below t: x, y becomes y, x
+        j = t - 1
+        while (q := c[j] + o[j]) < 0 or q > j:
+            if not j:
+                return None  # that was the last order
+            s += q > j
+            o[j] = -o[j]
+            j -= 1
+        i = j - max(c[j], q) + s
+        c[j] = q
+        x, y = order[i], order[i + 1]
+        order[i], order[i + 1] = y, x
+        k = mult[x][y]
+        left[x], left[y] = left[x] + k, left[y] - k
+        return x, y, k
+
+    if pen is None:
+        while True:
+            for steps, d, row, s in sweeps:
+                for i in steps:
+                    x = order[i]
+                    order[i + d] = x
+                    order[i] = t
+                    k = row[x]
+                    if k:
+                        left[x] += k
+                        left[t] -= k
+                        h = sign * top(left)
                     if h <= bar:
-                        bar = visit(h, left, (*order, x, y, z))
+                        bar = visit(h, left, order)
+                if change(s) is None:
+                    return
+                h = sign * top(left)
+                if h <= bar:
+                    bar = visit(h, left, order)
+    (tp, tb), (bp, bb) = h, bar
+    pt, bt = pen[t], base[t]
+    while True:
+        for steps, d, row, s in sweeps:
+            for i in steps:
+                x = order[i]
+                order[i + d] = x
+                order[i] = t
+                k = row[x]
+                if k:
+                    z = left[x]
+                    zk = left[x] = z + k
+                    zt = left[t] = left[t] - k
+                    px, bx = pen[x], base[x]
+                    tp += px[zk] - px[z] + pt[zt] - pt[zt + k]
+                    tb += bx[zk] - bx[z] + bt[zt] - bt[zt + k]
+                if tp < bp or tp == bp and tb <= bb:
+                    bp, bb = visit((tp, tb), left, order)
+            if (xyk := change(s)) is None:
                 return
-            for x, y, z, zx, zy, zz in tail:
-                sp = tp + pen[x][zx] + pen[y][zy] + pen[z][zz]
-                sb = tb + base[x][zx] + base[y][zy] + base[z][zz]
-                if sp < bar[0] or sp == bar[0] and sb <= bar[1]:
-                    left[x], left[y], left[z] = zx, zy, zz
-                    bar = visit((sp, sb), left, (*order, x, y, z))
-            return
-        if not rest:  # every vertex placed, reached only when n < 3
-            h = _head(r, left)
-            if h <= bar:
-                bar = visit(h, left, order)
-            return
-        for i in range(len(rest)):
-            v = rest.pop(i)
-            z = left[v] = prefix[v]
-            order.append(v)
-            for u, c in nbrs[v]:
-                prefix[u] += c
-            if pen is None:
-                rec(tp, tb)
-            else:
-                rec(tp + pen[v][z], tb + base[v][z])
-            for u, c in nbrs[v]:
-                prefix[u] -= c
-            order.pop()
-            rest.insert(i, v)
-
-    rec(0, 0)
+            x, y, k = xyk
+            zx, zy = left[x], left[y]
+            tp += pen[x][zx] - pen[x][zx - k] + pen[y][zy] - pen[y][zy + k]
+            tb += base[x][zx] - base[x][zx - k] + base[y][zy] - base[y][zy + k]
+            if tp < bp or tp == bp and tb <= bb:
+                bp, bb = visit((tp, tb), left, order)
 
 
 def brute_optimal(graph: Multigraph, objective, mode: str, count_optima: bool = False) -> BruteResult:
     """Exhaustive optimum of an objective over all orientations (mode
     ``"cyclic"``) or all vertex orders (mode ``"acyclic"``).
 
-    The witness is the first optimum in a fixed enumeration sequence:
-    the Gray code of :func:`_walk_orientations`, or lexicographic order.
+    The witness is the first optimum of :func:`_walk_orientations`' Gray
+    code, or the lexicographically first optimal order (a tie keeps the smaller).
     """
     _refuse(graph, mode)
     if mode == "cyclic":
@@ -280,6 +277,7 @@ def brute_optimal(graph: Multigraph, objective, mode: str, count_optima: bool = 
     # past the minimum, an inc key ranks by how many vertices sit at it: more
     # is better for inc_min and worse for inc_max; tie * count is smaller-better
     tie = {"inc_min": -1, "inc_max": 1}.get(objective.kind, 0)
+    lex = mode == "acyclic"
     best = [None, None, 0, None, 0]  # rank, witness, number of optima, head, tie * count
 
     def visit(head, degrees, at):
@@ -287,13 +285,15 @@ def brute_optimal(graph: Multigraph, objective, mode: str, count_optima: bool = 
             return head
         rank = head if leaf is None else leaf(degrees)
         if best[0] is None or rank < best[0]:
-            best[:] = rank, tuple(at), 1, head, tie and tie * degrees.count(sign * head)
-        elif count_optima and rank == best[0]:
+            best[:] = rank, at[:], 1, head, tie and tie * degrees.count(sign * head)
+        elif rank == best[0]:
             best[2] += 1
+            if lex and at < best[1]:
+                best[1] = at[:]
         return best[3]
 
     walk(graph, r, visit)
-    witness = witness_of(best[1])
+    witness = witness_of(tuple(best[1]))
     dv = degrees_of(graph, witness, objective.kind == "max_weighted_indeg")
     count = best[2] if count_optima else None
     return BruteResult(evaluate(objective, graph, dv), witness, count)

@@ -416,23 +416,27 @@ def exact_subset_dp(
     return tuple(reversed(suffix)), value
 
 
+# the objective kinds the DP encodes, and whether it maximizes each one's form
+_DP_MAXIMIZES = {"phi_sum": False, "dec_min": False, "dec_max": True, "inc_max": False,
+                 "inc_min": True, "rho_delta_sum": True, "forbidden_subpaths": False}
+
+
 def _dp_form(graph: Multigraph, objective) -> tuple[PhiSum, bool]:
-    """The ``phi_sum`` whose sum the DP optimizes for ``objective``, and
-    whether it maximizes that sum (see :func:`solve_acyclic_exact`)."""
+    """The ``phi_sum`` whose sum the DP optimizes for ``objective``, of a
+    kind in ``_DP_MAXIMIZES``, and whether it maximizes that sum (see
+    :func:`solve_acyclic_exact`)."""
     k = objective.kind
-    if k == "phi_sum":
-        return objective, False
-    base = max(graph.n, 2)
+    maximize, base = _DP_MAXIMIZES[k], max(graph.n, 2)
     if k in ("dec_min", "dec_max"):
-        return PhiSum(shared=exp_base(base)), k == "dec_max"
+        return PhiSum(shared=exp_base(base)), maximize
     if k in ("inc_max", "inc_min"):
-        return PhiSum(shared=neg_exp_base(base)), k == "inc_min"
+        return PhiSum(shared=neg_exp_base(base)), maximize
     if k == "rho_delta_sum":
         rows = (table([z * (d - z) for z in range(d + 1)]) for d in graph.degrees)
-        return PhiSum(per_vertex=tuple(rows)), True
+        return PhiSum(per_vertex=tuple(rows)), maximize
     if k == "forbidden_subpaths":
-        return PhiSum(shared=binom2()), False
-    raise ValueError(f"objective {k!r} has no separable encoding for the DP")
+        return PhiSum(shared=binom2()), maximize
+    return objective, maximize
 
 
 def _block_runs(sub: Multigraph, rows: list, k: int) -> dict[int, tuple[int, tuple[int, ...]]]:
@@ -535,10 +539,11 @@ def solve_acyclic_exact(graph: Multigraph, objective):
     so 1/b**z runs as the exact int b**(max_degree - z).
 
     The DP runs per block of :func:`block_forest`, so ``DP_CAP`` limits the
-    largest block, not n, and is checked before any row is built.  A graph
-    of one block is one :func:`exact_subset_dp` run over its loop-free
-    block.  A cut vertex's indegree is the sum over its blocks.  The costs
-    become int rows once, for the whole graph (:func:`_int_costs`), so b and
+    largest block, not n.  It is checked after the objective's kind and
+    before any form, table or row is built.  A graph of one block is one
+    :func:`exact_subset_dp` run over its loop-free block.  A cut vertex's
+    indegree is the sum over its blocks.  The costs become int rows once,
+    for the whole graph (:func:`_int_costs`), so b and
     the LiftedCost weight M stay global; a loop shifts its vertex's row, as
     it counts at every position.  Each component is rooted at its largest
     block.  Children first, a block B with parent cut c gets h_B(i), the
@@ -558,10 +563,12 @@ def solve_acyclic_exact(graph: Multigraph, objective):
     blocks' total (else RuntimeError) and gives the key.
     Returns ``(order, natural key)``.
     """
-    form, maximize = _dp_form(graph, objective)
+    if objective.kind not in _DP_MAXIMIZES:  # refused ahead of the cap, with its own message
+        raise ValueError(f"objective {objective.kind!r} has no separable encoding for the DP")
     forest = block_forest(graph)
     if (size := max((len(b.vertices) for b in forest.blocks), default=0)) > DP_CAP:
         raise ValueError(f"subset DP over a block of {size} vertices exceeds the cap ({DP_CAP})")
+    form, maximize = _dp_form(graph, objective)
     phis = resolved(form, graph)
     tables = [[phi.cost(z) for z in range(d + 1)] for phi, d in zip(phis, graph.degrees)]
     rows = _int_costs(tables, maximize)

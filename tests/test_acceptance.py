@@ -10,12 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from orientopt.exhaustive import (
-    brute_optimal,
-    enumerate_orders,
-    enumerate_orientations,
-    vertex_certificate,
-)
+from orientopt.exhaustive import brute_optimal, vertex_certificate
 from orientopt.flow import solve_cyclic
 from orientopt.graph import degrees_of_order, degrees_of_orientation, is_acyclic
 from orientopt.instances import (
@@ -49,6 +44,7 @@ from orientopt.ordering import (
     weighted_smallest_last,
 )
 
+from enumeration_reference import enumerate_orders, enumerate_orientations
 from paper_facts import (
     _greedy_worst,
     brute_schedule_cost,

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from orientopt.exhaustive import brute_optimal, enumerate_orientations
+from orientopt.exhaustive import brute_optimal
 from orientopt.flow import build_network, min_cost_flow, solve_cyclic, solve_mixed
 from orientopt.graph import Orientation, build_graph, degrees_of_orientation
 from orientopt.instances import (
@@ -33,6 +33,7 @@ from orientopt.objectives import (
     zero,
 )
 
+from enumeration_reference import enumerate_orientations
 from paper_facts import brute_schedule_cost, rank_of
 
 

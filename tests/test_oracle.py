@@ -4,7 +4,7 @@ closed forms, and cross-checks between independent enumeration styles."""
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
@@ -12,9 +12,10 @@ from orientopt.exhaustive import (
     ORDER_CAP,
     ORIENTATION_CAP,
     BruteResult,
+    _head,
+    _ranker,
+    _walk_orders,
     brute_optimal,
-    enumerate_orders,
-    enumerate_orientations,
     vertex_certificate,
 )
 from orientopt.graph import (
@@ -43,6 +44,7 @@ from orientopt.objectives import (
 )
 from orientopt.ordering import conditional_expectation, solve_acyclic_exact
 
+from enumeration_reference import enumerate_orders, enumerate_orientations
 from paper_facts import (
     _greedy_worst,
     cycle_reversal_decomposition,
@@ -199,7 +201,7 @@ class TestBruteOptimal:
                 got = brute_optimal(g, obj, "acyclic", count_optima=True)
                 assert rank_of(obj, got.key) == want, obj
                 assert got.count == ranks.count(want), obj
-                # both walk the orders lexicographically: same first optimum
+                # the oracle keeps the lexicographically first optimum, as this scan does
                 assert got.witness == orders[ranks.index(want)], obj
             assert brute_optimal(g, PhiSum(shared=zero()), "acyclic", True).count == factorial(n)
 
@@ -222,23 +224,41 @@ def gray_orientations(g):
         yield Orientation(tuple(u if code >> j & 1 else v for j, (u, v) in enumerate(g.edges)))
 
 
+def later_ends(g, order):
+    """Each edge's later end in an order; a loop's is its vertex."""
+    pos = {v: i for i, v in enumerate(order)}
+    return tuple(v if pos[u] < pos[v] else u for u, v in g.edges)
+
+
 def assert_first_optimum(g, mode, objectives=EVERY_KIND):
     """brute_optimal against a plain evaluate scan of the same sequence:
     the optimum, the number of optima and the first optimum, every kind.
-    Orders come straight from itertools.permutations."""
+    Orientations come in Gray order and orders straight from
+    itertools.permutations, so the first optimal order is the
+    lexicographically first.  The candidates that count every edge at the
+    same end share their degree vectors, which are evaluated once."""
     if mode == "cyclic":
         candidates, degrees_of = list(gray_orientations(g)), degrees_of_orientation
+        heads = [c.heads for c in candidates]
     else:
         candidates, degrees_of = list(permutations(range(g.n))), degrees_of_order
-    plain = [degrees_of(g, c) for c in candidates]
-    weighted = [degrees_of(g, c, weighted=True) for c in candidates]
+        heads = [later_ends(g, c) for c in candidates]
+    index, reps = {}, []  # per distinct heads: its number, its first candidate
+    for c, h in zip(candidates, heads):
+        if h not in index:
+            index[h] = len(reps)
+            reps.append(c)
+    at = [index[h] for h in heads]
+    plain = [degrees_of(g, c) for c in reps]
+    weighted = [degrees_of(g, c, weighted=True) for c in reps]
     for obj in objectives:
         dvs = weighted if obj.kind == "max_weighted_indeg" else plain
         keys = [evaluate(obj, g, dv) for dv in dvs]
-        ranks = [rank_of(obj, key) for key in keys]
+        distinct = [rank_of(obj, key) for key in keys]
+        ranks = [distinct[k] for k in at]
         want = min(ranks)
         got = brute_optimal(g, obj, mode, count_optima=True)
-        assert got.key == keys[ranks.index(want)], obj
+        assert got.key == keys[at[ranks.index(want)]], obj
         assert got.count == ranks.count(want), obj
         assert got.witness == candidates[ranks.index(want)], obj
 
@@ -267,7 +287,7 @@ class TestWalkerContract:
             (2, [(0, 1), (0, 1), (1, 1)], [1, Fraction(2, 3), 2]),
             (3, [(0, 0), (1, 2)], None),
             (3, [(0, 1), (1, 2), (0, 2), (2, 2), (1, 0)], [2, 1, Fraction(1, 3), 5, 1]),
-            # n < 3 visits each order where the walk has placed every vertex
+            # n < 2 visits only the identity; n = 2 is one sweep of vertex 1
             (1, [(0, 0), (0, 0), (0, 0)], None),
             (2, [(1, 0), (0, 1), (1, 0), (0, 0), (1, 1), (1, 1)], None),
             (2, [(0, 0), (1, 0), (1, 0), (1, 1)], [3, Fraction(1, 2), Fraction(5, 2), 1]),
@@ -291,13 +311,78 @@ class TestWalkerContract:
         ],
     )
     def test_orders_where_the_last_three_close(self, n, edges, weights):
-        # n = 4, 5, 6 reach the closed last three one, two and three levels down
+        # n = 4, 5, 6: the vertices below the sweeping one change at 2, 3, 4 levels
         assert_first_optimum(build_graph(n, edges, weights, allow_loops=True), "acyclic")
 
     def test_seven_vertices_in_each_regime(self):
         assert_first_optimum(random_multigraph(7, 12, seed=71), "cyclic")
         g = random_multigraph(7, 12, seed=72, weighted=True, allow_loops=True)
         assert_first_optimum(g, "acyclic")
+
+    @pytest.mark.parametrize("seed, weighted", [(81, True), (82, False)])
+    def test_eight_vertices_every_kind(self, seed, weighted):
+        # each plain-changes sweep of vertex 7 crosses seven others, and the
+        # first optimum is still the lexicographically first
+        g = random_multigraph(8, 14, seed=seed, weighted=weighted, allow_loops=weighted)
+        assert_first_optimum(g, "acyclic")
+
+
+def walk_graph(n):
+    """n vertices and 2n + 3 edges (none at n = 0), rational weights: loops
+    and parallel edges, one of each at the sweeping vertex n - 1."""
+    rng = random.Random(40 + n)
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)]
+    if n:
+        edges += [(0, n - 1), (n - 1, 0), (n - 1, n - 1)]
+    weights = [Fraction(rng.randint(1, 6), rng.randint(1, 3)) for _ in edges]
+    return build_graph(n, edges, weights, allow_loops=True)
+
+
+def walked_orders(g, objective):
+    """The ranker and every ``(head, left, order)`` that ``_walk_orders``
+    shows a visit whose bar no head exceeds."""
+    r = _ranker(g, objective)
+    lets_all = 1 << 60 if r[1] is None else (1 << 60, 0)
+    seen = []
+
+    def visit(head, left, order):
+        seen.append((head, list(left), tuple(order)))
+        return lets_all
+
+    _walk_orders(g, r, visit)
+    return r, seen
+
+
+# the table loop with penalties, and the other loop on scaled weights
+WALKED_KINDS = (PhiSum(shared=square(), f=1, g=2), MaxWeightedIndeg())
+
+
+class TestPlainChanges:
+    @pytest.mark.parametrize("n", range(9))
+    def test_each_order_once_one_adjacent_swap_apart(self, n):
+        g = walk_graph(n)
+        for obj in WALKED_KINDS:
+            orders = [order for _, _, order in walked_orders(g, obj)[1]]
+            assert orders[0] == tuple(range(n))
+            assert len(orders) == len(set(orders)) == factorial(n)
+            for a, b in zip(orders, orders[1:]):
+                i = next(i for i in range(n) if a[i] != b[i])
+                assert (b[i], b[i + 1]) == (a[i + 1], a[i]) and a[i + 2:] == b[i + 2:]
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_left_degrees_and_heads_at_every_visit(self, n):
+        g = walk_graph(n)
+        scale = lcm(*(x.denominator for x in g.weights))
+        (rt, tables), (rw, weighted) = (walked_orders(g, obj) for obj in WALKED_KINDS)
+        known = {}  # orders with the same later ends have the same degrees
+        for (ht, lt, order), (hw, lw, again) in zip(tables, weighted, strict=True):
+            assert order == again
+            ends = later_ends(g, order)
+            if ends not in known:
+                plain = degrees_of_order(g, order).indeg
+                known[ends] = list(plain), [z * scale for z in degrees_of_order(g, order, True).indeg]
+            assert [lt, lw] == list(known[ends]), order
+            assert ht == _head(rt, lt) and hw == _head(rw, lw), order
 
 
 def star(n, center):

@@ -11,7 +11,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orientopt.exhaustive import brute_optimal, enumerate_orders
+from orientopt.exhaustive import brute_optimal
 from orientopt.formats import parse_objective
 from orientopt import ordering
 from orientopt.graph import block_forest, build_graph, degrees_of_order, subgraph
@@ -57,6 +57,7 @@ from orientopt.ordering import (
     weighted_smallest_last,
 )
 
+from enumeration_reference import enumerate_orders
 from paper_facts import _greedy_worst, harmonic, imbalance_report, linear_optimum_value
 from peeling_reference import ref_is_greedy_run
 
@@ -853,6 +854,28 @@ class TestBlockPath:
             solve_acyclic_exact(g, MaxWeightedIndeg())
         assert str(refused.value) == ("objective 'max_weighted_indeg'"
                                       " has no separable encoding for the DP")
+
+    def test_the_cap_refuses_before_any_table_is_built(self, monkeypatch):
+        # the rho_delta_sum form is one table of d + 1 entries per vertex
+        def built(*args):
+            raise AssertionError("built a table before refusing")
+
+        monkeypatch.setattr(ordering, "table", built)
+        n = DP_CAP + 1
+        dense = build_graph(n, [(u, v) for v in range(n) for u in range(v)])
+        small = build_graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError) as refused:
+            solve_acyclic_exact(dense, RhoDeltaSum())
+        assert str(refused.value) == f"subset DP over a block of {n} vertices exceeds the cap ({DP_CAP})"
+        # the kind is refused first, over the cap and under it
+        for g in (dense, small):
+            with pytest.raises(ValueError) as refused:
+                solve_acyclic_exact(g, MaxWeightedIndeg())
+            assert str(refused.value) == ("objective 'max_weighted_indeg'"
+                                          " has no separable encoding for the DP")
+        # under the cap the form is built, through the name patched above
+        with pytest.raises(AssertionError, match="built a table"):
+            solve_acyclic_exact(small, RhoDeltaSum())
 
 
 # (n, seed, objective) -> (order, key) of solve_acyclic_exact on
