@@ -21,7 +21,7 @@ vertex nodes, edge nodes, sink) with the network left implicit: only
 its source arcs cost anything, and a residual path through edge nodes
 is a directed path of the current orientation.  :func:`build_network`
 builds the source arc costs, one row of marginals per vertex, and
-:func:`min_cost_flow` reverses vertex-disjoint improving paths in
+:func:`min_cost_flow` reverses edge-disjoint improving paths in
 phases, in the style of the semi-matching algorithm of Harvey, Ladner,
 Lovasz & Tamir (J. Algorithms 2006) and the egalitarian orientations of
 Borradaile et al. (JGAA 2017).  Each phase starts with a pass that
@@ -103,15 +103,17 @@ def min_cost_flow(graph: Multigraph, marg, heads, free) -> list:
       A root, labelled by its own D-, has D+ >= D- by convexity.
     * **Reversal.**  A vertex x with a parent and D+(x) < label(x) is a
       violator.  Taken by ``(D+, label, id)``, a violator's parent path
-      to its root r is reversed when no vertex on it has been used in
-      this phase, and its vertices are then marked used.  The paths of
-      a phase are vertex-disjoint, so each one is still a path when it
-      is reversed, and the loads of x and r are still those of the
-      pass: the reversal changes the cost by D+(x) - D-(r) =
-      D+(x) - label(x) < 0.  The first violator's path is always free,
-      so every phase that finds a violator strictly lowers the
-      lexicographic ``(penalty, base)`` cost, and there are finitely
-      many orientations: the phases end.
+      to its root r is reversed when no vertex on it but r has been used
+      in this phase and D+(x) < D-(r) at the loads of that moment; its
+      vertices but r are then marked used, and r is marked once its load
+      reaches 0.  The paths of a phase share at most their roots, so they
+      are edge-disjoint and each one is still a path when it is
+      reversed, and x's load is still that of the pass: the reversal
+      changes the cost by D+(x) - D-(r) < 0.  The first violator's path
+      is always reversed, since its D-(r) is label(x), so every phase
+      that finds a violator strictly lowers the lexicographic
+      ``(penalty, base)`` cost, and there are finitely many
+      orientations: the phases end.
     * **Stop.**  A pass that finds no violator has D+(x) >= label(x) for
       every vertex with a parent, which is the optimality condition.
 
@@ -156,17 +158,18 @@ def min_cost_flow(graph: Multigraph, marg, heads, free) -> list:
             path = [x]
             while not used[path[-1]] and parent[path[-1]] >= 0:
                 path.append(other[parent[path[-1]]] ^ path[-1])
-            if used[path[-1]]:
+            r = path.pop()
+            if used[r] or not marg[x][load[x]] < marg[r][load[r] - 1]:
                 continue
-            for y in path[:-1]:
+            for y in path:
                 e = parent[y]
                 into[heads[e]].remove(e)
                 into[y].add(e)
                 heads[e] = y
-            for y in path:
                 used[y] = True
             load[x] += 1
-            load[path[-1]] -= 1
+            load[r] -= 1
+            used[r] = not load[r]
 
 
 class CyclicSolution(Frozen):

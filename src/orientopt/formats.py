@@ -158,6 +158,7 @@ def parse_graph_json(text: str) -> Multigraph:
         raise FormatError("`edges` must be a list")
     edges = []
     weights = []
+    seen: dict = {}
     arity = None
     for i, e in enumerate(doc["edges"]):
         if not isinstance(e, list) or len(e) not in (2, 3):
@@ -168,7 +169,7 @@ def parse_graph_json(text: str) -> Multigraph:
             raise FormatError("either all edges carry weights or none do")
         edges.append(e[:2])
         if arity == 3:
-            weights.append(_json_rational(e[2], f"edge {i} weight"))
+            weights.append(_json_rational(e[2], seen, f"edge {i} weight"))
     try:
         return build_graph(doc["n"], edges, weights if arity == 3 else None, allow_loops)
     except ValueError as e:
@@ -190,11 +191,18 @@ def _load_json(text: str):
         raise FormatError(e.msg, e.lineno, e.colno) from None
 
 
-def _json_rational(value, what: str, field: str = ""):
+def _json_rational(value, seen: dict, what: str, field: str = ""):
     """A JSON number or ``"p/q"`` string, read by :func:`exact_number`: ints
-    stay ints.  ``what`` and ``field`` name the value, joined on failure only."""
+    stay ints.  Strings are read once per document, through ``seen``;
+    numbers are not kept, as JSON ``1`` and ``true`` are equal keys.
+    ``what`` and ``field`` name the value, joined on failure only."""
     try:
-        return exact_number(value)
+        if value.__class__ is not str:
+            return exact_number(value)
+        x = seen.get(value)
+        if x is None:
+            x = seen[value] = exact_number(value)
+        return x
     except ValueError:
         label = f"{what}: {field}" if field else what
         raise FormatError(f"{label} must be a number or 'p/q' string") from None
@@ -210,10 +218,11 @@ def _undefined_field(doc: dict, fields: frozenset, what: str) -> FormatError:
     return FormatError(f"{what}: `{doc['kind']}` has no field {field!r}")
 
 
-def _parse_entry(doc, what: str):
-    """A JSON cost entry, turned into numbers for its constructor, which
-    checks it.  Inline ``f``/``g`` bounds lift it into a LiftedPhi, for its
-    own vertex or, shared, for every vertex."""
+def _parse_entry(doc, what: str, seen: dict):
+    """A JSON cost entry, turned into numbers (through ``seen``, see
+    :func:`_json_rational`) for its constructor, which checks it.  Inline
+    ``f``/``g`` bounds lift it into a LiftedPhi, for its own vertex or,
+    shared, for every vertex."""
     if isinstance(doc, str):
         doc = {"kind": doc}
     if not isinstance(doc, dict) or "kind" not in doc:
@@ -226,8 +235,8 @@ def _parse_entry(doc, what: str):
         raise _undefined_field(doc, fields, what)
     try:
         if kind == "linear":
-            a = _json_rational(doc.get("a", 0), what, "`a`")
-            b = _json_rational(doc.get("b", 0), what, "`b`")
+            a = _json_rational(doc.get("a", 0), seen, what, "`a`")
+            b = _json_rational(doc.get("b", 0), seen, what, "`b`")
             spec = obj.linear(a, b)
         elif kind == "abs_balance":
             spec = obj.abs_balance(doc.get("d"))
@@ -237,7 +246,7 @@ def _parse_entry(doc, what: str):
             values = doc.get("values")
             if not isinstance(values, list):
                 raise FormatError(f"{what}: `table` needs a non-empty `values` list")
-            spec = obj.table([_json_rational(x, what, f"values[{i}]") for i, x in enumerate(values)])
+            spec = obj.table([_json_rational(x, seen, what, f"values[{i}]") for i, x in enumerate(values)])
         else:
             spec = obj.PhiSpec(kind)  # square, cube, binom2, zero
         if "f" not in doc and "g" not in doc:
@@ -284,7 +293,7 @@ def parse_objective(text: str):
         return _KEY_OBJECTIVES[kind]()
     if kind in obj.PHI_KINDS:
         # a bare cost shape means: minimize its sum over all vertices
-        return obj.PhiSum(shared=_parse_entry(doc, "objective"))
+        return obj.PhiSum(shared=_parse_entry(doc, "objective", {}))
     if kind != "phi_sum":
         raise FormatError(f"unknown objective kind {kind!r}")
     if not doc.keys() <= _PHI_SUM_FIELDS:
@@ -296,10 +305,11 @@ def parse_objective(text: str):
     f = _parse_bound(doc.get("f"), "`f`")
     g = _parse_bound(doc.get("g"), "`g`")
     if per_vertex is None:
-        return obj.PhiSum(shared=_parse_entry(shared, "`shared`"), f=f, g=g)
+        return obj.PhiSum(shared=_parse_entry(shared, "`shared`", {}), f=f, g=g)
     if not isinstance(per_vertex, list):
         raise FormatError("`per_vertex` must be a list of cost specs")
-    return obj.PhiSum(per_vertex=tuple([_parse_entry(p, f"per_vertex[{i}]")
+    seen: dict = {}  # one document's, never shared across requests
+    return obj.PhiSum(per_vertex=tuple([_parse_entry(p, f"per_vertex[{i}]", seen)
                                         for i, p in enumerate(per_vertex)]), f=f, g=g)
 
 

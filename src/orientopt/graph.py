@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import lcm
+from operator import eq
 from typing import Iterable, Sequence
 
 EXPONENT_LIMIT = 4300  # int()'s default digit limit, which bounds the rest of a string
@@ -540,7 +541,11 @@ def block_forest(graph: Multigraph) -> BlockTree:
 
 
 def subgraph(graph: Multigraph, vertices: Sequence[int], edge_ids: Sequence[int]):
-    """Relabelled subgraph plus the local-to-global vertex map."""
+    """Relabelled subgraph plus the local-to-global vertex map; the graph
+    itself when the selection is every vertex and every edge, in id order."""
+    if (len(vertices) == graph.n and len(edge_ids) == graph.m
+            and all(map(eq, vertices, range(graph.n))) and all(map(eq, edge_ids, range(graph.m)))):
+        return graph, tuple(vertices)  # keeps its cached properties
     vmap = {v: i for i, v in enumerate(vertices)}
     edges = [(vmap[graph.edges[j][0]], vmap[graph.edges[j][1]]) for j in edge_ids]
     wt = None if graph.weights is None else tuple(graph.weights[j] for j in edge_ids)

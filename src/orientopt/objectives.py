@@ -242,30 +242,37 @@ class PhiSum(Frozen):
         object.__setattr__(self, "g", g)
 
     def resolve(self, graph: Multigraph) -> tuple[LiftedPhi, ...]:
-        def bound_at(bound, v):
+        """Each vertex's lifted cost, ``abs_balance()`` at the vertex's
+        degree.  Vertices with the same spec object, bounds and, for
+        ``abs_balance()``, degree share one LiftedPhi, which
+        :func:`build_network` then prices once."""
+        n = graph.n
+        if self.per_vertex is not None and len(self.per_vertex) != n:
+            raise ValueError("need one cost spec per vertex")
+        columns = [repeat(self.shared, n) if self.per_vertex is None else self.per_vertex]
+        for bound in (self.f, self.g):
             if bound is None or isinstance(bound, int):
-                return bound
-            if len(bound) != graph.n:
+                columns.append(repeat(bound, n))
+            elif len(bound) != n:
                 raise ValueError("need one degree bound per vertex")
-            return bound[v]
-
-        if self.per_vertex is not None:
-            specs = self.per_vertex
-            if len(specs) != graph.n:
-                raise ValueError("need one cost spec per vertex")
-        else:
-            same = isinstance(self.shared, PhiSpec) and self.shared != abs_balance()
-            if graph.n and same and all(b is None or isinstance(b, int) for b in (self.f, self.g)):
-                return (LiftedPhi(self.shared, self.f, self.g),) * graph.n  # one, shared
-            specs = (self.shared,) * graph.n
+            else:
+                columns.append(bound)
+        # with every column repeated, every vertex has the first one's key
+        same = all(c.__class__ is repeat for c in columns) and self.shared != abs_balance()
+        memo: dict = {}
         out = []
-        for v, entry in enumerate(specs):
-            if isinstance(entry, LiftedPhi):  # no shared bounds, see __init__
+        for v, (entry, f, g) in enumerate(zip(*columns)):
+            if entry.__class__ is LiftedPhi:  # no shared bounds, see __init__
                 out.append(entry)
                 continue
-            if entry.kind == "abs_balance" and entry.params[0] is None:
-                entry = abs_balance(graph.degrees[v])
-            out.append(LiftedPhi(entry, bound_at(self.f, v), bound_at(self.g, v)))
+            d = graph.degrees[v] if entry.kind == "abs_balance" and entry.params[0] is None else None
+            key = (id(entry), f, g, d)
+            phi = memo.get(key)
+            if phi is None:
+                phi = memo[key] = LiftedPhi(entry if d is None else abs_balance(d), f, g)
+            if same:
+                return (phi,) * n
+            out.append(phi)
         return tuple(out)
 
 

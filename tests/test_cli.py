@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: reports, exit codes, determinism."""
 
+import gc
 import json
 import os
 import random
@@ -224,6 +225,48 @@ class TestOneResolve:
         monkeypatch.setattr(PhiSum, "resolve", counted)
         report_of(capsys, *argv)
         assert len(calls) <= 1
+
+
+class TestCollectorPause:
+    """``run`` turns the cyclic collector off while a command runs, and
+    leaves it on or off as it found it."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("code, objective, graph", [
+        (0, "square", "k3"),
+        (2, "{", "k3"),
+        (3, "square", "no-such-file"),
+        (4, "square", "k3"),
+    ])
+    def test_collector_state_is_kept(self, capsys, monkeypatch, enabled, code, objective, graph):
+        def broken(*args):
+            raise RuntimeError("internal error: solver broke")
+
+        if code == 4:
+            monkeypatch.setattr(cli, "solve_cyclic", broken)
+        (gc.enable if enabled else gc.disable)()
+        got, _, _ = invoke(capsys, "solve", "--input", graph, "--objective", objective,
+                           "--mode", "cyclic-flow")
+        assert got == code
+        assert gc.isenabled() == enabled
+
+    def test_the_solver_runs_with_the_collector_off(self, capsys, monkeypatch):
+        flow, seen = cli.solve_cyclic, []
+
+        def watched(graph, objective):
+            seen.append(gc.isenabled())
+            return flow(graph, objective)
+
+        monkeypatch.setattr(cli, "solve_cyclic", watched)
+        gc.enable()
+        report_of(capsys, "solve", "--input", "k3", "--objective", "square", "--mode", "cyclic-flow")
+        assert seen == [False] and gc.isenabled()
 
 
 class TestOneKey:

@@ -12,6 +12,7 @@ from orientopt.graph import Orientation, build_graph, degrees_of_orientation
 from orientopt.instances import (
     SchedulingInstance,
     fig4_graph,
+    named_instance,
     random_multigraph,
     random_scheduling_instance,
     scheduling_to_orientation,
@@ -425,18 +426,34 @@ def _label_violations(g, phis, heads, movable):
     ]
 
 
+def _complete_square_minimum(n):
+    """The least square sum over the orientations of K_n: indegrees as
+    even as m = n(n - 1)/2 allows, (n - 1)/2 each for odd n, and n/2 and
+    n/2 - 1 at half the vertices each for even n."""
+    if n % 2:
+        return n * ((n - 1) // 2) ** 2
+    return n // 2 * ((n // 2) ** 2 + (n // 2 - 1) ** 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 40, 500])
+def test_complete_graph_square_key_is_the_closed_form(n):
+    """Dense graphs, where many improving paths of a phase end at one root."""
+    key = solve_cyclic(named_instance(f"complete:{n}"), PhiSum(shared=square())).key
+    assert key == LiftedCost(0, _complete_square_minimum(n))
+
+
 def test_label_pass_certifies_optimality_at_scale():
     """A label pass of its own checks the optimality condition on one
-    square solve at n = 10**4, m = 3 * 10**4, and on one completion of
-    bounded tables at n = 2000 with a third of the edges fixed.  The
-    same pass finds violations in an orientation that points every
-    edge at its first endpoint."""
-    g = random_multigraph(10**4, 3 * 10**4, seed=1)
+    square solve at n = 10**4, m = 3 * 10**4 and one on ``complete:150``,
+    and on one completion of bounded tables at n = 2000 with a third of
+    the edges fixed.  The same pass finds violations in an orientation
+    that points every edge at its first endpoint."""
     obj = PhiSum(shared=square())
-    phis = obj.resolve(g)
-    assert _label_violations(g, phis, [u for u, _ in g.edges], range(g.m))
-    heads = solve_cyclic(g, obj).orientation.heads
-    assert _label_violations(g, phis, heads, range(g.m)) == []
+    for g in (random_multigraph(10**4, 3 * 10**4, seed=1), named_instance("complete:150")):
+        phis = obj.resolve(g)
+        assert _label_violations(g, phis, [u for u, _ in g.edges], range(g.m))
+        heads = solve_cyclic(g, obj).orientation.heads
+        assert _label_violations(g, phis, heads, range(g.m)) == []
 
     rng = random.Random(5)
     g = random_multigraph(2000, 6000, seed=2)

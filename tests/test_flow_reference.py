@@ -13,7 +13,9 @@ from math import lcm
 import pytest
 
 from orientopt.flow import solve_cyclic, solve_mixed
-from orientopt.instances import random_multigraph, random_scheduling_instance, scheduling_to_orientation
+from orientopt.instances import (
+    named_instance, random_multigraph, random_scheduling_instance, scheduling_to_orientation,
+)
 from orientopt.objectives import ForbiddenSubpaths, LiftedCost, PhiSum, abs_balance, binom2, cube, square
 
 nx = pytest.importorskip("networkx")
@@ -78,11 +80,15 @@ def _fixed(rng, graph, share):
 
 @pytest.mark.parametrize(
     "spec, n",
-    [(square(), 2000), (square(), 200), (cube(), 1000), (abs_balance(), 1000)],
-    ids=["square-2000", "square-200", "cube-1000", "abs_balance-1000"],
+    [(square(), 2000), (square(), 200), (cube(), 1000), (abs_balance(), 1000),
+     (square(), "complete:60"), (cube(), "complete:121")],
+    ids=["square-2000", "square-200", "cube-1000", "abs_balance-1000",
+         "square-complete:60", "cube-complete:121"],
 )
 def test_solve_cyclic_value_equals_network_simplex(spec, n):
-    g = _graph(n, seed=n)
+    """Sparse random multigraphs, and complete graphs, where a phase
+    reverses many paths into one root."""
+    g = named_instance(n) if isinstance(n, str) else _graph(n, seed=n)
     obj = PhiSum(shared=spec)
     assert solve_cyclic(g, obj).key == network_simplex_optimum(g, obj.resolve(g))
 

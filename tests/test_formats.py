@@ -512,3 +512,33 @@ class TestSerialization:
             text = json.dumps(objective_to_json(objective))
             parsed = parse_objective(text)
             assert parsed.resolve(graph) == objective.resolve(graph)
+
+
+class TestOneNumberPerString:
+    """A document reads each distinct number string once: equal strings
+    give one object, and a bad one still fails where it first appears."""
+
+    def test_equal_strings_give_one_object(self):
+        per = [{"kind": "linear", "a": f"{v % 3}/7", "b": "5/2"} for v in range(9)]
+        per.append({"kind": "table", "values": ["1/7", "5/2", 4]})
+        obj = parse_objective(json.dumps({"kind": "phi_sum", "per_vertex": per}))
+        a = [spec.params[0] for spec in obj.per_vertex[:9]]
+        assert a == [Fraction(v % 3, 7) for v in range(9)]
+        assert a[1] is a[4] is a[7] is obj.per_vertex[9].params[0] and a[2] is a[5] is a[8]
+        assert len({id(spec.params[1]) for spec in obj.per_vertex[:9]}) == 1
+        assert obj.per_vertex[9].params[1] is obj.per_vertex[0].params[1]
+
+    def test_numbers_are_not_shared_with_equal_booleans(self):
+        per = [{"kind": "linear", "a": 1, "b": 1.0}, {"kind": "linear", "a": True}]
+        with pytest.raises(FormatError, match=r"per_vertex\[1\]: `a` must be a number"):
+            parse_objective(json.dumps({"kind": "phi_sum", "per_vertex": per}))
+
+    @pytest.mark.parametrize("bad", ["1/0", "x"])
+    def test_a_bad_string_fails_at_its_first_index(self, bad):
+        per = [{"kind": "linear", "a": "1/2"}] * 3 + [{"kind": "linear", "a": bad}] * 2
+        with pytest.raises(FormatError, match=r"per_vertex\[3\]: `a` must be a number"):
+            parse_objective(json.dumps({"kind": "phi_sum", "per_vertex": per}))
+
+    def test_json_edge_weights_share_objects(self):
+        g = parse_graph_json(json.dumps({"n": 3, "edges": [[0, 1, "2/3"], [1, 2, "2/3"]]}))
+        assert g.weights == (Fraction(2, 3),) * 2 and g.weights[0] is g.weights[1]

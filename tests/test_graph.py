@@ -580,3 +580,27 @@ def test_subgraph_relabels():
     assert sub.n == 3 and sub.m == 3
     assert verts == (0, 1, 4)
     assert is_connected(sub)
+
+
+def test_subgraph_of_every_vertex_and_edge_in_order_is_the_graph():
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [1, Fraction(1, 2), 2, 3])
+    g.degrees  # a cached property, kept on the graph returned
+    sub, verts = subgraph(g, range(g.n), range(g.m))
+    assert sub is g and verts == (0, 1, 2, 3)
+    assert subgraph(g, [0, 1, 2, 3], (0, 1, 2, 3))[0] is g
+    assert "degrees" in sub.__dict__
+
+
+@pytest.mark.parametrize("vertices, edge_ids", [
+    ([1, 0, 2, 3], [0, 1, 2, 3]),  # every vertex, relabelled
+    ([0, 1, 2, 3], [3, 2, 1, 0]),  # every edge, in another order
+    ([0, 1, 2, 3], [0, 1, 2]),
+    ([0, 1, 2, 3], [0, 0, 1, 2]),  # as many ids as edges, one of them twice
+])
+def test_subgraph_of_another_selection_is_a_relabelled_copy(vertices, edge_ids):
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [1, Fraction(1, 2), 2, 3])
+    sub, verts = subgraph(g, vertices, edge_ids)
+    local = {v: i for i, v in enumerate(vertices)}
+    edges = tuple((local[g.edges[j][0]], local[g.edges[j][1]]) for j in edge_ids)
+    assert sub is not g and verts == tuple(vertices)
+    assert sub == build_graph(4, edges, [g.weights[j] for j in edge_ids])

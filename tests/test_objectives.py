@@ -23,6 +23,7 @@ from orientopt.objectives import (
     PhiSpec,
     PhiSum,
     RhoDeltaSum,
+    _sum_parts,
     abs_balance,
     binom2,
     cube,
@@ -387,6 +388,51 @@ class TestPhiSumResolve:
         phis = PhiSum(per_vertex=(square(), cube()), f=0, g=5).resolve(g)
         assert all(isinstance(p, LiftedPhi) for p in phis)
         assert phis[1].spec.kind == "cube"
+
+    def test_equal_costs_share_one_object(self):
+        g = random_multigraph(40, 100, seed=4)
+        phis = PhiSum(shared=abs_balance()).resolve(g)
+        assert [phi.spec for phi in phis] == [abs_balance(d) for d in g.degrees]
+        assert len({id(phi) for phi in phis}) == len(set(g.degrees))
+        f = tuple(v % 3 for v in range(g.n))
+        phis = PhiSum(shared=square(), f=f, g=4).resolve(g)
+        assert [(phi.f, phi.g) for phi in phis] == [(fv, 4) for fv in f]
+        assert len({id(phi) for phi in phis}) == 3
+        sq, lifted = square(), LiftedPhi(cube(), 1, 2)
+        phis = PhiSum(per_vertex=(sq, lifted) * (g.n // 2)).resolve(g)
+        assert phis[1::2] == (lifted,) * (g.n // 2) and phis[1] is lifted
+        assert len({id(phi) for phi in phis[::2]}) == 1
+
+    @pytest.mark.parametrize("objective", [
+        PhiSum(shared=square()),
+        PhiSum(shared=cube(), f=1, g=3),
+        PhiSum(shared=linear(Fraction(1, 3), 2), f=tuple(v % 4 for v in range(30)),
+               g=tuple(3 + v % 2 for v in range(30))),
+        PhiSum(shared=abs_balance()),
+        PhiSum(shared=abs_balance(), f=2),
+        PhiSum(per_vertex=tuple(abs_balance() if v % 2 else table([0, 1, 3, 6, 10] * 4)
+                                for v in range(30)), g=5),
+    ], ids=["shared", "shared-bounded", "per-vertex-bounds", "abs_balance",
+            "abs_balance-bounded", "per-vertex-abs_balance"])
+    def test_shared_objects_keep_the_keys(self, objective):
+        """``_sum_parts`` of a resolve that shares objects equals that of one
+        fresh LiftedPhi per vertex, the resolve before objects were shared."""
+        g = random_multigraph(30, 60, seed=6)
+
+        def at(bound, v):
+            return bound if bound is None or isinstance(bound, int) else bound[v]
+
+        entries = objective.per_vertex or (objective.shared,) * g.n
+        fresh = [LiftedPhi(abs_balance(d) if e == abs_balance() else e,
+                           at(objective.f, v), at(objective.g, v))
+                 for v, (e, d) in enumerate(zip(entries, g.degrees))]
+        rng = random.Random(2)
+        for _ in range(5):
+            order = list(range(g.n))
+            rng.shuffle(order)
+            indeg = degrees_of_order(g, order).indeg
+            got, want = _sum_parts(objective.resolve(g), indeg), _sum_parts(fresh, indeg)
+            assert (got, type(got.base)) == (want, type(want.base))
 
     def test_neither_shared_nor_per_vertex(self):
         with pytest.raises(ValueError):

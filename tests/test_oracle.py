@@ -310,7 +310,8 @@ class TestWalkerContract:
              [1, Fraction(5, 4), 2, 1, Fraction(2, 3), 1, 3, 1, 2]),
         ],
     )
-    def test_orders_where_the_last_three_close(self, n, edges, weights):
+    def test_orders_of_four_to_six_vertices_with_loops_parallel_edges_and_weights(
+            self, n, edges, weights):
         # n = 4, 5, 6: the vertices below the sweeping one change at 2, 3, 4 levels
         assert_first_optimum(build_graph(n, edges, weights, allow_loops=True), "acyclic")
 
